@@ -13,17 +13,10 @@ import sys
 import numpy as np
 
 from dimsurgery.bitseq import gen_bernoulli
-from dimsurgery.dimension import ChunkSchedule
+from dimsurgery.dimension import chunk_dims
 from dimsurgery.entropy import entropy_inv
 from dimsurgery.estimators import BernoulliOracle
 from dimsurgery.surgery import apply_plan, plan_raise, plan_randomize
-
-
-def chunk_dims(bits, est):
-    sched = ChunkSchedule.for_length(bits.size)
-    return [est.estimate(bits[sched.span(j)[0]:sched.span(j)[1]],
-                         bits[:sched.span(j)[0]])
-            for j in range(1, sched.count + 1)]
 
 
 def main() -> int:
@@ -40,7 +33,7 @@ def main() -> int:
             dists, dims = [], []
             for seed in range(n_seeds):
                 x = gen_bernoulli(p, n_bits, seed=seed)
-                s_seq = chunk_dims(x.bits, est)
+                s_seq = chunk_dims(x, est)
                 plan = (plan_randomize(s_seq, seed=seed) if t == 1.0
                         else plan_raise(s_seq, s, t, seed=seed))
                 _, rep = apply_plan(x, plan, est)

@@ -5,7 +5,7 @@ from .bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup, gen_zero
 from .dimension import (
     ChunkSchedule,
     chunk_boundary,
-    estimate_chunk_dim,
+    chunk_dims,
     sequence_dim,
     sequence_distance,
 )

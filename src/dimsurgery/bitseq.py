@@ -3,7 +3,7 @@
 Bits live in a numpy uint8 array of 0/1 values.  On disk a sequence is raw
 packed bytes (most-significant-bit first within each byte) plus a one-line
 sidecar file `<path>.len` holding "len=<bits>" so trailing pad bits are
-unambiguous.
+unambiguous.  The payload must hold exactly ceil(len/8) bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class BitFileError(ValueError):
+    """A bit file or its sidecar is malformed (the CLI reports an I/O error)."""
 
 
 @dataclass
@@ -44,16 +48,24 @@ class BitSequence:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "BitSequence":
-        with open(f"{os.fspath(path)}.len", "r", encoding="ascii") as fh:
+        sidecar = f"{os.fspath(path)}.len"
+        with open(sidecar, "rb") as fh:
             header = fh.readline().strip()
-        if not header.startswith("len="):
-            raise ValueError(f"malformed sidecar header {header!r}")
-        length = int(header[4:])
+        digits = header[4:]
+        if not (header.startswith(b"len=") and digits.isdigit()):
+            raise BitFileError(f"{sidecar}: malformed sidecar header "
+                               f"{header.decode('ascii', 'replace')!r}")
+        length = int(digits)
         raw = np.fromfile(path, dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="big")[:length]
-        if bits.size != length:
-            raise ValueError(f"file shorter than declared length {length}")
-        return cls(bits)
+        if raw.size != (length + 7) // 8:
+            raise BitFileError(f"{os.fspath(path)}: {raw.size} bytes, but len={length} "
+                               f"needs {(length + 7) // 8}")
+        return cls(np.unpackbits(raw, bitorder="big")[:length])
+
+
+def as_bits(x) -> np.ndarray:
+    """The 0/1 uint8 array behind a BitSequence or an array-like."""
+    return x.bits if isinstance(x, BitSequence) else np.asarray(x, dtype=np.uint8)
 
 
 def gen_coin(n_bits: int, seed: int) -> BitSequence:

@@ -6,13 +6,15 @@ finitely-checkable lemmas, and run surgery experiments to CSV.
     dimsurgery verify   harper --n 8 --trials 10000
     dimsurgery surgery  --in x.bits --strategy raise --s 0.5 --t 0.8 --out run.csv
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error
+(including a malformed bit file).
 Every command is deterministic given (config, seed); CSV uses '.' decimals.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import ChunkSchedule, chunk_boundary
+from .dimension import ChunkSchedule, chunk_boundary, chunk_dims, weighted_series
 from .entropy import (
     bound_curves,
     buffer_schedule,
@@ -64,16 +66,9 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    if args.kind == "bernoulli":
-        seq = bitseq.gen_bernoulli(args.p, args.n, args.seed)
-    elif args.kind == "coin":
-        seq = bitseq.gen_coin(args.n, args.seed)
-    elif args.kind == "join_dup":
-        seq = bitseq.gen_join_dup(args.n, args.seed)
-    elif args.kind == "zero_padded":
-        seq = bitseq.gen_zero_padded(args.stride, args.n, args.seed)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown kind {args.kind}")
+    gen = bitseq.GENERATORS[args.kind]
+    flags = {"n_bits": args.n, "seed": args.seed, "p": args.p, "stride": args.stride}
+    seq = gen(**{name: flags[name] for name in inspect.signature(gen).parameters})
     seq.to_file(args.out)
     print(f"wrote {args.n} bits to {args.out}")
     return EXIT_OK
@@ -279,15 +274,6 @@ def cmd_verify(args) -> int:
 # surgery
 # ---------------------------------------------------------------------------
 
-def _measure_chunk_dims(x: BitSequence, est) -> list[float]:
-    sched = ChunkSchedule.for_length(len(x))
-    out = []
-    for j in range(1, sched.count + 1):
-        lo, hi = sched.span(j)
-        out.append(est.estimate(x.bits[lo:hi], x.bits[:lo]))
-    return out
-
-
 def _surgery_bound(args, report) -> float:
     if args.strategy == "randomize":
         return 0.5 - float(entropy_inv(report.dim_before))
@@ -295,9 +281,7 @@ def _surgery_bound(args, report) -> float:
         return float(entropy_inv(args.t) - entropy_inv(args.s))
     if args.strategy == "lower":
         return float(entropy_inv(1.0 - args.s))
-    deltas = report.plan.deltas()
-    js = np.arange(1, len(deltas) + 1, dtype=np.float64)
-    series = np.cumsum(deltas * js ** 2) / (js * (js + 1) * (2 * js + 1) / 6.0)
+    series = weighted_series(report.plan.deltas())
     return float(series[len(series) // 2:].max())
 
 
@@ -309,11 +293,11 @@ def _run_surgery_once(args, seed: int, out_path: str | None) -> None:
         raise ValueError("input too short for even two chunks")
     cover_provider = None
     if args.strategy == "randomize":
-        plan = plan_randomize(_measure_chunk_dims(x, est), seed=seed)
+        plan = plan_randomize(chunk_dims(x, est), seed=seed)
     elif args.strategy == "weak":
-        plan = plan_weak_srandom(_measure_chunk_dims(x, est), c=args.c, seed=seed)
+        plan = plan_weak_srandom(chunk_dims(x, est), c=args.c, seed=seed)
     elif args.strategy == "raise":
-        s_seq = _measure_chunk_dims(x, est)
+        s_seq = chunk_dims(x, est)
         if args.t <= args.s:
             raise argparse.ArgumentTypeError("raise needs s < t")
         plan = plan_raise(s_seq, args.s, args.t, seed=seed)
@@ -399,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a test sequence")
-    p.add_argument("--kind", required=True,
-                   choices=["bernoulli", "coin", "join_dup", "zero_padded"])
+    p.add_argument("--kind", required=True, choices=list(bitseq.GENERATORS))
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5)
@@ -477,7 +460,7 @@ def main(argv=None) -> int:
     _apply_config(args, cfg, argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, bitseq.BitFileError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_IO
     except (argparse.ArgumentTypeError, ValueError) as exc:

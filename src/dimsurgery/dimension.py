@@ -5,6 +5,7 @@ bits, starting at n_j = sum_{i<j} i^2).  The proxy dimension of a sequence is
 the weighted running average of per-chunk conditional estimates, with a
 tail extremum standing in for the infinite-horizon liminf; the distance
 aggregator mirrors it with per-chunk Hamming densities and a tail maximum.
+Chunks are measured only by chunk_dims and averaged only by weighted_series.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import BitSequence
+from .bitseq import as_bits
 from .entropy import entropy
 
 # chunks below this index carry too much per-chunk overhead to be meaningful
@@ -55,9 +56,18 @@ def default_tail_start(count: int) -> int:
     return max(MIN_TAIL_CHUNK, count // 2)
 
 
-def estimate_chunk_dim(chunk, context, est) -> float:
-    """Per-chunk conditional proxy dimension via the given estimator."""
-    return est.estimate(chunk, context)
+def chunk_dims(x, est) -> np.ndarray:
+    """Per-chunk conditional estimates s_j: chunk j against its prefix x[:n_j].
+
+    This is the one measurement loop; every complete chunk is estimated once.
+    """
+    bits = as_bits(x)
+    sched = ChunkSchedule.for_length(len(bits))
+    values = np.empty(sched.count)
+    for j in range(1, sched.count + 1):
+        lo, hi = sched.span(j)
+        values[j - 1] = est.estimate(bits[lo:hi], bits[:lo])
+    return values
 
 
 @dataclass
@@ -77,16 +87,22 @@ class DistanceSeries:
     tail_max: float
     series: np.ndarray            # weighted averages at j = 2 .. count+1
     chunk_values: np.ndarray      # per-chunk normalized Hamming distances
-    prefix_series: np.ndarray     # plain prefix distances at the same boundaries
     tail_start: int
 
 
-def _weighted_series(values: np.ndarray) -> np.ndarray:
-    count = len(values)
-    js = np.arange(1, count + 1, dtype=np.int64)
+def weighted_series(values) -> np.ndarray:
+    """Quadratic-weight running averages (1/n_{j+1}) sum_{i<=j} v_i i^2, j = 1..count."""
+    js = np.arange(1, len(values) + 1, dtype=np.int64)
     weights = (js.astype(np.float64)) ** 2
     n_next = (js * (js + 1) * (2 * js + 1) / 6.0)        # n_{j+1}
-    return np.cumsum(values * weights) / n_next
+    return np.cumsum(np.asarray(values) * weights) / n_next
+
+
+def _check_tail(count: int, tail_start: int | None) -> None:
+    want = default_tail_start(count) if tail_start is None else tail_start
+    if count < max(1, want):
+        raise ValueError(
+            f"sequence too short: {count} complete chunks, tail needs {want}")
 
 
 def _tail_slice(count: int, tail_start: int | None):
@@ -97,22 +113,12 @@ def _tail_slice(count: int, tail_start: int | None):
     return max(0, start - 2), start
 
 
-def sequence_dim(x, est, tail_start: int | None = None) -> DimSeries:
-    """Proxy dimension of a sequence: per-chunk conditional estimates,
-    aggregated by the quadratic-weight running average; tail_min is the
-    finite liminf surrogate (min over boundaries j >= tail_start)."""
-    bits = x.bits if isinstance(x, BitSequence) else np.asarray(x, dtype=np.uint8)
-    sched = ChunkSchedule.for_length(len(bits))
-    want = default_tail_start(sched.count) if tail_start is None else tail_start
-    if sched.count < max(1, want):
-        raise ValueError(
-            f"sequence too short: {sched.count} complete chunks, tail needs {want}")
-    values = np.empty(sched.count)
-    for j in range(1, sched.count + 1):
-        lo, hi = sched.span(j)
-        values[j - 1] = est.estimate(bits[lo:hi], bits[:lo])
-    series = _weighted_series(values)
-    idx, start = _tail_slice(sched.count, tail_start)
+def dim_series(values, tail_start: int | None = None) -> DimSeries:
+    """Aggregate per-chunk dimension values; tail_min is the finite liminf
+    surrogate (min over boundaries j >= tail_start)."""
+    values = np.asarray(values, dtype=np.float64)
+    series = weighted_series(values)
+    idx, start = _tail_slice(len(values), tail_start)
     return DimSeries(
         final=float(series[-1]),
         tail_min=float(series[idx:].min()),
@@ -122,23 +128,26 @@ def sequence_dim(x, est, tail_start: int | None = None) -> DimSeries:
     )
 
 
+def sequence_dim(x, est, tail_start: int | None = None) -> DimSeries:
+    """Proxy dimension of a sequence: chunk_dims aggregated by dim_series."""
+    bits = as_bits(x)
+    _check_tail(ChunkSchedule.for_length(len(bits)).count, tail_start)
+    return dim_series(chunk_dims(bits, est), tail_start)
+
+
 def sequence_distance(x, y, tail_start: int | None = None) -> DistanceSeries:
     """Chunk-aggregated normalized distance between two equal-length sequences.
 
-    The weighted running average of per-chunk densities coincides exactly
-    with the plain prefix Hamming density at every chunk boundary (both are
-    the same integer mismatch count over n_j); tail_max is the finite limsup
-    surrogate.
+    `series` is the integer running mismatch count over n_{j+1}, so it equals
+    the plain prefix Hamming density at every chunk boundary bit for bit;
+    re-weighting the float per-chunk densities would not be exact.  tail_max
+    is the finite limsup surrogate.
     """
-    bx = x.bits if isinstance(x, BitSequence) else np.asarray(x, dtype=np.uint8)
-    by = y.bits if isinstance(y, BitSequence) else np.asarray(y, dtype=np.uint8)
+    bx, by = as_bits(x), as_bits(y)
     if bx.size != by.size:
         raise ValueError(f"length mismatch: {bx.size} vs {by.size}")
     sched = ChunkSchedule.for_length(bx.size)
-    want = default_tail_start(sched.count) if tail_start is None else tail_start
-    if sched.count < max(1, want):
-        raise ValueError(
-            f"sequences too short: {sched.count} complete chunks, tail needs {want}")
+    _check_tail(sched.count, tail_start)
     mism = bx != by
     counts = np.empty(sched.count, dtype=np.int64)
     for j in range(1, sched.count + 1):
@@ -148,14 +157,12 @@ def sequence_distance(x, y, tail_start: int | None = None) -> DistanceSeries:
     deltas = counts / (js.astype(np.float64) ** 2)
     n_next = js * (js + 1) * (2 * js + 1) // 6
     series = np.cumsum(counts) / n_next.astype(np.float64)
-    prefix = np.array([np.count_nonzero(mism[:b]) / b for b in n_next], dtype=np.float64)
     idx, start = _tail_slice(sched.count, tail_start)
     return DistanceSeries(
         final=float(series[-1]),
         tail_max=float(series[idx:].max()),
         series=series,
         chunk_values=deltas,
-        prefix_series=prefix,
         tail_start=start,
     )
 

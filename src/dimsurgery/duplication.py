@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import BitSequence
+from .bitseq import BitSequence, as_bits
 from .hamming import colex_rank, colex_unrank
 
 SUBSET_HEADER_BITS = 16
@@ -88,8 +88,7 @@ def _pair_views(bits: np.ndarray):
 
 def duplication_encode(x, y) -> DuplicationDescription:
     """Encode a join Y against X; raises ValueError when Y is not a join."""
-    bx = x.bits if isinstance(x, BitSequence) else np.asarray(x, dtype=np.uint8)
-    by = y.bits if isinstance(y, BitSequence) else np.asarray(y, dtype=np.uint8)
+    bx, by = as_bits(x), as_bits(y)
     if bx.size != by.size:
         raise ValueError(f"length mismatch: {bx.size} vs {by.size}")
     if bx.size % 2:

@@ -20,18 +20,12 @@ import zlib
 
 import numpy as np
 
-from .bitseq import BitSequence
+from .bitseq import as_bits
 from .entropy import entropy
 
 
 class EstimatorError(RuntimeError):
     """An estimator backend failed to produce an estimate."""
-
-
-def _as_bits(x) -> np.ndarray:
-    if isinstance(x, BitSequence):
-        return x.bits
-    return np.asarray(x, dtype=np.uint8)
 
 
 class BernoulliOracle:
@@ -40,7 +34,7 @@ class BernoulliOracle:
     name = "bernoulli"
 
     def estimate(self, chunk, context=None) -> float:
-        bits = _as_bits(chunk)
+        bits = as_bits(chunk)
         if bits.size == 0:
             raise EstimatorError("empty chunk")
         return float(entropy(float(np.count_nonzero(bits)) / bits.size))
@@ -73,7 +67,7 @@ class BlockEntropy:
         self.name = f"block:{k}"
 
     def estimate(self, chunk, context=None) -> float:
-        bits = _as_bits(chunk)
+        bits = as_bits(chunk)
         if bits.size == 0:
             raise EstimatorError("empty chunk")
         k = min(self.k, bits.size)
@@ -112,10 +106,10 @@ class Compressor:
             raise EstimatorError(f"{self.backend} failed: {exc}") from exc
 
     def estimate(self, chunk, context=None) -> float:
-        bits = _as_bits(chunk)
+        bits = as_bits(chunk)
         if bits.size == 0:
             raise EstimatorError("empty chunk")
-        ctx = _as_bits(context) if context is not None else np.empty(0, np.uint8)
+        ctx = as_bits(context) if context is not None else np.empty(0, np.uint8)
         if ctx.size > CONTEXT_WINDOW_BITS:
             ctx = ctx[-CONTEXT_WINDOW_BITS:]
         joint = np.concatenate([ctx, bits])

@@ -10,9 +10,10 @@ budget delta_j, following one of five strategies:
   raise_case2    raise along the chord through (s, t) and (1, 1)
   lower          quantize each chunk onto block codebooks of rate ~ s
 
-Application walks chunks left to right, re-estimating each chunk against the
-already-constructed prefix; the per-chunk change budget is a hard constraint
-(asserted on exact bit counts), target attainment is best-effort search.
+Application walks chunks left to right, estimating each modified chunk against
+the already-constructed prefix; the per-chunk change budget is a hard
+constraint (asserted on exact bit counts), target attainment is best-effort
+search.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitseq import BitSequence
+from .bitseq import BitSequence, as_bits
 from .dimension import (
     chunk_boundary,
     default_tail_start,
+    dim_series,
     sequence_dim,
     sequence_distance,
+    weighted_series,
 )
 from .entropy import (
     CASE1,
@@ -86,25 +89,6 @@ class SurgeryPlan:
     def deltas(self) -> np.ndarray:
         return np.array([e.delta_j for e in self.entries])
 
-    def to_text(self) -> str:
-        lines = [f"{self.strategy} {self.s:.12g} {self.t:.12g} {self.seed}"]
-        for e in self.entries:
-            lines.append(f"{e.j} {e.s_j:.12g} {e.delta_j:.12g} {e.t_j:.12g}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SurgeryPlan":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        strategy, s, t, seed = lines[0].split()
-        entries = []
-        for ln in lines[1:]:
-            j, s_j, delta_j, t_j = ln.split()
-            # the wire format carries the applied radii; eps is already folded in
-            entries.append(PlanEntry(j=int(j), s_j=float(s_j), t_j=float(t_j),
-                                     delta_j=float(delta_j), eps_j=0.0))
-        return cls(strategy=strategy, s=float(s), t=float(t), seed=int(seed),
-                   entries=entries)
-
 
 def default_eps_seq(count: int, eps_min: float = EPS_MIN) -> list[float]:
     """Slowly vanishing slack: eps_j = max(eps_min, 1/ceil(log2(j+2))).
@@ -118,14 +102,6 @@ def default_eps_seq(count: int, eps_min: float = EPS_MIN) -> list[float]:
 def _round_up_to_grid(value: float, j: int) -> float:
     """Round up to the nearest fraction k/j, clamped into [0, 1]."""
     return min(1.0, math.ceil(value * j - 1e-9) / j)
-
-
-def _planned_distance_tail_max(deltas: np.ndarray, tail_start: int) -> float:
-    js = np.arange(1, len(deltas) + 1, dtype=np.float64)
-    n_next = js * (js + 1) * (2 * js + 1) / 6.0
-    series = np.cumsum(deltas * js ** 2) / n_next
-    idx = min(max(0, tail_start - 2), len(series) - 1)
-    return float(series[idx:].max())
 
 
 def plan_randomize(s_seq, eps_seq=None, seed: int = 0) -> SurgeryPlan:
@@ -210,7 +186,8 @@ def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0,
                     f"chunk {e.j}: target {e.t_j} fell below the chord {line(e.s_j)}")
     ts = default_tail_start(count) if tail_start is None else tail_start
     ts = min(ts, count + 1)
-    planned = _planned_distance_tail_max(np.array([e.delta_j for e in entries]), ts)
+    # series index i holds boundary j = i + 2
+    planned = float(weighted_series([e.delta_j for e in entries])[max(0, ts - 2):].max())
     budget = bound_curves(s, t).raise_ + max(eps) + 1.0 / ts
     if planned > budget + 1e-12:
         raise PlanInvariantError(
@@ -284,7 +261,7 @@ def lower_chunk(chunk, target_s: float, cover: Codebook) -> np.ndarray:
     to hand in a codebook of rate about target_s (log2|cover| <= target_s n
     up to a log-sized allowance), which bounds the output's index rate.
     """
-    bits = chunk.bits if isinstance(chunk, BitSequence) else np.asarray(chunk, dtype=np.uint8)
+    bits = as_bits(chunk)
     if cover.n != bits.size:
         raise ValueError(f"cover word length {cover.n} != chunk length {bits.size}")
     w = _bits_to_word(bits)
@@ -353,7 +330,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     """
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius}")
-    bits = chunk.bits if isinstance(chunk, BitSequence) else np.asarray(chunk, dtype=np.uint8)
+    bits = as_bits(chunk)
     budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
     if budget == 0 or (target is not None and base >= target):
@@ -458,23 +435,28 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
                tail_start: int | None = None):
     """Apply a surgery plan chunk by chunk, left to right.
 
-    Per chunk: re-estimate s_j from the input and its prefix, modify within
-    the plan's budget (raise_chunk against the constructed prefix, or
-    nearest-codeword quantization per block for lower plans), and record
+    One sequence_dim pass over the input gives every s_j and dim_before.  Per
+    chunk: modify within the plan's budget (raise_chunk against the
+    constructed prefix, or nearest-codeword quantization per block for lower
+    plans), estimate t_achieved against the constructed prefix, and record
     planned vs achieved values.  The per-chunk achieved distance is asserted
-    against the budget on exact bit counts.
+    against the budget on exact bit counts.  dim_after aggregates the
+    t_achieved values: each was estimated once its prefix was final, so it
+    equals what a fresh sequence_dim pass over the output would measure.
     """
-    bx = x.bits if isinstance(x, BitSequence) else np.asarray(x, dtype=np.uint8)
+    bx = as_bits(x)
     count = len(plan.entries)
     if count == 0:
         return BitSequence(bx.copy()), SurgeryReport(
             plan=plan, outcomes=[], dim_before=float("nan"),
             dim_after=float("nan"), distance=0.0)
-    if chunk_boundary(count + 1) > bx.size:
-        raise ValueError(
-            f"plan covers {chunk_boundary(count + 1)} bits, sequence has {bx.size}")
+    used = chunk_boundary(count + 1)
+    if used > bx.size:
+        raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
     if plan.strategy == LOWER and cover_provider is None:
         cover_provider = lower_cover_provider(plan.t)
+    ts = tail_start if tail_start is not None else min(default_tail_start(count), count)
+    before = sequence_dim(bx[:used], est, ts)
 
     y = bx.copy()
     outcomes = []
@@ -483,7 +465,6 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
         j = entry.j
         lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
         x_chunk = bx[lo:hi]
-        s_j = est.estimate(x_chunk, bx[:lo])
         if plan.strategy == LOWER:
             y_chunk = np.empty_like(x_chunk)
             pos = 0
@@ -505,18 +486,15 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
                 f"chunk {j}: achieved {mismatches} flips over budget {budget_bits}")
         y[lo:hi] = y_chunk
         outcomes.append(ChunkOutcome(
-            j=j, s_j=s_j, delta_planned=entry.delta_j,
-            delta_achieved=mismatches / x_chunk.size,
+            j=j, s_j=float(before.chunk_values[j - 1]),
+            delta_planned=entry.delta_j, delta_achieved=mismatches / x_chunk.size,
             t_planned=entry.t_j,
             t_achieved=est.estimate(y_chunk, y[:lo])))
 
-    used = chunk_boundary(count + 1)
-    ts = tail_start if tail_start is not None else min(default_tail_start(count), count)
-    dim_before = sequence_dim(bx[:used], est, ts).tail_min
-    dim_after = sequence_dim(y[:used], est, ts).tail_min
+    dim_after = dim_series([o.t_achieved for o in outcomes], ts).tail_min
     distance = sequence_distance(bx[:used], y[:used], ts).tail_max
     report = SurgeryReport(
-        plan=plan, outcomes=outcomes, dim_before=dim_before,
+        plan=plan, outcomes=outcomes, dim_before=before.tail_min,
         dim_after=dim_after, distance=distance,
         codebook_rate=(index_bits_total / used if plan.strategy == LOWER else None))
     return BitSequence(y), report

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup
-from dimsurgery.dimension import ChunkSchedule, chunk_boundary
+from dimsurgery.dimension import ChunkSchedule, chunk_boundary, chunk_dims
 from dimsurgery.duplication import duplication_decode, duplication_encode
 from dimsurgery.entropy import (
     buffer_schedule,
@@ -56,13 +56,6 @@ class Timer:
     def check(self):
         assert self.elapsed < self.budget, (
             f"runtime {self.elapsed:.1f}s over budget {self.budget}s")
-
-
-def _measure_chunk_dims(bits: np.ndarray, est) -> list:
-    sched = ChunkSchedule.for_length(bits.size)
-    return [est.estimate(bits[sched.span(j)[0]:sched.span(j)[1]],
-                         bits[:sched.span(j)[0]])
-            for j in range(1, sched.count + 1)]
 
 
 def test_criterion_1_entropy_calculus():
@@ -152,7 +145,7 @@ def test_criterion_6_raise_to_random_tightness():
             want = 0.5 - p
             for seed in range(20):
                 x = gen_bernoulli(p, N_BITS_RAISE, seed=1000 * seed + int(100 * s))
-                s_seq = _measure_chunk_dims(x.bits, est)
+                s_seq = chunk_dims(x, est)
                 plan = plan_randomize(s_seq, seed=seed)
                 _, report = apply_plan(x, plan, est)
                 assert report.dim_after >= 0.98, (s, seed, report.dim_after)
@@ -171,7 +164,7 @@ def test_criterion_7_raise_s_to_t():
             want = float(entropy_inv(t) - entropy_inv(s))
             for seed in range(20):
                 x = gen_bernoulli(p, N_BITS_RAISE, seed=7000 + 100 * seed + int(10 * t))
-                s_seq = _measure_chunk_dims(x.bits, est)
+                s_seq = chunk_dims(x, est)
                 plan = plan_raise(s_seq, s, t, seed=seed)  # arithmetic invariant inside
                 # plan-level invariant, re-checked explicitly
                 deltas = plan.deltas()

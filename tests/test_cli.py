@@ -209,6 +209,32 @@ class TestSurgery:
                    "--strategy", "randomize") == EXIT_IO
 
 
+class TestMalformedBitFile:
+    """Every malformed bit file exits EXIT_IO with one stderr line."""
+
+    def _surgery_on(self, tmp_path, capsys, payload: bytes, sidecar: str) -> int:
+        path = tmp_path / "bad.bits"
+        path.write_bytes(payload)
+        (tmp_path / "bad.bits.len").write_text(sidecar)
+        code = run("surgery", "--in", str(path), "--strategy", "randomize")
+        err = capsys.readouterr().err
+        assert err.startswith("dimsurgery: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return code
+
+    def test_non_integer_length(self, tmp_path, capsys):
+        assert self._surgery_on(tmp_path, capsys, bytes(4), "len=abc\n") == EXIT_IO
+
+    def test_missing_len_prefix(self, tmp_path, capsys):
+        assert self._surgery_on(tmp_path, capsys, bytes(4), "32\n") == EXIT_IO
+
+    def test_file_too_short(self, tmp_path, capsys):
+        assert self._surgery_on(tmp_path, capsys, bytes(3), "len=32\n") == EXIT_IO
+
+    def test_trailing_bytes(self, tmp_path, capsys):
+        assert self._surgery_on(tmp_path, capsys, bytes(5), "len=32\n") == EXIT_IO
+
+
 class TestConfigAndCodes:
     def test_usage_error_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,6 @@ from dimsurgery.dimension import (
     ChunkSchedule,
     check_dim_bound_proxy,
     chunk_boundary,
-    estimate_chunk_dim,
     sequence_dim,
     sequence_distance,
 )
@@ -94,6 +93,8 @@ class TestChunkSchedule:
 class TestEstimators:
     def test_bernoulli_all_zero(self):
         assert BernoulliOracle().estimate(np.zeros(100, np.uint8)) == 0.0
+        # all-ones is just as degenerate
+        assert BernoulliOracle().estimate(np.ones(64, np.uint8)) == 0.0
 
     def test_bernoulli_alternating_is_blind(self):
         # documents why the frequency oracle only suits Bernoulli sources
@@ -139,10 +140,6 @@ class TestEstimators:
         assert parse_estimator("compressor:lzma").backend == "lzma"
         with pytest.raises(ValueError):
             parse_estimator("magic")
-
-    def test_estimate_chunk_dim_dispatch(self):
-        bits = np.ones(64, np.uint8)
-        assert estimate_chunk_dim(bits, None, BernoulliOracle()) == 0.0
 
 
 class TestSequenceDim:
@@ -227,7 +224,11 @@ class TestSequenceDistance:
         x = gen_coin(30_000, 7)
         y = gen_bernoulli(0.4, 30_000, 8)
         res = sequence_distance(x, y, tail_start=5)
-        assert np.array_equal(res.series, res.prefix_series)
+        # at every chunk boundary n_{j+1} the series is the plain prefix density
+        mism = x.bits != y.bits
+        n_next = [chunk_boundary(j + 1) for j in range(1, len(res.series) + 1)]
+        prefix = np.array([np.count_nonzero(mism[:b]) / b for b in n_next])
+        assert np.array_equal(res.series, prefix)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin
-from dimsurgery.dimension import chunk_boundary, sequence_distance
+from dimsurgery.dimension import (
+    chunk_boundary,
+    chunk_dims,
+    default_tail_start,
+    sequence_dim,
+    sequence_distance,
+)
 from dimsurgery.entropy import bound_curves, chord_line, entropy, entropy_inv
-from dimsurgery.estimators import BernoulliOracle, BlockEntropy
+from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
 from dimsurgery.surgery import (
     GREEDY,
     LOWER,
@@ -19,6 +25,7 @@ from dimsurgery.surgery import (
     RANDOM_FILL,
     RANDOMIZE,
     STEEPEST,
+    WEAK_SRANDOM,
     PlanInvariantError,
     SurgeryPlan,
     apply_plan,
@@ -104,22 +111,6 @@ class TestPlans:
     def test_raise_domain(self):
         with pytest.raises(ValueError):
             plan_raise([0.5] * 10, 0.7, 0.6)
-
-    def test_serialization_round_trip(self):
-        plan = plan_raise([0.3] * 40, 0.3, 0.7, seed=9)
-        text = plan.to_text()
-        back = SurgeryPlan.from_text(text)
-        assert back.strategy == plan.strategy
-        assert back.seed == 9
-        assert back.s == pytest.approx(plan.s)
-        for a, b in zip(plan.entries, back.entries):
-            assert (a.j, a.s_j, a.delta_j, a.t_j) == pytest.approx(
-                (b.j, b.s_j, b.delta_j, b.t_j))
-
-    def test_header_format(self):
-        plan = plan_randomize([0.5] * 12, seed=3)
-        first = plan.to_text().splitlines()[0].split()
-        assert first[0] == RANDOMIZE and first[3] == "3"
 
 
 class TestRaiseChunk:
@@ -232,9 +223,7 @@ class TestApplyPlan:
         n_chunks = 40
         x = gen_bernoulli(0.11, chunk_boundary(n_chunks + 1), 3)
         est = BernoulliOracle()
-        s_seq = [est.estimate(x.bits[chunk_boundary(j):chunk_boundary(j + 1)])
-                 for j in range(1, n_chunks + 1)]
-        plan = plan_randomize(s_seq, seed=5)
+        plan = plan_randomize(chunk_dims(x, est), seed=5)
         y, report = apply_plan(x, plan, est, tail_start=20)
         for entry, out in zip(plan.entries, report.outcomes):
             assert out.delta_achieved <= entry.delta_j + 1e-15
@@ -245,9 +234,7 @@ class TestApplyPlan:
         s = 0.5
         x = gen_bernoulli(float(entropy_inv(s)), chunk_boundary(n_chunks + 1), 7)
         est = BernoulliOracle()
-        s_seq = [est.estimate(x.bits[chunk_boundary(j):chunk_boundary(j + 1)])
-                 for j in range(1, n_chunks + 1)]
-        plan = plan_randomize(s_seq, seed=2)
+        plan = plan_randomize(chunk_dims(x, est), seed=2)
         y, report = apply_plan(x, plan, est)
         assert report.dim_after >= 0.97
         want = 0.5 - entropy_inv(s)
@@ -264,6 +251,33 @@ class TestApplyPlan:
         assert report.distance <= entropy_inv(0.5) + 0.05
         for entry, out in zip(plan.entries, report.outcomes):
             assert out.delta_achieved <= entry.delta_j + 1e-15
+
+    @pytest.mark.parametrize("strategy", [RANDOMIZE, "raise", WEAK_SRANDOM, LOWER])
+    @pytest.mark.parametrize("est", [BlockEntropy(8), Compressor("zlib")],
+                             ids=["block8", "zlib"])
+    def test_single_pass_matches_reference(self, strategy, est):
+        # the report reuses one input pass and the t_achieved values; both
+        # must equal fresh sequence_dim passes exactly (zlib also reads the
+        # prefix, so t_achieved must see the final one)
+        count = 40
+        used = chunk_boundary(count + 1)
+        x = gen_bernoulli(float(entropy_inv(0.5)), used + 37, 3)
+        s_seq = chunk_dims(x, est)
+        provider = None
+        if strategy == RANDOMIZE:
+            plan = plan_randomize(s_seq, seed=1)
+        elif strategy == "raise":
+            plan = plan_raise(s_seq, 0.5, 0.8, seed=1)
+        elif strategy == WEAK_SRANDOM:
+            plan = plan_weak_srandom(s_seq, c=10.0, seed=1)
+        else:
+            provider = lower_cover_provider(0.5)
+            plan = plan_lower(count, 0.5, provider, block_len=10, seed=1)
+        y, report = apply_plan(x, plan, est, cover_provider=provider, block_len=10)
+        ts = min(default_tail_start(count), count)
+        assert report.dim_before == sequence_dim(x[:used], est, ts).tail_min
+        assert report.dim_after == sequence_dim(y[:used], est, ts).tail_min
+        assert [o.s_j for o in report.outcomes] == chunk_dims(x[:used], est).tolist()
 
     def test_deterministic_given_seed(self):
         n_chunks = 30
@@ -282,9 +296,7 @@ class TestApplyPlan:
         s = 0.5
         x = gen_bernoulli(float(entropy_inv(s)), chunk_boundary(n_chunks + 1), 13)
         est = BernoulliOracle()
-        s_seq = [est.estimate(x.bits[chunk_boundary(j):chunk_boundary(j + 1)],
-                              x.bits[:chunk_boundary(j)])
-                 for j in range(1, n_chunks + 1)]
+        s_seq = chunk_dims(x, est)
         plan = plan_weak_srandom(s_seq, c=c, seed=4)
         y, report = apply_plan(x, plan, est)
         from dimsurgery.entropy import buffer_schedule, tail_average_floor
