@@ -16,6 +16,7 @@ from dimsurgery.dimension import (
     ChunkSchedule,
     check_dim_bound_proxy,
     chunk_boundary,
+    chunk_dims,
     sequence_dim,
     sequence_distance,
 )
@@ -93,8 +94,6 @@ class TestChunkSchedule:
 class TestEstimators:
     def test_bernoulli_all_zero(self):
         assert BernoulliOracle().estimate(np.zeros(100, np.uint8)) == 0.0
-        # all-ones is just as degenerate
-        assert BernoulliOracle().estimate(np.ones(64, np.uint8)) == 0.0
 
     def test_bernoulli_alternating_is_blind(self):
         # documents why the frequency oracle only suits Bernoulli sources
@@ -140,6 +139,20 @@ class TestEstimators:
         assert parse_estimator("compressor:lzma").backend == "lzma"
         with pytest.raises(ValueError):
             parse_estimator("magic")
+
+    def test_estimate_chunk_dim_dispatch(self):
+        # chunk_dims hands each chunk and its prefix to the estimator
+        bits = np.ones(64, np.uint8)
+        assert np.array_equal(chunk_dims(bits, BernoulliOracle()), np.zeros(5))
+        seen = []
+
+        class Spy:
+            def estimate(self, chunk, context=None):
+                seen.append((len(chunk), len(context)))
+                return 0.5
+
+        assert np.array_equal(chunk_dims(bits, Spy()), np.full(5, 0.5))
+        assert seen == [(1, 0), (4, 1), (9, 5), (16, 14), (25, 30)]
 
 
 class TestSequenceDim:
