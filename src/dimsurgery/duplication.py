@@ -3,8 +3,9 @@
 Y must be a join (Y(2i) = Y(2i+1)).  The description stores X verbatim, one
 bit Y(2i) per X-pair with X(2i) != X(2i+1), and the set
 {i : X(2i) = X(2i+1) != Y(2i)} as an enumerative code over the equal-pair
-indices (16-bit cardinality header plus a colex combination rank).  It beats
-the symmetric-difference counting bound whenever X sits within distance
+indices (a cardinality header of 16 bits, or more when the equal-pair count
+needs them, plus a colex combination rank).  It beats the
+symmetric-difference counting bound whenever X sits within distance
 H^{-1}(1/2) of Y: roughly n + H^{-1}(1/2) n + n/4 bits for a sequence pair
 the naive bound prices at n + H(d) n.
 """
@@ -20,6 +21,11 @@ from .bitseq import BitSequence, as_bits
 from .hamming import colex_rank, colex_unrank
 
 SUBSET_HEADER_BITS = 16
+
+
+def _header_bits(equal: int) -> int:
+    """Width of the cardinality header: 16 bits, or enough to hold `equal`."""
+    return max(SUBSET_HEADER_BITS, equal.bit_length())
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
@@ -43,7 +49,7 @@ class DuplicationDescription:
 
     def to_bits(self) -> np.ndarray:
         """Serialize to a flat bit array of exactly total_length_bits bits:
-        X verbatim, the per-pair bits, the 16-bit cardinality, the rank."""
+        X verbatim, the per-pair bits, the cardinality header, the rank."""
         k, rank = self.subset_code
         x_even, x_odd = _pair_views(self.x_bits.bits)
         equal = int(np.count_nonzero(x_even == x_odd))
@@ -51,7 +57,7 @@ class DuplicationDescription:
         out = np.concatenate([
             self.x_bits.bits,
             np.asarray(self.mismatch_bits, dtype=np.uint8),
-            _int_to_bits(k, SUBSET_HEADER_BITS),
+            _int_to_bits(k, _header_bits(equal)),
             _int_to_bits(rank, rank_bits),
         ])
         if out.size != self.total_length_bits:
@@ -68,10 +74,11 @@ class DuplicationDescription:
         equal = n // 2 - unequal
         pos = n + unequal
         mismatch = bits[n:pos]
-        if bits.size < pos + SUBSET_HEADER_BITS:
+        width = _header_bits(equal)
+        if bits.size < pos + width:
             raise ValueError("malformed description: truncated header")
-        k = _bits_to_int(bits[pos:pos + SUBSET_HEADER_BITS])
-        pos += SUBSET_HEADER_BITS
+        k = _bits_to_int(bits[pos:pos + width])
+        pos += width
         if k > equal:
             raise ValueError("malformed subset code")
         rank_bits = (math.comb(equal, k) - 1).bit_length()
@@ -103,8 +110,9 @@ def duplication_encode(x, y) -> DuplicationDescription:
     wrong = np.flatnonzero(y_even[equal_pos] != x_even[equal_pos])
     k = int(wrong.size)
     rank = colex_rank(wrong.tolist())
-    rank_bits = (math.comb(equal_pos.size, k) - 1).bit_length()
-    total = bx.size + int(mismatch_bits.size) + SUBSET_HEADER_BITS + rank_bits
+    equal = int(equal_pos.size)
+    rank_bits = (math.comb(equal, k) - 1).bit_length()
+    total = bx.size + int(mismatch_bits.size) + _header_bits(equal) + rank_bits
     return DuplicationDescription(
         x_bits=BitSequence(bx.copy()),
         mismatch_bits=mismatch_bits,

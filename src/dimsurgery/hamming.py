@@ -11,8 +11,8 @@ noted on the operation it protects.
 
 from __future__ import annotations
 
-import heapq
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +23,7 @@ from .entropy import entropy
 MAX_EXHAUSTIVE_N = 22     # one byte per word for cover tables
 MAX_FAR_COUNT_N = 20
 MAX_PAIRWISE_PRODUCT = 1 << 30
+_SCAN_BLOCK = 1 << 12   # words per forward step of the greedy maximum scan
 
 
 def ball_volume(n: int, k: int):
@@ -69,13 +70,18 @@ def colex_unrank(rank: int, n: int, k: int) -> tuple:
     """Inverse of colex_rank for k-subsets of {0..n-1}."""
     out = [0] * k
     m = n
+    c = math.comb(m, k)
     while k > 0:
-        m -= 1
-        offset = math.comb(m, k)
+        # c == C(m, k); exact updates C(m-1, k) = c (m-k)/m, C(m-1, k-1) = c k/m
+        offset = c * (m - k) // m
         if rank >= offset:
             rank -= offset
+            c = c * k // m
             k -= 1
-            out[k] = m
+            out[k] = m - 1
+        else:
+            c = offset
+        m -= 1
     return tuple(out)
 
 
@@ -344,12 +350,26 @@ class Codebook:
 
     @classmethod
     def from_text(cls, text: str) -> "Codebook":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n, radius, count = (int(x) for x in lines[0].split())
+        """Parse `to_text` output; malformed text raises ValueError."""
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        try:
+            n, radius, count = (int(x) for x in lines[0].split())
+            if not 1 <= n <= 62:                    # words are packed in int64
+                raise ValueError
+        except (IndexError, ValueError):
+            raise ValueError("malformed codebook header: want 'n r count' "
+                             "with 1 <= n <= 62") from None
+        if len(lines) - 1 != count:
+            raise ValueError(f"codebook header promises {count} words, "
+                             f"found {len(lines) - 1}")
         total = 4 * ((n + 3) // 4)
         words = np.empty(count, dtype=np.int64)
-        for idx, ln in enumerate(lines[1:count + 1]):
-            v = int(ln.strip(), 16)
+        for idx, ln in enumerate(lines[1:]):
+            if not re.fullmatch(f"[0-9a-fA-F]{{{total // 4}}}", ln):
+                raise ValueError(f"codebook word {ln!r} is not {total // 4} hex digits")
+            v = int(ln, 16)
+            if v & ((1 << (total - n)) - 1):
+                raise ValueError(f"codebook word {ln!r} has nonzero padding bits")
             w = 0
             for i in range(n):
                 w |= ((v >> (total - 1 - i)) & 1) << i
@@ -400,116 +420,97 @@ def delsarte_piret_bound(n: int, r: int) -> float:
     return 1.0 + n * (1 << n) * math.log(2.0) / float(ball_volume(n, r))
 
 
-def _flip_sum(arr: np.ndarray, n: int) -> np.ndarray:
-    """sum_b arr[x ^ (1<<b)] for every x, via strided views."""
-    out = np.zeros_like(arr)
-    for b in range(n):
-        out += arr.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(arr.shape)
-    return out
+def _wht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n array, in place."""
+    for b in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << b)
+        lo = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(lo, v[:, 1], out=v[:, 1])
+    return a
 
 
-def _marginals_by_shells(uncovered: np.ndarray, n: int, r: int) -> np.ndarray:
-    """For every word x, the count |ball(x, r) & uncovered|, exactly.
+def _ball_transform(n: int, r: int) -> np.ndarray:
+    return _wht((popcount_table(n) <= r).astype(np.int64))
 
-    Shell counts N_d(x) = #{u uncovered : d(u,x) = d} satisfy
-    sum_b N_d(x^b) = (d+1) N_{d+1}(x) + (n-d+1) N_{d-1}(x); integer DP up the
-    shells costs r*n contiguous passes, independent of the ball volume.
+
+def _marginal_table(uncovered: np.ndarray, ball_hat: np.ndarray) -> np.ndarray:
+    """marg[x] = |B(x, r) & uncovered| for every x, as the xor-convolution
+    WHT(WHT(U) * WHT(ball)) >> n, with ball_hat = _ball_transform(n, r).
+
+    Exact in int64 for every n <= 22: int64 arithmetic is exact modulo 2^64,
+    and the only value that must fit is the final 2^n * marg <= 2^44.
     """
-    n_prev = np.zeros(uncovered.shape, dtype=np.int64)
-    n_cur = uncovered.astype(np.int64)
-    total = n_cur.copy()
-    for d in range(r):
-        s = _flip_sum(n_cur, n)
-        n_next = (s - (n - d + 1) * n_prev) // (d + 1)
-        n_prev, n_cur = n_cur, n_next
-        total += n_cur
-    return total
+    n = uncovered.size.bit_length() - 1
+    return _wht(_wht(uncovered.astype(np.int64)) * ball_hat) >> n
 
 
-def _dense_greedy(n: int, r: int, offsets: np.ndarray, uncovered: np.ndarray,
-                  picks: int | None = None) -> list[int]:
-    """Greedy max-coverage with full marginal recomputation each step; wins
-    when the cover is tiny and balls are a sizable fraction of the space."""
-    chosen: list[int] = []
-    remaining = int(np.count_nonzero(uncovered))
-    while remaining > 0 and (picks is None or len(chosen) < picks):
-        marg = _marginals_by_shells(uncovered, n, r)
-        word = int(np.argmax(marg))
-        hood = word ^ offsets
-        gained = int(np.count_nonzero(uncovered[hood]))
-        uncovered[hood] = False
-        remaining -= gained
-        chosen.append(word)
-    return chosen
+def greedy_max_coverage(n: int, r: int, picks: int | None = None,
+                        candidates=None) -> list[int]:
+    """Greedy max coverage by radius-r balls over {0,1}^n: each pick is the
+    lowest candidate word whose ball holds the most uncovered words.
 
-
-def _incremental_greedy(n: int, offsets: np.ndarray, uncovered: np.ndarray,
-                        picks: int | None = None) -> list[int]:
-    """Greedy max-coverage over the whole space with an exact marginal table.
-
-    Every point gets covered exactly once, so the total table-update work is
-    bounded by 2^n * |ball|; each step is an argmax over the table.  Same
-    choices (first-index ties) as the heap route.
+    Stops after `picks` words, or as soon as no candidate covers a new word
+    (full coverage when the candidates cover the space; there is no padding).
+    `candidates` defaults to the whole space.  The exact table
+    marg[x] = |B(x, r) & uncovered| is either decremented around each newly
+    covered word (small balls) or recomputed per pick by `_marginal_table`
+    (large balls); a work estimate over (n, |ball|, picks) chooses, and both
+    give the same picks.
     """
+    if n > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"greedy coverage capped at n={MAX_EXHAUSTIVE_N}")
     space = 1 << n
-    if int(np.count_nonzero(uncovered)) != space:
-        raise ValueError("incremental backend expects a fully uncovered space")
-    marg = np.full(space, len(offsets), dtype=np.int32)
+    offsets = ball_offsets(n, r)
+    size = len(offsets)
+    uncovered = np.ones(space, dtype=bool)
+    excluded = np.zeros(space, dtype=bool)
+    if candidates is not None:
+        excluded[:] = True
+        excluded[np.asarray(candidates, dtype=np.int64)] = False
+    # table-entry updates: n 2^n per recomputed pick against |ball| per
+    # newly covered word
+    est = picks if picks is not None else math.ceil(delsarte_piret_bound(n, r))
+    recompute = est * n * space < size * min(space, est * size)
+    if recompute:
+        ball_hat = _ball_transform(n, r)
+    else:
+        marg = np.full(space, size, dtype=np.int64)
+        marg[excluded] = -space            # below any reachable marginal
+        # marginals only shrink, so the first word holding the current maximum
+        # only moves right: scan forward from it, full argmax when it drops
+        top, pos = size, 0
     chosen: list[int] = []
-    remaining = space
-    while remaining > 0 and (picks is None or len(chosen) < picks):
-        word = int(np.argmax(marg))
+    while picks is None or len(chosen) < picks:
+        if recompute:
+            marg = _marginal_table(uncovered, ball_hat)
+            marg[excluded] = -1
+            word = int(np.argmax(marg))
+        else:
+            while pos < space and not (hit := marg[pos:pos + _SCAN_BLOCK] == top).any():
+                pos += _SCAN_BLOCK
+            if pos < space:
+                pos += int(np.argmax(hit))
+            else:
+                pos = int(np.argmax(marg))
+                top = int(marg[pos])
+            word = pos
+        if marg[word] <= 0:
+            break
         hood = word ^ offsets
         newly = hood[uncovered[hood]]
         uncovered[newly] = False
-        remaining -= newly.size
         chosen.append(word)
-        for i in range(0, newly.size, 1024):
-            idx = (newly[i:i + 1024, None] ^ offsets[None, :]).ravel()
-            marg -= np.bincount(idx, minlength=space).astype(np.int32)
-    return chosen
-
-
-def _lazy_greedy(n: int, offsets: np.ndarray, candidates: np.ndarray,
-                 uncovered: np.ndarray, picks: int | None):
-    """Lazy greedy max-coverage: repeatedly pick the candidate covering the most
-    uncovered words.  Mutates `uncovered`; returns the chosen words in order.
-
-    Heap entries are packed ints; stale bounds stay valid because marginals
-    only shrink, so every accept is a true argmax.  Ties resolve to the first
-    candidate that clears the remaining stale bounds (not necessarily the
-    lowest word, unlike the exact-table backends).
-    """
-    v_max = len(offsets)
-    shift = n + 1
-    # key = (v_max - bound) << shift | word; every bound starts at v_max
-    heap = [int(w) for w in candidates]
-    heapq.heapify(heap)
-    chosen: list[int] = []
-    remaining = int(np.count_nonzero(uncovered))
-    word_mask = (1 << shift) - 1
-    while remaining > 0 and heap and (picks is None or len(chosen) < picks):
-        key = heapq.heappop(heap)
-        word = key & word_mask
-        hood = word ^ offsets
-        m = int(np.count_nonzero(uncovered[hood]))
-        next_bound = v_max - (heap[0] >> shift) if heap else -1
-        if m >= next_bound:
-            chosen.append(word)
-            uncovered[hood] = False
-            remaining -= m
-        elif m > 0:
-            heapq.heappush(heap, ((v_max - m) << shift) | word)
-    if picks is not None and len(chosen) < picks:
-        # coverage exhausted early: pad with the best remaining candidates
-        while heap and len(chosen) < picks:
-            chosen.append(heapq.heappop(heap) & word_mask)
+        if not recompute:
+            step = max(1, (1 << 16) // size)     # index blocks of 512 KB
+            for i in range(0, newly.size, step):
+                np.subtract.at(marg, (newly[i:i + step, None] ^ offsets).ravel(), 1)
     return chosen
 
 
 def greedy_cover(n: int, r: int) -> Codebook:
-    """Greedy covering code: each step adds the word covering the most
-    currently-uncovered words, until everything is covered.
+    """Greedy covering code: `greedy_max_coverage` run to full coverage
+    (first-word ties; r = 0 is the whole space).
 
     The result is verified exhaustively and its size asserted against the
     Delsarte-Piret bound (which textbook greedy always meets strictly).
@@ -518,29 +519,11 @@ def greedy_cover(n: int, r: int) -> Codebook:
         raise ValueError(f"greedy cover capped at n={MAX_EXHAUSTIVE_N}")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}")
-    space = 1 << n
-    if r >= n:
-        book = Codebook(n=n, radius=r, words=np.array([0], dtype=np.int64),
-                        coverage_fraction=1.0)
-    elif r == 0:
-        book = Codebook(n=n, radius=0, words=np.arange(space, dtype=np.int64),
-                        coverage_fraction=1.0)
+    if r == 0:
+        words = np.arange(1 << n, dtype=np.int64)
     else:
-        offsets = ball_offsets(n, r)
-        uncovered = np.ones(space, dtype=bool)
-        # three greedy backends (argmax ties may break differently, the
-        # selection per (n, r) is fixed, so the op stays deterministic):
-        # lazy heap for many-step covers with tiny balls, shells DP for tiny
-        # covers with huge balls, incremental marginal table in between
-        est_steps = n * space * math.log(2.0) / len(offsets)
-        if est_steps > 8000 and n < 19:
-            chosen = _lazy_greedy(n, offsets, np.arange(space), uncovered, picks=None)
-        elif len(offsets) * 32 > space:
-            chosen = _dense_greedy(n, r, offsets, uncovered)
-        else:
-            chosen = _incremental_greedy(n, offsets, uncovered, picks=None)
-        book = Codebook(n=n, radius=r, words=np.array(chosen, dtype=np.int64),
-                        coverage_fraction=1.0)
+        words = np.array(greedy_max_coverage(n, r), dtype=np.int64)
+    book = Codebook(n=n, radius=r, words=words, coverage_fraction=1.0)
     if not bool(coverage_table(book).all()):
         raise RuntimeError("greedy cover failed its own coverage check")
     if not len(book.words) < delsarte_piret_bound(n, r):
@@ -576,7 +559,9 @@ def random_cover(n: int, r: int, size: int, seed: int) -> Codebook:
 
 
 def best_subcode(book: Codebook, m: int) -> Codebook:
-    """Greedy max-coverage subcode of size m from a covering code.
+    """Greedy max-coverage subcode of at most m words from a covering code
+    (`greedy_max_coverage` over the code's words; it stops early once the
+    whole space is covered).
 
     Asserts the provable greedy coverage (1 - (1 - 1/|C|)^m) 2^n via exact
     integer arithmetic.  The stronger existential (m/|C|) 2^n bound is a
@@ -588,13 +573,12 @@ def best_subcode(book: Codebook, m: int) -> Codebook:
     n = book.n
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"subcode selection capped at n={MAX_EXHAUSTIVE_N}")
-    offsets = ball_offsets(n, book.radius)
-    uncovered = np.ones(1 << n, dtype=bool)
-    chosen = _lazy_greedy(n, offsets, np.asarray(book.words), uncovered, picks=m)
-    covered = (1 << n) - int(np.count_nonzero(uncovered))
+    chosen = greedy_max_coverage(n, book.radius, picks=m, candidates=book.words)
+    sub = Codebook(n=n, radius=book.radius, words=np.array(chosen, dtype=np.int64),
+                   coverage_fraction=0.0)
+    covered = int(np.count_nonzero(coverage_table(sub)))
     # covered >= 2^n (1 - (1-1/c)^m)  <=>  uncovered * c^m <= 2^n (c-1)^m
     if ((1 << n) - covered) * c ** m > (1 << n) * (c - 1) ** m:
         raise RuntimeError("greedy subcode fell below its provable coverage bound")
-    return Codebook(n=n, radius=book.radius,
-                    words=np.array(chosen, dtype=np.int64),
-                    coverage_fraction=covered / float(1 << n))
+    sub.coverage_fraction = covered / float(1 << n)
+    return sub

@@ -45,13 +45,12 @@ from .entropy import (
 )
 from .hamming import (
     Codebook,
-    _dense_greedy,
     _expand_once,
-    _lazy_greedy,
     ball_offsets,
     ball_volume,
     best_subcode,
     greedy_cover,
+    greedy_max_coverage,
 )
 
 RANDOMIZE = "randomize"
@@ -211,9 +210,10 @@ def _covering_radius(n: int, words: np.ndarray) -> int:
 
 @functools.lru_cache(maxsize=128)
 def quantizer_codebook(block_len: int, target_s: float) -> Codebook:
-    """Rate-limited greedy quantizer: ~2^((s+slack) L) words picked by greedy
-    ball coverage at the distortion radius g(1-s) L; `radius` is the exact
-    covering radius, so nearest-codeword distance is always <= radius."""
+    """Rate-limited greedy quantizer: up to 2^((s+slack) L) words picked by
+    greedy ball coverage at the distortion radius g(1-s) L (fewer once the
+    balls cover the space); `radius` is the exact covering radius, so
+    nearest-codeword distance is always <= radius."""
     if not 1 <= block_len <= 22:
         raise ValueError("block quantizers capped at 22 bits")
     space = 1 << block_len
@@ -223,13 +223,7 @@ def quantizer_codebook(block_len: int, target_s: float) -> Codebook:
         return Codebook(n=block_len, radius=0, words=words, coverage_fraction=1.0)
     r_star = max(1, round(float(entropy_inv(1.0 - target_s)) * block_len))
     r_star = min(r_star, block_len)
-    offsets = ball_offsets(block_len, r_star)
-    uncovered = np.ones(space, dtype=bool)
-    if len(offsets) * 256 >= space:
-        chosen = _dense_greedy(block_len, r_star, offsets, uncovered, picks=m)
-    else:
-        chosen = _lazy_greedy(block_len, offsets, np.arange(space), uncovered, picks=m)
-    words = np.array(chosen, dtype=np.int64)
+    words = np.array(greedy_max_coverage(block_len, r_star, picks=m), dtype=np.int64)
     radius = _covering_radius(block_len, words)
     return Codebook(n=block_len, radius=radius, words=words, coverage_fraction=1.0)
 

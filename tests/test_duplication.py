@@ -114,6 +114,20 @@ class TestBitSerialization:
         assert duplication_decode(back) == y
         assert back.total_length_bits == desc.total_length_bits
 
+    def test_wide_cardinality_header_round_trip(self):
+        # k = 2^16 wrong equal pairs no longer fits a 16-bit header
+        from dimsurgery.duplication import DuplicationDescription
+
+        n = 140_000
+        xb = np.zeros(n, dtype=np.uint8)
+        xb[:2 * 65_536] = 1
+        y = BitSequence(np.zeros(n, dtype=np.uint8))
+        desc = duplication_encode(BitSequence(xb), y)
+        assert desc.subset_code == (65_536, 0)
+        back = DuplicationDescription.from_bits(desc.to_bits(), n)
+        assert back.subset_code == desc.subset_code
+        assert duplication_decode(back) == y
+
     def test_truncated_wire_rejected(self):
         from dimsurgery.duplication import DuplicationDescription
 

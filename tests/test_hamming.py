@@ -4,6 +4,7 @@ Small-n oracles are exhaustive enumerations (itertools over the whole cube);
 the sphere distance law is cross-checked against materialized spheres.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimsurgery import hamming
 from dimsurgery.hamming import (
     ONE,
     ZERO,
@@ -25,7 +27,10 @@ from dimsurgery.hamming import (
     colex_unrank,
     coverage_table,
     delsarte_piret_bound,
+    _ball_transform,
+    _marginal_table,
     greedy_cover,
+    greedy_max_coverage,
     harper_far_count,
     measure_coverage,
     opposite_sphere_distance,
@@ -91,12 +96,20 @@ class TestColex:
             for pos, s in enumerate(colex_combinations(n, k)):
                 assert colex_rank(s) == pos
 
-    @given(st.integers(min_value=2, max_value=12), st.data())
+    @given(st.integers(min_value=2, max_value=2000), st.data())
     @settings(deadline=None)
     def test_unrank_round_trip(self, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n))
         rank = data.draw(st.integers(min_value=0, max_value=math.comb(n, k) - 1))
         assert colex_rank(colex_unrank(rank, n, k)) == rank
+
+    def test_unrank_large(self):
+        # colex order starts at {0..k-1}; rank C(n-1, k) is the first subset
+        # holding n-1; the last rank is the top k elements
+        n, k = 100_000, 5_000
+        assert colex_unrank(0, n, k) == tuple(range(k))
+        assert colex_unrank(math.comb(n - 1, k), n, k) == tuple(range(k - 1)) + (n - 1,)
+        assert colex_unrank(math.comb(n, k) - 1, n, k) == tuple(range(n - k, n))
 
 
 class TestSphereForSize:
@@ -244,36 +257,108 @@ class TestGreedyCover:
                 book = greedy_cover(n, r)
                 assert len(book.words) < delsarte_piret_bound(n, r)
 
-    def test_backends_all_produce_valid_greedy_covers(self):
-        # every backend is a textbook greedy run (ties may break differently,
-        # e.g. the heap accepts the first candidate that clears the remaining
-        # stale bounds); each result must cover and meet the size bound
-        from dimsurgery.hamming import (
-            _dense_greedy,
-            _incremental_greedy,
-            _lazy_greedy,
-            ball_offsets,
-        )
-
+    def test_engine_covers_within_the_bound(self):
         for n, r in [(8, 1), (10, 2), (12, 3)]:
-            offsets = ball_offsets(n, r)
-            runs = [
-                _lazy_greedy(n, offsets, np.arange(1 << n),
-                             np.ones(1 << n, dtype=bool), picks=None),
-                _incremental_greedy(n, offsets,
-                                    np.ones(1 << n, dtype=bool), picks=None),
-                _dense_greedy(n, r, offsets,
-                              np.ones(1 << n, dtype=bool), picks=None),
-            ]
-            # the two exact-argmax backends break ties identically
-            assert runs[1] == runs[2]
-            for chosen in runs:
-                assert len(chosen) < delsarte_piret_bound(n, r)
-                words = np.asarray(chosen, dtype=np.int64)
-                dists = np.bitwise_count(
-                    np.arange(1 << n, dtype=np.int64)[:, None] ^ words[None, :]
-                ).min(axis=1)
-                assert int(dists.max()) <= r
+            words = np.asarray(greedy_max_coverage(n, r), dtype=np.int64)
+            assert len(words) < delsarte_piret_bound(n, r)
+            dists = np.bitwise_count(
+                np.arange(1 << n, dtype=np.int64)[:, None] ^ words[None, :]
+            ).min(axis=1)
+            assert int(dists.max()) <= r
+
+    def test_engine_matches_first_index_greedy(self, monkeypatch):
+        # every n <= 10 and r, picks None or 3, candidates None or a random
+        # half; the spy records which cases recompute the table by WHT
+        recomputed = []
+        monkeypatch.setattr(hamming, "_marginal_table", _spy(recomputed))
+        sides = set()
+        rng = np.random.default_rng(5)
+        for n in range(1, 11):
+            for r in range(n + 1):
+                for picks in (None, 3):
+                    for cands in (None, np.flatnonzero(rng.random(1 << n) < 0.5)):
+                        recomputed.clear()
+                        got = greedy_max_coverage(n, r, picks=picks, candidates=cands)
+                        assert got == _first_index_greedy(n, r, picks, cands), (n, r, picks)
+                        sides.add(bool(recomputed))
+        assert sides == {True, False}
+
+    def test_engine_stops_at_full_coverage(self):
+        assert greedy_max_coverage(6, 6, picks=5) == [0]
+        assert len(greedy_max_coverage(8, 2, picks=1 << 8)) == len(greedy_cover(8, 2).words)
+
+    def test_wht_table_matches_shell_dp(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 13):
+            for r in range(n + 1):
+                uncovered = rng.random(1 << n) < rng.random()
+                got = _marginal_table(uncovered, _ball_transform(n, r))
+                assert np.array_equal(got, _marginals_by_shells(uncovered, n, r)), (n, r)
+
+    def test_wht_table_exact_at_the_cap(self):
+        # n = 22 wraps int64 in the middle of the transform; sampled entries
+        # against a direct count
+        n, r = 22, 11
+        rng = np.random.default_rng(4)
+        uncovered = rng.random(1 << n) < 0.5
+        table = _marginal_table(uncovered, _ball_transform(n, r))
+        members = np.flatnonzero(uncovered)
+        for x in rng.integers(0, 1 << n, size=8):
+            assert table[x] == np.count_nonzero(np.bitwise_count(members ^ x) <= r)
+
+
+def _spy(calls):
+    real = hamming._marginal_table
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    return spy
+
+
+def _first_index_greedy(n, r, picks, candidates):
+    """Reference greedy: full gain vector per pick, first index of the max."""
+    words = np.arange(1 << n)
+    ball = (np.bitwise_count(words[:, None] ^ words[None, :]) <= r).astype(np.float64)
+    allowed = np.zeros(1 << n, dtype=bool)
+    allowed[words if candidates is None else candidates] = True
+    uncovered = np.ones(1 << n)
+    chosen = []
+    while picks is None or len(chosen) < picks:
+        gain = np.where(allowed, ball @ uncovered, -1.0)
+        word = int(np.argmax(gain))
+        if gain[word] <= 0:
+            break
+        chosen.append(word)
+        uncovered[ball[word] > 0] = 0.0
+    return chosen
+
+
+def _flip_sum(arr: np.ndarray, n: int) -> np.ndarray:
+    """sum_b arr[x ^ (1<<b)] for every x, via strided views."""
+    out = np.zeros_like(arr)
+    for b in range(n):
+        out += arr.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(arr.shape)
+    return out
+
+
+def _marginals_by_shells(uncovered: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Reference table |ball(x, r) & uncovered| for every x, exactly.
+
+    Shell counts N_d(x) = #{u uncovered : d(u,x) = d} satisfy
+    sum_b N_d(x^b) = (d+1) N_{d+1}(x) + (n-d+1) N_{d-1}(x); integer DP up the
+    shells.
+    """
+    n_prev = np.zeros(uncovered.shape, dtype=np.int64)
+    n_cur = uncovered.astype(np.int64)
+    total = n_cur.copy()
+    for d in range(r):
+        s = _flip_sum(n_cur, n)
+        n_next = (s - (n - d + 1) * n_prev) // (d + 1)
+        n_prev, n_cur = n_cur, n_next
+        total += n_cur
+    return total
 
 
 class TestRandomCover:
@@ -346,3 +431,53 @@ class TestCodebookSerialization:
         book = Codebook(n=5, radius=0, words=words, coverage_fraction=0.0)
         back = Codebook.from_text(book.to_text())
         assert np.array_equal(back.words, words)
+
+    @pytest.mark.parametrize("text", [
+        "10 2\n000\n",             # header of two fields
+        "10 2 x\n000\n",           # non-integer count
+        "",                        # no header at all
+        "-3 1 1\n0\n",              # word length out of range
+        "63 1 0\n",
+    ])
+    def test_malformed_header_rejected(self, text):
+        with pytest.raises(ValueError, match="header"):
+            Codebook.from_text(text)
+
+    @pytest.mark.parametrize("text", ["4 1 2\n8\n", "4 1 1\n8\n0\n"])
+    def test_word_count_mismatch_rejected(self, text):
+        with pytest.raises(ValueError, match="promises"):
+            Codebook.from_text(text)
+
+    @pytest.mark.parametrize("word", ["ff", "0000", "0x0", "zz0", "+ff"])
+    def test_word_width_and_digits_checked(self, word):
+        with pytest.raises(ValueError, match="hex digits"):
+            Codebook.from_text(f"10 2 1\n{word}\n")
+
+    def test_nonzero_padding_rejected(self):
+        # n = 10 uses 12 bits; the last two must be zero
+        assert Codebook.from_text("10 2 1\nffc\n").words.tolist() == [1023]
+        for word in ("fff", "ffd"):
+            with pytest.raises(ValueError, match="padding"):
+                Codebook.from_text(f"10 2 1\n{word}\n")
+
+
+class TestCodebookPins:
+    """sha256 of words.tobytes(), in sweep order: any change in which words
+    the greedy engine picks, or in their order, fails here."""
+
+    def test_codebook_content_pinned(self):
+        from dimsurgery.surgery import quantizer_codebook
+
+        covers = hashlib.sha256()
+        for n in range(4, 14):                      # the `verify cover` sweep
+            for ratio in (0.1, 0.2, 0.3, 0.4):
+                r = max(1, int(ratio * n + 0.5))
+                covers.update(greedy_cover(n, r).words.tobytes())
+        assert covers.hexdigest() == (
+            "fce82a87c20f667ec43875922143157845c4cf77072ea42e02939db14db92fb8")
+        quantizers = hashlib.sha256()
+        for block_len in (9, 12, 16):
+            for s in (0.3, 0.4, 0.5):
+                quantizers.update(quantizer_codebook(block_len, s).words.tobytes())
+        assert quantizers.hexdigest() == (
+            "c4e6e3d368fd2528c4d3644a20bd0f68acf89395e12ae4fa75be4f662aadbcf9")
