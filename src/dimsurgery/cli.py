@@ -7,7 +7,7 @@ finitely-checkable lemmas, and run surgery experiments to CSV.
     dimsurgery surgery  --in x.bits --strategy raise --s 0.5 --t 0.8 --out run.csv
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error
-(including a malformed bit file).
+(including a malformed bit file or config file).
 Every command is deterministic given (config, seed); CSV uses '.' decimals.
 """
 
@@ -30,6 +30,7 @@ from .entropy import (
     entropy,
     entropy_inv,
     raise_profile,
+    tail_average_floor,
     verify_concavity_lemma,
     verify_convexity_lemma,
 )
@@ -78,12 +79,11 @@ def cmd_gen(args) -> int:
 # curves
 # ---------------------------------------------------------------------------
 
-def _case_label(s: float, t: float) -> str:
-    if s == t:
-        return "equal"
-    if t == 1.0:
-        return "randomize"
-    return case_select(s, t)
+def _case_labels(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    labels = np.where(s == t, "equal", "randomize")
+    strict = (s < t) & (t < 1.0)
+    labels[strict] = case_select(s[strict], t[strict])
+    return labels
 
 
 def cmd_curves(args) -> int:
@@ -93,15 +93,11 @@ def cmd_curves(args) -> int:
     grid = [min(1.0, i * args.grid) for i in range(steps + 1)]
     if grid[-1] != 1.0:
         grid.append(1.0)
+    s, t = np.array([(a, b) for a in grid for b in grid if b >= a]).T
+    bc = bound_curves(s, t)
     lines = ["s,t,naive,raise,lower,case"]
-    for s in grid:
-        for t in grid:
-            if t < s:
-                continue
-            bc = bound_curves(s, t)
-            lines.append(",".join([
-                _fmt(s), _fmt(t), _fmt(bc.naive), _fmt(bc.raise_),
-                _fmt(bc.lower), _case_label(s, t)]))
+    for row in zip(s, t, bc.naive, bc.raise_, bc.lower, _case_labels(s, t)):
+        lines.append(",".join([*map(_fmt, row[:5]), row[5]]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -194,24 +190,18 @@ def _buffer_families(horizon: int):
 
 
 def _verify_buffer(args, emit) -> int:
-    from .entropy import tail_average_floor
-
     failures = 0
+    js = np.arange(1, args.horizon + 1)
+    n_j = np.array([chunk_boundary(j) for j in range(1, args.horizon + 1)])
     for name, s_seq in _buffer_families(args.horizon):
         eps, b = buffer_schedule(args.c, s_seq, args.horizon)
         s_sur = tail_average_floor(s_seq)
-        ok = True
-        lhs_min = float("inf")
-        prefix = 0.0
-        for j in range(1, args.horizon + 1):
-            prefix += float(raise_profile(s_seq[j - 1], eps[j - 1])) * j * j
-            lhs = prefix - args.c * j * j - (s_sur * chunk_boundary(j) - b)
-            lhs_min = min(lhs_min, lhs)
-            if lhs <= 0:
-                ok = False
+        prefix = np.cumsum(raise_profile(s_seq, eps) * js * js)
+        lhs = prefix - args.c * js * js - (s_sur * n_j - b)
+        ok = bool(np.all(lhs > 0))
         failures += 0 if ok else 1
         emit(f"{'PASS' if ok else 'FAIL'} buffer family={name} "
-             f"s={s_sur:.4f} b={b:.1f} min_margin={lhs_min:.3g}")
+             f"s={s_sur:.4f} b={b:.1f} min_margin={float(lhs.min()):.3g}")
     return failures
 
 
@@ -453,8 +443,8 @@ def main(argv=None) -> int:
             parser.error("--config needs a path")
         try:
             cfg = load_config(cfg_path)
-        except OSError as exc:
-            print(f"dimsurgery: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
+            print(f"dimsurgery: config {cfg_path}: {exc}", file=sys.stderr)
             return EXIT_IO
     args = parser.parse_args(argv)
     _apply_config(args, cfg, argv)

@@ -3,8 +3,11 @@ M(s, eps) = H(min(1/2, H^{-1}(s) + eps)), bound curves between dimensions,
 line constructions for the two raise strategies, and numeric verification of
 the convexity/concavity facts those strategies rest on.
 
-All scalar inputs named like probabilities/dimensions live in [0, 1]; the
-entropy-facing functions also accept numpy arrays and vectorize elementwise.
+All inputs named like probabilities/dimensions live in [0, 1].  entropy,
+entropy_inv, raise_profile, bound_curves, case_select and drop_profile work
+elementwise on numpy arrays and return Python scalars for scalar input; a
+scalar result equals the matching element of the array result bit for bit,
+so callers that loop over chunks or grid points make one array call instead.
 """
 
 from __future__ import annotations
@@ -50,36 +53,15 @@ def entropy(p):
     return float(out) if arr.ndim == 0 else out
 
 
-def _entropy_inv_scalar(y: float) -> float:
-    if y >= 1.0:
-        return 0.5
-    if y <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 0.5
-    for _ in range(_INV_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            h = 0.0
-        else:
-            h = -(mid * math.log2(mid) + (1.0 - mid) * math.log1p(-mid) / LN2)
-        if h < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def entropy_inv(y):
     """Inverse of H on the branch mapping [0, 1] onto [0, 1/2].
 
-    Bisection; monotone nondecreasing, entropy_inv(0) = 0 and
+    Bisection, elementwise; monotone nondecreasing, entropy_inv(0) = 0 and
     entropy_inv(1) = 0.5 exactly, and |entropy(entropy_inv(y)) - y| <= 1e-12
-    everywhere on [0, 1].
+    everywhere on [0, 1].  Scalar input gives a float.
     """
     _require_unit(y, "y")
     arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        return _entropy_inv_scalar(float(arr))
     lo = np.zeros_like(arr)
     hi = np.full_like(arr, 0.5)
     for _ in range(_INV_ITERS):
@@ -92,7 +74,7 @@ def entropy_inv(y):
     out = 0.5 * (lo + hi)
     out = np.where(arr >= 1.0, 0.5, out)
     out = np.where(arr <= 0.0, 0.0, out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def entropy_deriv(p):
@@ -121,23 +103,26 @@ def raise_profile(s, eps):
 
 @dataclass(frozen=True)
 class BoundCurves:
-    """The three distance bounds between a dimension-s and a dimension-t sequence."""
+    """The three distance bounds between a dimension-s and a dimension-t
+    sequence; floats for scalar (s, t), arrays for array input."""
 
     naive: float   # H^{-1}(t - s): symmetric-difference counting bound
     raise_: float  # H^{-1}(t) - H^{-1}(s): cost of raising s up to t
     lower: float   # H^{-1}(1 - s): cost of lowering an arbitrary sequence to s
 
 
-def bound_curves(s: float, t: float) -> BoundCurves:
-    """Evaluate all three bound curves at (s, t); requires s <= t."""
+def bound_curves(s, t) -> BoundCurves:
+    """Evaluate all three bound curves at (s, t), elementwise; requires s <= t."""
     _require_unit(s, "s")
     _require_unit(t, "t")
-    if s > t:
+    s_arr = np.asarray(s, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(s_arr > t_arr):
         raise ValueError(f"need s <= t, got s={s}, t={t}")
     return BoundCurves(
-        naive=entropy_inv(t - s),
-        raise_=entropy_inv(t) - entropy_inv(s),
-        lower=entropy_inv(1.0 - s),
+        naive=entropy_inv(t_arr - s_arr),
+        raise_=entropy_inv(t_arr) - entropy_inv(s_arr),
+        lower=entropy_inv(1.0 - s_arr),
     )
 
 
@@ -158,28 +143,34 @@ CASE1 = "case1"
 CASE2 = "case2"
 
 
-def _weighted_inv_slope(x: float) -> float:
-    # (1-x) * g'(x) with g = entropy_inv; g'(x) = 1/H'(g(x)).  Limit 0 at x=0.
-    if x == 0.0:
-        return 0.0
-    return (1.0 - x) / entropy_deriv(entropy_inv(x))
+def _weighted_inv_slope(x: np.ndarray) -> np.ndarray:
+    # (1-x) * g'(x) with g = entropy_inv; g'(x) = 1/H'(g(x)).  Limit 0 at x=0,
+    # where g = 0 lies outside the domain of H' and is swapped for 1/4.
+    inside = x > 0.0
+    g = np.where(inside, entropy_inv(x), 0.25)
+    return np.where(inside, (1.0 - x) / entropy_deriv(g), 0.0)
 
 
 _CASE_TIE_TOL = 1e-9
 
 
-def case_select(s: float, t: float) -> str:
+def case_select(s, t):
     """Pick the raise strategy for the pair s < t (both strictly inside [0,1)).
 
     Returns CASE1 iff (1-s)g'(s) <= (1-t)g'(t) with g = entropy_inv.  Both
     strategies are valid under a non-strict inequality, so near-ties (within
-    1e-9) also resolve to CASE1.
+    1e-9) also resolve to CASE1.  Elementwise: array input gives an array of
+    CASE1/CASE2 strings.
     """
     _require_unit(s, "s")
     _require_unit(t, "t")
-    if not s < t or t >= 1.0:
+    s_arr = np.asarray(s, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(s_arr < t_arr) or np.any(t_arr >= 1.0):
         raise ValueError(f"need 0 <= s < t < 1, got s={s}, t={t}")
-    return CASE1 if _weighted_inv_slope(s) <= _weighted_inv_slope(t) + _CASE_TIE_TOL else CASE2
+    case1 = _weighted_inv_slope(s_arr) <= _weighted_inv_slope(t_arr) + _CASE_TIE_TOL
+    out = np.where(case1, CASE1, CASE2)
+    return str(out) if out.ndim == 0 else out
 
 
 def tangent_line(s: float, delta: float) -> LineFn:
@@ -422,7 +413,9 @@ def tail_average_floor(s_seq, tail_start: int | None = None) -> float:
     n = (js - 1) * js * (2 * js - 1) / 6.0
     avg = np.cumsum(s_arr * w)[:-1] / n[1:]          # A_j for j = 2..horizon
     start = max(1, horizon // 2) if tail_start is None else max(2, tail_start)
-    return float(min(1.0, np.min(avg[start - 2:]) if start - 2 < len(avg) else avg[-1]))
+    # avg index i holds boundary j = i + 2
+    idx = max(0, start - 2)
+    return float(min(1.0, np.min(avg[idx:]) if idx < len(avg) else avg[-1]))
 
 
 def buffer_schedule(c: float, s_seq, horizon: int,

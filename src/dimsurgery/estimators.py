@@ -125,6 +125,6 @@ def parse_estimator(spec: str):
         return BlockEntropy(int(spec.split(":", 1)[1]))
     if spec == "block":
         return BlockEntropy()
-    if spec.startswith("compressor:"):
+    if spec.startswith("compressor:") and spec.split(":", 1)[1] in _BACKENDS:
         return Compressor(spec.split(":", 1)[1])
     raise ValueError(f"unknown estimator spec {spec!r}")

@@ -62,8 +62,20 @@ def colex_combinations(n: int, k: int):
 
 
 def colex_rank(subset) -> int:
-    """Colex rank of a k-subset given as an ascending iterable."""
-    return sum(math.comb(c, i + 1) for i, c in enumerate(subset))
+    """Colex rank sum_i C(c_i, i+1) of a k-subset given as an ascending iterable."""
+    rank = 0
+    b = 1           # b == C(m, i): nonzero for m >= i, unlike C(c_i, i+1) at c_i = i
+    m = 0
+    for i, c in enumerate(subset):
+        if c < m:
+            raise ValueError(f"subset must be strictly ascending and nonnegative, got {c}")
+        while m < c:                        # exact C(m+1, i) = C(m, i) (m+1)/(m+1-i)
+            m += 1
+            b = b * m // (m - i)
+        rank += b * (c - i) // (i + 1)      # C(c, i+1) = C(c, i) (c-i)/(i+1)
+        m += 1
+        b = b * m // (i + 1)                # C(c+1, i+1)
+    return rank
 
 
 def colex_unrank(rank: int, n: int, k: int) -> tuple:
@@ -404,9 +416,11 @@ def measure_coverage(book: Codebook, samples: int = 100_000, seed: int = 0) -> f
     """Coverage fraction: exact for n <= 22, sampled beyond."""
     if book.n <= MAX_EXHAUSTIVE_N:
         return float(np.count_nonzero(coverage_table(book))) / float(1 << book.n)
+    words = np.asarray(book.words, dtype=np.int64)
+    if words.size == 0:
+        return 0.0
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 1 << book.n, size=samples, dtype=np.int64)
-    words = np.asarray(book.words, dtype=np.int64)
     hit = 0
     step = max(1, (1 << 22) // max(1, len(words)))
     for i in range(0, samples, step):

@@ -35,7 +35,6 @@ from .dimension import (
 )
 from .entropy import (
     CASE1,
-    bound_curves,
     buffer_schedule,
     case_select,
     chord_line,
@@ -98,23 +97,34 @@ def default_eps_seq(count: int, eps_min: float = EPS_MIN) -> list[float]:
     return [max(eps_min, 1.0 / math.ceil(math.log2(j + 2))) for j in range(1, count + 1)]
 
 
-def _round_up_to_grid(value: float, j: int) -> float:
-    """Round up to the nearest fraction k/j, clamped into [0, 1]."""
-    return min(1.0, math.ceil(value * j - 1e-9) / j)
+def _round_up_to_grid(value: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Round each value up to the nearest fraction k/j, clamped into [0, 1]."""
+    return np.minimum(1.0, np.ceil(value * js - 1e-9) / js)
+
+
+def _chunk_arrays(s_seq, eps_seq):
+    """s_j, eps_j (default_eps_seq when None) and j = 1..count as arrays."""
+    s_arr = np.array([float(v) for v in s_seq])
+    if eps_seq is None:
+        eps_seq = default_eps_seq(len(s_arr))
+    eps = np.array([float(e) for e in eps_seq])
+    if len(eps) != len(s_arr):
+        raise ValueError("eps_seq length mismatch")
+    return s_arr, eps, np.arange(1, len(s_arr) + 1)
+
+
+def _entries(js, s_arr, t_arr, delta_arr, eps) -> list[PlanEntry]:
+    return [PlanEntry(j=j, s_j=s_j, t_j=t_j, delta_j=d_j, eps_j=e_j)
+            for j, s_j, t_j, d_j, e_j in zip(js.tolist(), s_arr.tolist(), t_arr.tolist(),
+                                             delta_arr.tolist(), eps.tolist())]
 
 
 def plan_randomize(s_seq, eps_seq=None, seed: int = 0) -> SurgeryPlan:
     """Full-randomize plan: t_j = 1, delta_j = 1/2 + eps_j - g(s_j) + 1/j."""
-    s_list = [float(v) for v in s_seq]
-    eps = list(eps_seq) if eps_seq is not None else default_eps_seq(len(s_list))
-    if len(eps) != len(s_list):
-        raise ValueError("eps_seq length mismatch")
-    entries = []
-    for j, (s_j, e_j) in enumerate(zip(s_list, eps), start=1):
-        delta = 0.5 + e_j - entropy_inv(s_j) + 1.0 / j
-        entries.append(PlanEntry(j=j, s_j=s_j, t_j=1.0,
-                                 delta_j=min(1.0, max(0.0, delta)), eps_j=e_j))
-    return SurgeryPlan(strategy=RANDOMIZE, s=tail_average_floor(s_list), t=1.0,
+    s_arr, eps, js = _chunk_arrays(s_seq, eps_seq)
+    delta = 0.5 + eps - entropy_inv(s_arr) + 1.0 / js
+    entries = _entries(js, s_arr, np.ones_like(s_arr), np.clip(delta, 0.0, 1.0), eps)
+    return SurgeryPlan(strategy=RANDOMIZE, s=tail_average_floor(s_arr), t=1.0,
                        seed=seed, entries=entries)
 
 
@@ -125,20 +135,17 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
     Re-checks the buffer inequality sum t_i i^2 - c j^2 > s n_j - b on the
     rounded targets before returning.
     """
-    s_list = [float(v) for v in s_seq]
-    count = len(s_list)
-    eps, b = buffer_schedule(c, s_list, horizon=count)
-    s_sur = tail_average_floor(s_list)
-    entries = []
-    for j, (s_j, e_j) in enumerate(zip(s_list, eps), start=1):
-        t_j = _round_up_to_grid(raise_profile(s_j, e_j), j)
-        entries.append(PlanEntry(j=j, s_j=s_j, t_j=t_j,
-                                 delta_j=min(1.0, 2.0 * e_j), eps_j=e_j))
-    js = np.arange(1, count + 1, dtype=np.float64)
+    s_arr = np.array([float(v) for v in s_seq])
+    js = np.arange(1, len(s_arr) + 1)
+    eps_list, b = buffer_schedule(c, s_arr, horizon=len(s_arr))
+    eps = np.array(eps_list)
+    s_sur = tail_average_floor(s_arr)
+    t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
     n_j = (js - 1) * js * (2 * js - 1) / 6.0
-    t_prefix = np.cumsum(np.array([e.t_j for e in entries]) * js ** 2)
+    t_prefix = np.cumsum(t_arr * js ** 2)
     if not np.all(t_prefix - c * js ** 2 > s_sur * n_j - b):
         raise PlanInvariantError("rounded targets broke the buffer inequality")
+    entries = _entries(js, s_arr, t_arr, np.minimum(1.0, 2.0 * eps), eps)
     return SurgeryPlan(strategy=WEAK_SRANDOM, s=s_sur, t=float("nan"),
                        seed=seed, entries=entries)
 
@@ -155,39 +162,31 @@ def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0,
     """
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    s_list = [float(v) for v in s_seq]
     if t == 1.0:
-        return plan_randomize(s_list, eps_seq, seed)
-    count = len(s_list)
-    eps = list(eps_seq) if eps_seq is not None else default_eps_seq(count)
-    if len(eps) != count:
-        raise ValueError("eps_seq length mismatch")
-    case = case_select(s, t)
+        return plan_randomize(s_seq, eps_seq, seed)
+    s_arr, eps, js = _chunk_arrays(s_seq, eps_seq)
+    count = len(s_arr)
     delta = entropy_inv(t) - entropy_inv(s)
-    entries = []
-    if case == CASE1:
+    if case_select(s, t) == CASE1:
         strategy = RAISE_CASE1
-        for j, (s_j, e_j) in enumerate(zip(s_list, eps), start=1):
-            t_j = _round_up_to_grid(raise_profile(s_j, delta), j)
-            entries.append(PlanEntry(j=j, s_j=s_j, t_j=t_j,
-                                     delta_j=min(1.0, delta + e_j), eps_j=e_j))
+        t_arr = _round_up_to_grid(raise_profile(s_arr, delta), js)
+        delta_arr = np.minimum(1.0, delta + eps)
     else:
         strategy = RAISE_CASE2
         line = chord_line(s, t)
-        for j, (s_j, e_j) in enumerate(zip(s_list, eps), start=1):
-            t_j = _round_up_to_grid(line(s_j), j)
-            d_j = entropy_inv(t_j) - entropy_inv(s_j) + e_j
-            entries.append(PlanEntry(j=j, s_j=s_j, t_j=t_j,
-                                     delta_j=min(1.0, max(0.0, d_j)), eps_j=e_j))
-        for e in entries:
-            if e.t_j < line(e.s_j) - 1e-9:
-                raise PlanInvariantError(
-                    f"chunk {e.j}: target {e.t_j} fell below the chord {line(e.s_j)}")
+        t_arr = _round_up_to_grid(line(s_arr), js)
+        delta_arr = np.clip(entropy_inv(t_arr) - entropy_inv(s_arr) + eps, 0.0, 1.0)
+        below = np.flatnonzero(t_arr < line(s_arr) - 1e-9)
+        if len(below):
+            i = below[0]
+            raise PlanInvariantError(
+                f"chunk {i + 1}: target {t_arr[i]} fell below the chord {line(s_arr[i])}")
+    entries = _entries(js, s_arr, t_arr, delta_arr, eps)
     ts = default_tail_start(count) if tail_start is None else tail_start
     ts = min(ts, count + 1)
     # series index i holds boundary j = i + 2
-    planned = float(weighted_series([e.delta_j for e in entries])[max(0, ts - 2):].max())
-    budget = bound_curves(s, t).raise_ + max(eps) + 1.0 / ts
+    planned = float(weighted_series(delta_arr)[max(0, ts - 2):].max())
+    budget = delta + float(eps.max()) + 1.0 / ts
     if planned > budget + 1e-12:
         raise PlanInvariantError(
             f"planned aggregate distance {planned:.6f} exceeds bound budget {budget:.6f}")

@@ -1,11 +1,14 @@
 """End-to-end CLI tests: commands, exit codes, CSV determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dimsurgery.bitseq import BitSequence
 from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from dimsurgery.dimension import chunk_boundary, sequence_dim, sequence_distance
+from dimsurgery.entropy import CASE1, CASE2, case_select
 from dimsurgery.estimators import Compressor
 
 
@@ -259,3 +262,86 @@ class TestConfigAndCodes:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert run("--config", str(tmp_path / "none.cfg"), "curves") == EXIT_IO
+
+    @staticmethod
+    def _one_error_line(capsys) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith("dimsurgery: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [b"n=5\nbogus\n", "n=5\nkind=caf\u00e9\n".encode()],
+                             ids=["no-equals", "non-ascii"])
+    def test_malformed_config_is_io_error(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(payload)
+        assert run("--config", str(cfg), "curves") == EXIT_IO
+        self._one_error_line(capsys)
+
+    def test_unknown_compressor_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "x.bits"
+        run("gen", "--kind", "coin", "--n", "2000", "--seed", "1", "--out", str(src))
+        capsys.readouterr()
+        assert run("surgery", "--in", str(src), "--strategy", "randomize",
+                   "--estimator", "compressor:foo") == EXIT_USAGE
+        self._one_error_line(capsys)
+
+
+class TestOutputPins:
+    """sha256 of CLI output bytes: any change in a printed digit of these
+    outputs fails here, so a refactor of the entropy calculus or the planners
+    that keeps them byte-identical is a test, not a hand check."""
+
+    PINS = {
+        "curves_0.05":
+            "806f71ec8884aabdf7e46177dd26eec7207bbfc5cef9d99c1c2047234cb23736",
+        "curves_0.01":
+            "f38f308f45e0c272f3327b6a4874d2c4b5279a3f3f6391cb508cf8e3c72e7b85",
+        "verify_buffer":
+            "d273915f8e7d8b5270fd6462786079e94a9e904a8dedc128d1e3a5e5a75a60b9",
+        "randomize":
+            "d080092d3625388595f5d85884280d4c7e044127488f71ff796468e0f948e352",
+        "weak":
+            "719a0a20a432c15940347fe9de2da9a93b4518e8aa9cf9d8c0c85f2807d4969e",
+        "raise_case1":
+            "da0c00207a017660a765d31b22661e5cb7d0c3374bfde37ebc7d3096741d4aec",
+        "raise_case2":
+            "8930285d853ce0b76b01c72c2321e55babe26d816b625e03fb4cd06b1decd678",
+    }
+
+    # (strategy, bernoulli p of the input, extra flags); the two raise pairs
+    # sit on either side of case_select
+    SURGERY = {
+        "randomize": ("randomize", "0.11", []),
+        "weak": ("weak", "0.11", ["--c", "5"]),
+        "raise_case1": ("raise", "0.013", ["--s", "0.1", "--t", "0.3"]),
+        "raise_case2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8"]),
+    }
+
+    def _check(self, name: str, data: bytes) -> None:
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == self.PINS[name], f"{name}: {digest}"
+
+    @pytest.mark.parametrize("grid", ["0.05", "0.01"])
+    def test_curves(self, tmp_path, grid):
+        out = tmp_path / "curves.csv"
+        assert run("curves", "--grid", grid, "--out", str(out)) == EXIT_OK
+        self._check(f"curves_{grid}", out.read_bytes())
+
+    def test_verify_buffer(self, capsys):
+        assert run("verify", "buffer", "--horizon", "2000") == EXIT_OK
+        self._check("verify_buffer", capsys.readouterr().out.encode())
+
+    @pytest.mark.parametrize("name", sorted(SURGERY))
+    def test_surgery_csv(self, tmp_path, name):
+        strategy, p, flags = self.SURGERY[name]
+        if strategy == "raise":
+            s, t = float(flags[1]), float(flags[3])
+            assert case_select(s, t) == (CASE1 if name == "raise_case1" else CASE2)
+        src = tmp_path / "x.bits"
+        run("gen", "--kind", "bernoulli", "--p", p, "--n", "60000", "--seed", "4",
+            "--out", str(src))
+        out = tmp_path / "run.csv"
+        assert run("surgery", "--in", str(src), "--strategy", strategy,
+                   "--estimator", "bernoulli", *flags, "--seed", "1",
+                   "--out", str(out)) == EXIT_OK
+        self._check(name, out.read_bytes())

@@ -1,5 +1,8 @@
 """Tests for bit sequences, estimators, and the chunked dimension/distance proxies."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,17 @@ class TestBitSequence:
         seq.to_file(path)
         back = BitSequence.from_file(path)
         assert back == seq
+
+    @given(st.integers(min_value=0, max_value=4099), st.integers(min_value=0))
+    @settings(deadline=None, max_examples=60)
+    def test_round_trip_any_length(self, length, seed):
+        # lengths off a multiple of 8 leave pad bits that the sidecar must cut
+        seq = gen_coin(length, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.bits")
+            seq.to_file(path)
+            assert os.path.getsize(path) == (length + 7) // 8
+            assert BitSequence.from_file(path) == seq
 
     def test_sidecar_header(self, tmp_path):
         seq = gen_coin(13, seed=0)

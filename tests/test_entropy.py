@@ -25,6 +25,7 @@ from dimsurgery.entropy import (
     entropy_deriv,
     entropy_inv,
     raise_profile,
+    tail_average_floor,
     tangent_line,
     uplift_gap,
     verify_concavity_lemma,
@@ -102,6 +103,20 @@ class TestEntropyInv:
         ys = np.random.default_rng(7).uniform(0.0, 1.0, 20_000)
         xs = entropy_inv(ys)
         assert np.max(np.abs(entropy(xs) - ys)) <= 1e-12
+
+    def test_scalar_equals_array_bitwise(self):
+        # one bisection: a scalar result is the matching element of the array
+        # result, bit for bit, including next to both endpoints
+        tiny = [5e-324, 1e-300, 1e-30, 1e-17, 1e-12, 1e-9, 1e-6]
+        near_one = [1.0 - d for d in (2.0 ** -53, 1e-15, 1e-12, 1e-9, 1e-6)]
+        grid = np.concatenate([[0.0, 1.0], tiny, near_one,
+                               np.linspace(0.0, 1.0, 2001),
+                               np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
+        batch = entropy_inv(grid)
+        for i, y in enumerate(grid.tolist()):
+            x = entropy_inv(y)
+            assert type(x) is float
+            assert x == entropy_inv(np.array([y]))[0] == batch[i], y
 
     def test_superadditivity_grid(self):
         # entropy_inv(t) - entropy_inv(s) >= entropy_inv(t - s), 1e3 x 1e3 grid
@@ -192,6 +207,19 @@ class TestBoundCurves:
     def test_domain(self):
         with pytest.raises(ValueError):
             bound_curves(0.7, 0.3)
+        with pytest.raises(ValueError):
+            bound_curves(np.array([0.1, 0.7]), np.array([0.2, 0.3]))
+
+    def test_elementwise_matches_scalar(self):
+        g = np.linspace(0.0, 1.0, 41)
+        s, t = np.meshgrid(g, g)
+        keep = s <= t
+        s, t = s[keep], t[keep]
+        bc = bound_curves(s, t)
+        for i, (a, b) in enumerate(zip(s.tolist(), t.tolist())):
+            one = bound_curves(a, b)
+            assert (one.naive, one.raise_, one.lower) == (
+                bc.naive[i], bc.raise_[i], bc.lower[i]), (a, b)
 
 
 class TestCaseSelect:
@@ -208,6 +236,19 @@ class TestCaseSelect:
             case_select(0.5, 0.5)
         with pytest.raises(ValueError):
             case_select(0.3, 1.0)
+        with pytest.raises(ValueError):
+            case_select(np.array([0.1, 0.3]), np.array([0.2, 1.0]))
+
+    def test_elementwise_matches_scalar(self):
+        g = np.linspace(0.0, 0.99, 34)
+        s, t = np.meshgrid(g, g)
+        keep = s < t
+        s, t = s[keep], t[keep]
+        cases = case_select(s, t)
+        assert set(cases.tolist()) == {CASE1, CASE2}
+        for i, (a, b) in enumerate(zip(s.tolist(), t.tolist())):
+            one = case_select(a, b)
+            assert type(one) is str and one == cases[i], (a, b)
 
 
 class TestLines:
@@ -383,6 +424,18 @@ class TestUpliftGap:
             xs = rng.uniform(0.0, 1.0, 100_000)
             m = np.asarray(raise_profile(xs, eps))
             assert np.all(m >= d + (1.0 - d) * xs - 1e-12)
+
+
+class TestTailAverageFloor:
+    def test_three_chunks_default_keeps_every_boundary(self):
+        # A_2 = 0.2, A_3 = (0.2 + 0.9 * 4) / 5 = 0.76; the default tail starts
+        # at j = 1, so both boundaries count
+        s_seq = [0.2, 0.9, 0.1]
+        assert tail_average_floor(s_seq) == pytest.approx(0.2, abs=1e-15)
+        assert tail_average_floor(s_seq) == tail_average_floor(s_seq, tail_start=1)
+
+    def test_tail_start_past_horizon_uses_last_average(self):
+        assert tail_average_floor([0.2, 0.9, 0.1], tail_start=9) == pytest.approx(0.76)
 
 
 class TestBufferSchedule:

@@ -7,6 +7,7 @@ the sphere distance law is cross-checked against materialized spheres.
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ class TestColex:
         k = data.draw(st.integers(min_value=1, max_value=n))
         rank = data.draw(st.integers(min_value=0, max_value=math.comb(n, k) - 1))
         assert colex_rank(colex_unrank(rank, n, k)) == rank
+
+    def test_rank_large(self):
+        # incremental binomials: a random 5000-subset of 100 000 ranks in
+        # about half a second (a fresh math.comb per element took ~10 s)
+        n, k = 100_000, 5_000
+        subset = np.sort(np.random.default_rng(8).choice(n, size=k, replace=False))
+        t0 = time.perf_counter()
+        rank = colex_rank(subset.tolist())
+        assert time.perf_counter() - t0 < 5.0
+        assert 0 <= rank < math.comb(n, k)
+        assert colex_unrank(rank, n, k) == tuple(subset.tolist())
+
+    def test_rank_rejects_unordered(self):
+        for bad in ([3, 1], [2, 2], [-1]):
+            with pytest.raises(ValueError):
+                colex_rank(bad)
 
     def test_unrank_large(self):
         # colex order starts at {0..k-1}; rank C(n-1, k) is the first subset
@@ -409,6 +426,19 @@ class TestBestSubcode:
 
 
 class TestCodebookSerialization:
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_round_trip_any_width(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=62))
+        radius = data.draw(st.integers(min_value=0, max_value=min(n, 3)))
+        words = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                                   max_size=12))
+        book = Codebook(n=n, radius=radius, words=np.array(words, dtype=np.int64),
+                        coverage_fraction=0.0)
+        back = Codebook.from_text(book.to_text())
+        assert (back.n, back.radius) == (n, radius)
+        assert back.words.tolist() == words
+
     def test_round_trip(self):
         book = greedy_cover(10, 2)
         text = book.to_text()

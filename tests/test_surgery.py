@@ -1,5 +1,6 @@
 """Tests for surgery plans, chunk search, plan application, and tight pairs."""
 
+import importlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from dimsurgery.dimension import (
     sequence_dim,
     sequence_distance,
 )
-from dimsurgery.entropy import bound_curves, chord_line, entropy, entropy_inv
+from dimsurgery.entropy import bound_curves, chord_line, entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
 from dimsurgery.surgery import (
     GREEDY,
@@ -111,6 +112,57 @@ class TestPlans:
     def test_raise_domain(self):
         with pytest.raises(ValueError):
             plan_raise([0.5] * 10, 0.7, 0.6)
+
+    @pytest.mark.parametrize("s, t, strategy", [(0.05, 0.2, RAISE_CASE1),
+                                                (0.5, 0.8, RAISE_CASE2),
+                                                (0.5, 1.0, RANDOMIZE)])
+    def test_raise_batches_entropy_inv(self, monkeypatch, s, t, strategy):
+        # the planners make array calls, not one call per chunk; the package
+        # re-exports the function `entropy`, which shadows the module name
+        entropy_mod = importlib.import_module("dimsurgery.entropy")
+        surgery_mod = importlib.import_module("dimsurgery.surgery")
+
+        calls = []
+
+        def spy(y):
+            calls.append(np.ndim(y))
+            return entropy_inv(y)
+
+        monkeypatch.setattr(entropy_mod, "entropy_inv", spy)
+        monkeypatch.setattr(surgery_mod, "entropy_inv", spy)
+        s_seq = np.clip(s + np.random.default_rng(2).uniform(0, 1 - s, size=400), 0, 1)
+        assert plan_raise(s_seq, s, t).strategy == strategy
+        assert 1 in calls and len(calls) <= 10
+
+    @pytest.mark.parametrize("s, t", [(0.05, 0.2), (0.5, 0.8), (0.5, 1.0)])
+    def test_batched_raise_matches_scalar_loop(self, s, t):
+        rng = np.random.default_rng(5)
+        s_seq = np.clip(s + rng.uniform(0, 1 - s, size=300), 0, 1).tolist()
+        plan = plan_raise(s_seq, s, t)
+        eps = default_eps_seq(len(s_seq))
+        delta = entropy_inv(t) - entropy_inv(s)
+        line = chord_line(s, t)
+        for e, s_j, e_j in zip(plan.entries, s_seq, eps):
+            j = e.j
+            if plan.strategy == RANDOMIZE:
+                t_j, d_j = 1.0, 0.5 + e_j - entropy_inv(s_j) + 1.0 / j
+            elif plan.strategy == RAISE_CASE1:
+                t_j = min(1.0, math.ceil(raise_profile(s_j, delta) * j - 1e-9) / j)
+                d_j = delta + e_j
+            else:
+                t_j = min(1.0, math.ceil(line(s_j) * j - 1e-9) / j)
+                d_j = entropy_inv(t_j) - entropy_inv(s_j) + e_j
+            assert (e.s_j, e.t_j, e.delta_j, e.eps_j) == (
+                s_j, t_j, min(1.0, max(0.0, d_j)), e_j), j
+
+    def test_batched_weak_matches_scalar_loop(self):
+        s_seq = np.clip(0.5 + np.random.default_rng(6).normal(0, 0.1, 600), 0, 1).tolist()
+        plan = plan_weak_srandom(s_seq, c=1.0)
+        eps = [e.eps_j for e in plan.entries]
+        assert eps[-1] < eps[0]                 # the schedule halves inside the horizon
+        for e, s_j in zip(plan.entries, s_seq):
+            t_j = min(1.0, math.ceil(raise_profile(s_j, e.eps_j) * e.j - 1e-9) / e.j)
+            assert (e.s_j, e.t_j, e.delta_j) == (s_j, t_j, min(1.0, 2.0 * e.eps_j)), e.j
 
 
 class TestRaiseChunk:
