@@ -6,8 +6,8 @@ finitely-checkable lemmas, and run surgery experiments to CSV.
     dimsurgery verify   harper --n 8 --trials 10000
     dimsurgery surgery  --in x.bits --strategy raise --s 0.5 --t 0.8 --out run.csv
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error
-(including a malformed bit file or config file).
+Exit codes: 0 ok, 1 verification failure, 2 usage error (or an input the
+strategy cannot plan for), 3 I/O error (a malformed bit or config file too).
 Every command is deterministic given (config, seed); CSV uses '.' decimals.
 """
 
@@ -22,8 +22,9 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import ChunkSchedule, chunk_boundary, chunk_dims, weighted_series
+from .dimension import ChunkSchedule, chunk_boundary, chunk_dims, planned_distance
 from .entropy import (
+    ScheduleError,
     bound_curves,
     buffer_schedule,
     case_select,
@@ -271,8 +272,7 @@ def _surgery_bound(args, report) -> float:
         return float(entropy_inv(args.t) - entropy_inv(args.s))
     if args.strategy == "lower":
         return float(entropy_inv(1.0 - args.s))
-    series = weighted_series(report.plan.deltas())
-    return float(series[len(series) // 2:].max())
+    return planned_distance(report.plan.deltas(), report.tail_start)
 
 
 def _run_surgery_once(args, seed: int, out_path: str | None) -> None:
@@ -287,10 +287,7 @@ def _run_surgery_once(args, seed: int, out_path: str | None) -> None:
     elif args.strategy == "weak":
         plan = plan_weak_srandom(chunk_dims(x, est), c=args.c, seed=seed)
     elif args.strategy == "raise":
-        s_seq = chunk_dims(x, est)
-        if args.t <= args.s:
-            raise argparse.ArgumentTypeError("raise needs s < t")
-        plan = plan_raise(s_seq, args.s, args.t, seed=seed)
+        plan = plan_raise(chunk_dims(x, est), args.s, args.t, seed=seed)
     elif args.strategy == "lower":
         cover_provider = lower_cover_provider(args.s)
         plan = plan_lower(sched.count, args.s, cover_provider, seed=seed)
@@ -341,17 +338,8 @@ def cmd_surgery(args) -> int:
 # parser / entry
 # ---------------------------------------------------------------------------
 
-def _auto_type(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 def load_config(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; '#' starts a comment; `_` in a key stands for `-`."""
     out = {}
     with open(path, "r", encoding="ascii") as fh:
         for raw in fh:
@@ -361,7 +349,7 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line {raw!r}")
             key, value = line.split("=", 1)
-            out[key.strip()] = _auto_type(value.strip())
+            out[key.strip().replace("_", "-")] = value.strip()
     return out
 
 
@@ -419,19 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_DEST = {"in": "infile", "save-y": "save_y"}
-
-
-def _apply_config(args, cfg: dict, argv: list) -> None:
-    # config supplies defaults; flags explicitly present in argv win
-    for key, value in cfg.items():
-        dest = _CONFIG_DEST.get(key, key.replace("-", "_"))
-        if f"--{key}" in argv or f"--{key.replace('_', '-')}" in argv:
-            continue
-        if hasattr(args, dest):
-            setattr(args, dest, value)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -447,13 +422,20 @@ def main(argv=None) -> int:
             print(f"dimsurgery: config {cfg_path}: {exc}", file=sys.stderr)
             return EXIT_IO
     args = parser.parse_args(argv)
-    _apply_config(args, cfg, argv)
+    if cfg:
+        # key=value becomes --key=value right after the command: argparse
+        # converts and checks it as the flag, and flags given in argv win
+        commands = next(a.choices for a in parser._actions if a.dest == "command")
+        flags = commands[args.command]._option_string_actions
+        at = argv.index(args.command, argv.index("--config") + 2) + 1
+        argv[at:at] = [f"--{key}={value}" for key, value in cfg.items() if f"--{key}" in flags]
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, bitseq.BitFileError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (argparse.ArgumentTypeError, ValueError) as exc:
+    except (argparse.ArgumentTypeError, ValueError, ScheduleError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -128,6 +128,14 @@ def dim_series(values, tail_start: int | None = None) -> DimSeries:
     )
 
 
+def planned_distance(deltas, tail_start: int | None = None) -> float:
+    """Tail max of weighted_series(deltas): the distance a plan's change
+    densities add up to, over the tail that sequence_distance reads."""
+    series = weighted_series(deltas)
+    idx, _ = _tail_slice(len(series), tail_start)
+    return float(series[idx:].max())
+
+
 def sequence_dim(x, est, tail_start: int | None = None) -> DimSeries:
     """Proxy dimension of a sequence: chunk_dims aggregated by dim_series."""
     bits = as_bits(x)

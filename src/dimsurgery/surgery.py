@@ -29,9 +29,9 @@ from .dimension import (
     chunk_boundary,
     default_tail_start,
     dim_series,
+    planned_distance,
     sequence_dim,
     sequence_distance,
-    weighted_series,
 )
 from .entropy import (
     CASE1,
@@ -184,8 +184,7 @@ def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0,
     entries = _entries(js, s_arr, t_arr, delta_arr, eps)
     ts = default_tail_start(count) if tail_start is None else tail_start
     ts = min(ts, count + 1)
-    # series index i holds boundary j = i + 2
-    planned = float(weighted_series(delta_arr)[max(0, ts - 2):].max())
+    planned = planned_distance(delta_arr, ts)
     budget = delta + float(eps.max()) + 1.0 / ts
     if planned > budget + 1e-12:
         raise PlanInvariantError(
@@ -239,28 +238,46 @@ def lower_cover_provider(target_s: float):
     return provider
 
 
-def _bits_to_word(bits: np.ndarray) -> int:
-    return int((bits.astype(np.int64) << np.arange(bits.size, dtype=np.int64)).sum())
+_NEAREST_TILE = 1 << 16   # block-by-codeword distance entries per numpy step
 
 
-def _word_to_bits(word: int, n: int) -> np.ndarray:
-    return ((word >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
+def _block_layout(size: int, block_len: int) -> list[tuple[int, int]]:
+    """(width, count) pairs: the full blocks of a chunk, then its remainder."""
+    full, rest = divmod(size, block_len)
+    return [(w, c) for w, c in ((block_len, full), (rest, 1)) if w and c]
 
 
-def lower_chunk(chunk, target_s: float, cover: Codebook) -> np.ndarray:
-    """Replace a chunk by its nearest codeword (ties to the lowest index).
+def _word_to_bits(words, n: int) -> np.ndarray:
+    words = np.asarray(words, dtype=np.int64)[..., None]
+    return ((words >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
 
-    The cover's word length must equal the chunk length; callers are expected
-    to hand in a codebook of rate about target_s (log2|cover| <= target_s n
-    up to a log-sized allowance), which bounds the output's index rate.
+
+def lower_chunk(chunk, cover_provider, block_len: int = DEFAULT_BLOCK_LEN):
+    """Replace each block of a chunk (_block_layout) by its nearest word in
+    cover_provider(width), ties to the lowest index.
+
+    Returns (y_chunk, index_bits), index_bits = sum of log2 |cover| over the
+    blocks.  The distance table is built a tile of blocks at a time.
     """
     bits = as_bits(chunk)
-    if cover.n != bits.size:
-        raise ValueError(f"cover word length {cover.n} != chunk length {bits.size}")
-    w = _bits_to_word(bits)
-    words = np.asarray(cover.words, dtype=np.int64)
-    idx = int(np.argmin(np.bitwise_count(words ^ w)))
-    return _word_to_bits(int(words[idx]), bits.size)
+    out = np.empty_like(bits)
+    index_bits = 0.0
+    pos = 0
+    for width, count in _block_layout(bits.size, block_len):
+        cover = cover_provider(width)
+        if cover.n != width:
+            raise ValueError(f"cover word length {cover.n} != block width {width}")
+        book = np.asarray(cover.words, dtype=np.int64)
+        span = slice(pos, pos + width * count)
+        words = (bits[span].reshape(count, width).astype(np.int64) << np.arange(width)).sum(1)
+        y_blocks = out[span].reshape(count, width)
+        rows = max(1, _NEAREST_TILE // book.size)
+        for lo in range(0, count, rows):
+            dist = np.bitwise_count(words[lo:lo + rows, None] ^ book)
+            y_blocks[lo:lo + rows] = _word_to_bits(book[dist.argmin(axis=1)], width)
+        index_bits += count * math.log2(book.size)
+        pos += width * count
+    return out, index_bits
 
 
 def plan_lower(n_chunks: int, target_s: float, cover_provider,
@@ -272,11 +289,7 @@ def plan_lower(n_chunks: int, target_s: float, cover_provider,
     """
     entries = []
     for j in range(1, n_chunks + 1):
-        size = j * j
-        lens = [block_len] * (size // block_len)
-        if size % block_len:
-            lens.append(size % block_len)
-        delta = max(cover_provider(L).radius / L for L in lens)
+        delta = max(cover_provider(w).radius / w for w, _ in _block_layout(j * j, block_len))
         entries.append(PlanEntry(j=j, s_j=float("nan"), t_j=target_s,
                                  delta_j=delta, eps_j=0.0))
     return SurgeryPlan(strategy=LOWER, s=target_s, t=target_s, seed=seed,
@@ -306,20 +319,22 @@ def _flips_toward_half(bits: np.ndarray):
 
 
 def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
-                seed: int | tuple = 0, target: float | None = None) -> np.ndarray:
+                seed: int | tuple = 0, target: float | None = None):
     """Search for a nearby chunk with a higher estimate.
 
-    Hard constraint: output differs from the input on at most
-    floor(radius * len) bits.  The estimate never decreases (the original is
-    returned if no candidate improves on it).  With `target` set, searchers
-    stop as soon as the estimate reaches it, keeping the distance spent
-    minimal rather than exhausting the budget.
+    Returns (y_chunk, est.estimate(y_chunk, context)), the value the search
+    already measured.  Hard constraint: output differs from the input on at
+    most floor(radius * len) bits.  The estimate never decreases (the
+    original is returned if no candidate improves on it).  With `target`
+    set, searchers stop as soon as the estimate reaches it, keeping the
+    distance spent minimal rather than exhausting the budget.
 
     greedy        flip minority-value bits toward 1/2 frequency (binary
                   search on the flip count when a target is given)
     random_fill   overwrite a random budget-sized subset with coin bits,
                   redrawing until the estimate is non-decreasing
-    steepest      best-single-flip hill climbing, 10*len evaluation cap
+    steepest      best-single-flip hill climbing, up to 10*len whole-chunk
+                  estimates per chunk: quadratic in the chunk size
     """
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius}")
@@ -327,7 +342,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
     if budget == 0 or (target is not None and base >= target):
-        return bits.copy()
+        return bits.copy(), base
     rng = np.random.default_rng(seed)
 
     if searcher == GREEDY:
@@ -335,25 +350,24 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
         k_max = min(budget, need)
         order = rng.permutation(pool)
 
-        def candidate(k: int) -> np.ndarray:
+        def candidate(k: int):                  # (chunk, its estimate)
+            if k == 0:
+                return bits.copy(), base
             out = bits.copy()
             out[order[:k]] ^= 1
-            return out
+            return out, est.estimate(out, context)
 
-        k = k_max
-        if target is not None and k_max > 0:
-            best = candidate(k_max)
-            if est.estimate(best, context) >= target:
-                lo, hi = 0, k_max
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if est.estimate(candidate(mid), context) >= target:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                k = lo
-        result = candidate(k)
-        return result if est.estimate(result, context) >= base else bits.copy()
+        best, best_val = candidate(k_max)
+        if target is not None and best_val >= target:
+            lo, hi = 0, k_max
+            while lo < hi:
+                mid = (lo + hi) // 2
+                out, val = candidate(mid)
+                if val >= target:
+                    hi, best, best_val = mid, out, val
+                else:
+                    lo = mid + 1
+        return (best, best_val) if best_val >= base else (bits.copy(), base)
 
     if searcher == RANDOM_FILL:
         best, best_val = bits.copy(), base
@@ -366,7 +380,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
                 best, best_val = out, val
             if best_val >= (target if target is not None else base):
                 break
-        return best
+        return best, best_val
 
     if searcher == STEEPEST:
         current, cur_val = bits.copy(), base
@@ -393,7 +407,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
             flipped[best_pos] = not flipped[best_pos]
             dist += 1 if flipped[best_pos] else -1
             cur_val = best_val
-        return current
+        return current, cur_val
 
     raise ValueError(f"unknown searcher {searcher!r}")
 
@@ -420,6 +434,7 @@ class SurgeryReport:
     dim_after: float
     distance: float
     codebook_rate: float | None = None   # lower runs: index bits per sequence bit
+    tail_start: int | None = None        # tail of dim_before, dim_after and distance
     extras: dict = field(default_factory=dict)
 
 
@@ -429,13 +444,13 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
     """Apply a surgery plan chunk by chunk, left to right.
 
     One sequence_dim pass over the input gives every s_j and dim_before.  Per
-    chunk: modify within the plan's budget (raise_chunk against the
-    constructed prefix, or nearest-codeword quantization per block for lower
-    plans), estimate t_achieved against the constructed prefix, and record
-    planned vs achieved values.  The per-chunk achieved distance is asserted
-    against the budget on exact bit counts.  dim_after aggregates the
-    t_achieved values: each was estimated once its prefix was final, so it
-    equals what a fresh sequence_dim pass over the output would measure.
+    chunk, one call modifies it within the plan's budget: raise_chunk
+    searches against the constructed prefix and returns its estimate, which
+    is t_achieved; lower_chunk quantizes onto block codebooks, and t_achieved
+    is estimated once.  The per-chunk achieved distance is asserted against
+    the budget on exact bit counts.  dim_after aggregates the t_achieved
+    values: each was estimated once its prefix was final, so it equals what a
+    fresh sequence_dim pass over the output would measure.
     """
     bx = as_bits(x)
     count = len(plan.entries)
@@ -459,19 +474,13 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
         lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
         x_chunk = bx[lo:hi]
         if plan.strategy == LOWER:
-            y_chunk = np.empty_like(x_chunk)
-            pos = 0
-            while pos < x_chunk.size:
-                width = min(block_len, x_chunk.size - pos)
-                cover = cover_provider(width)
-                y_chunk[pos:pos + width] = lower_chunk(
-                    x_chunk[pos:pos + width], entry.t_j, cover)
-                index_bits_total += math.log2(len(cover.words))
-                pos += width
+            y_chunk, index_bits = lower_chunk(x_chunk, cover_provider, block_len)
+            index_bits_total += index_bits
+            t_achieved = est.estimate(y_chunk, y[:lo])
         else:
-            y_chunk = raise_chunk(x_chunk, y[:lo], entry.delta_j, est,
-                                  searcher=searcher, seed=(plan.seed, j),
-                                  target=entry.t_j)
+            y_chunk, t_achieved = raise_chunk(x_chunk, y[:lo], entry.delta_j, est,
+                                              searcher=searcher, seed=(plan.seed, j),
+                                              target=entry.t_j)
         mismatches = int(np.count_nonzero(x_chunk != y_chunk))
         budget_bits = int(math.floor(entry.delta_j * x_chunk.size + 1e-9))
         if mismatches > budget_bits:
@@ -481,14 +490,13 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
         outcomes.append(ChunkOutcome(
             j=j, s_j=float(before.chunk_values[j - 1]),
             delta_planned=entry.delta_j, delta_achieved=mismatches / x_chunk.size,
-            t_planned=entry.t_j,
-            t_achieved=est.estimate(y_chunk, y[:lo])))
+            t_planned=entry.t_j, t_achieved=t_achieved))
 
     dim_after = dim_series([o.t_achieved for o in outcomes], ts).tail_min
     distance = sequence_distance(bx[:used], y[:used], ts).tail_max
     report = SurgeryReport(
         plan=plan, outcomes=outcomes, dim_before=before.tail_min,
-        dim_after=dim_after, distance=distance,
+        dim_after=dim_after, distance=distance, tail_start=ts,
         codebook_rate=(index_bits_total / used if plan.strategy == LOWER else None))
     return BitSequence(y), report
 

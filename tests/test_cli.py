@@ -1,13 +1,23 @@
 """End-to-end CLI tests: commands, exit codes, CSV determinism."""
 
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimsurgery.bitseq import BitSequence
 from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
-from dimsurgery.dimension import chunk_boundary, sequence_dim, sequence_distance
+from dimsurgery.dimension import (
+    chunk_boundary,
+    default_tail_start,
+    planned_distance,
+    sequence_dim,
+    sequence_distance,
+)
 from dimsurgery.entropy import CASE1, CASE2, case_select
 from dimsurgery.estimators import Compressor
 
@@ -187,6 +197,20 @@ class TestSurgery:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("j,")
 
+    def test_weak_bound_reads_the_distance_tail(self, tmp_path):
+        # bound is the planned distance over the boundaries that the measured
+        # distance reads (tail from default_tail_start), not a later tail
+        src = self._gen(tmp_path, n=60_000)
+        out = tmp_path / "weak.csv"
+        assert run("surgery", "--in", str(src), "--strategy", "weak", "--c", "1",
+                   "--out", str(out)) == EXIT_OK
+        lines = out.read_text().splitlines()
+        blank = lines.index("")
+        deltas = [float(line.split(",")[2]) for line in lines[1:blank]]
+        bound = float(lines[blank + 2].split(",")[3])
+        want = planned_distance(deltas, default_tail_start(len(deltas)))
+        assert bound == pytest.approx(want, abs=1e-5)
+
     def test_lower_summary(self, tmp_path):
         # lower to s=0.5 on coin input: distance <= Hinv(1/2) + 0.03 ~ 0.14
         src = self._gen(tmp_path, kind="coin", n=150_000, seed=6)
@@ -277,6 +301,20 @@ class TestConfigAndCodes:
         assert run("--config", str(cfg), "curves") == EXIT_IO
         self._one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv, text", [
+        (["gen", "--kind", "coin"], "n=abc\n"),
+        (["curves"], "grid=x\n"),
+        (["gen", "--kind", "coin"], "n=\n"),
+    ], ids=["gen-n-abc", "curves-grid-x", "gen-n-empty"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, argv, text):
+        # the value goes through the flag's own type, as --n abc would
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run("--config", str(cfg), *argv, "--out", str(tmp_path / "out"))
+        assert exc.value.code == EXIT_USAGE
+        assert "error: argument --" in capsys.readouterr().err
+
     def test_unknown_compressor_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "x.bits"
         run("gen", "--kind", "coin", "--n", "2000", "--seed", "1", "--out", str(src))
@@ -284,6 +322,96 @@ class TestConfigAndCodes:
         assert run("surgery", "--in", str(src), "--strategy", "randomize",
                    "--estimator", "compressor:foo") == EXIT_USAGE
         self._one_error_line(capsys)
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of argparse's usage exit; any other
+    exception escapes and fails the calling test."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE
+        return EXIT_USAGE
+
+
+@st.composite
+def _bit_files(draw):
+    """(sidecar bytes, payload bytes) of up to 400 bits; the sidecar is the
+    header that matches the payload, any `len=` header, or arbitrary bytes."""
+    payload = draw(st.binary(max_size=50))
+    exact = f"len={max(0, 8 * len(payload) - draw(st.integers(0, 7)))}\n".encode()
+    sidecar = draw(st.one_of(st.just(exact),
+                             st.integers(0, 10_000).map(lambda n: f"len={n}\n".encode()),
+                             st.binary(max_size=24)))
+    return sidecar, payload
+
+
+# (command argv, config key, the flag's type or its choices); each command
+# is cheap, should a value get through
+_CONFIG_FLAGS = [
+    (["gen", "--kind", "coin"], "n", int),
+    (["gen", "--kind", "coin"], "stride", int),
+    (["gen", "--kind", "bernoulli"], "p", float),
+    (["curves"], "grid", float),
+    (["verify", "concavity", "--grid", "0.25"], "trials", int),
+    (["verify", "concavity", "--grid", "0.25"], "delta", float),
+    (["verify", "concavity", "--grid", "0.25"], "horizon", int),
+    (["surgery", "--strategy", "raise"], "seed", int),
+    (["surgery", "--strategy", "raise"], "t", float),
+    (["surgery", "--strategy", "raise"], "searcher", ("greedy", "random_fill", "steepest")),
+]
+
+
+def _valid(kind, value: str) -> bool:
+    if isinstance(kind, tuple):
+        return value in kind
+    try:
+        kind(value)
+    except ValueError:
+        return False
+    return True
+
+
+class TestExitCodeProperties:
+    """Arbitrary malformed input ends in a documented exit code: 0, 2 or 3
+    from main, or argparse's SystemExit(2); never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(files=_bit_files(),
+           strategy=st.sampled_from(["randomize", "weak", "raise", "lower"]),
+           estimator=st.sampled_from(["bernoulli", "compressor:zlib"]))
+    # zlib rates both chunks of these 8 zero bits at 1 (its header overhead),
+    # so weak has no headroom below dimension 1
+    @example(files=(b"len=8\n", b"\x00"), strategy="weak", estimator="compressor:zlib")
+    def test_surgery_on_any_bit_file(self, files, strategy, estimator):
+        sidecar, payload = files
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.bits")
+            with open(path, "wb") as fh:
+                fh.write(payload)
+            with open(path + ".len", "wb") as fh:
+                fh.write(sidecar)
+            code = _exit_code(["surgery", "--in", path, "--strategy", strategy,
+                               "--estimator", estimator, "--out", os.path.join(tmp, "r.csv")])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+
+    @settings(max_examples=60, deadline=None)
+    @given(flag=st.sampled_from(_CONFIG_FLAGS),
+           value=st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                       blacklist_characters="#"), max_size=8))
+    def test_config_value_of_wrong_type(self, flag, value):
+        argv, key, kind = flag
+        value = value.strip()
+        if _valid(kind, value):
+            value += "x"                        # no int, float or choice ends in x
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "bad.cfg")
+            with open(cfg, "w", encoding="ascii") as fh:
+                fh.write(f"{key}={value}\n")
+            extra = ["--in", os.path.join(tmp, "none.bits")] if argv[0] == "surgery" else []
+            code = _exit_code(["--config", cfg, *argv, *extra,
+                               "--out", os.path.join(tmp, "out")])
+        assert code == EXIT_USAGE
 
 
 class TestOutputPins:
@@ -306,15 +434,26 @@ class TestOutputPins:
             "da0c00207a017660a765d31b22661e5cb7d0c3374bfde37ebc7d3096741d4aec",
         "raise_case2":
             "8930285d853ce0b76b01c72c2321e55babe26d816b625e03fb4cd06b1decd678",
+        "raise_zlib":
+            "8d15804f699fa5da485492c5870169ec0601a1c78f49c29a2230dd76cecfcd02",
+        "lower":
+            "301cc19a18cc04d8cb4947b62c7678614380c0851dac0660659cdfcde5b69df4",
+        "lower_y":    # the --save-y payload
+            "1ab79f3e42f2278a44362950c3fc6803dbf602aae5b27430a0b981c59dd8e119",
     }
 
-    # (strategy, bernoulli p of the input, extra flags); the two raise pairs
-    # sit on either side of case_select
+    # (strategy, bernoulli p of the input, extra flags); the two bernoulli
+    # raise pairs sit on either side of case_select.  The flags follow
+    # `--estimator bernoulli`, so an --estimator among them wins: zlib reads
+    # the constructed prefix, which bernoulli ignores.
     SURGERY = {
         "randomize": ("randomize", "0.11", []),
         "weak": ("weak", "0.11", ["--c", "5"]),
         "raise_case1": ("raise", "0.013", ["--s", "0.1", "--t", "0.3"]),
         "raise_case2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8"]),
+        "raise_zlib": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
+                                         "--estimator", "compressor:zlib"]),
+        "lower": ("lower", "0.5", ["--s", "0.5"]),
     }
 
     def _check(self, name: str, data: bytes) -> None:
@@ -340,8 +479,10 @@ class TestOutputPins:
         src = tmp_path / "x.bits"
         run("gen", "--kind", "bernoulli", "--p", p, "--n", "60000", "--seed", "4",
             "--out", str(src))
-        out = tmp_path / "run.csv"
+        out, y = tmp_path / "run.csv", tmp_path / "y.bits"
         assert run("surgery", "--in", str(src), "--strategy", strategy,
                    "--estimator", "bernoulli", *flags, "--seed", "1",
-                   "--out", str(out)) == EXIT_OK
+                   "--out", str(out), "--save-y", str(y)) == EXIT_OK
         self._check(name, out.read_bytes())
+        if f"{name}_y" in self.PINS:
+            self._check(f"{name}_y", y.read_bytes())

@@ -20,6 +20,7 @@ from dimsurgery.dimension import (
     check_dim_bound_proxy,
     chunk_boundary,
     chunk_dims,
+    planned_distance,
     sequence_dim,
     sequence_distance,
 )
@@ -260,6 +261,16 @@ class TestSequenceDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sequence_distance(gen_coin(100, 0), gen_coin(99, 0), tail_start=2)
+
+    @pytest.mark.parametrize("tail_start", [None, 3, 20])
+    def test_planned_distance_reads_the_same_tail(self, tail_start):
+        # a plan whose densities are the measured ones plans the measured
+        # distance, over the same boundaries
+        x = gen_coin(30_000, 7)
+        y = gen_bernoulli(0.4, 30_000, 8)
+        res = sequence_distance(x, y, tail_start=tail_start)
+        assert planned_distance(res.chunk_values, tail_start) == pytest.approx(
+            res.tail_max, rel=1e-12)
 
 
 class TestDimBoundProxy:

@@ -168,13 +168,13 @@ class TestPlans:
 class TestRaiseChunk:
     def test_radius_zero_identity(self):
         bits = gen_coin(100, 1).bits
-        out = raise_chunk(bits, None, 0.0, BernoulliOracle(), GREEDY, seed=0)
+        out, _ = raise_chunk(bits, None, 0.0, BernoulliOracle(), GREEDY, seed=0)
         assert np.array_equal(out, bits)
 
     def test_all_zero_greedy_exact_entropy(self):
         bits = np.zeros(100, dtype=np.uint8)
         for r in (0.1, 0.3, 0.5):
-            out = raise_chunk(bits, None, r, BernoulliOracle(), GREEDY, seed=0)
+            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), GREEDY, seed=0)
             flips = int(out.sum())
             assert flips == int(r * 100)
             assert BernoulliOracle().estimate(out) == pytest.approx(
@@ -184,13 +184,13 @@ class TestRaiseChunk:
         bits = np.zeros(173, dtype=np.uint8)
         for searcher in (GREEDY, RANDOM_FILL):
             for r in (0.05, 0.217, 0.5):
-                out = raise_chunk(bits, None, r, BernoulliOracle(), searcher, seed=7)
+                out, _ = raise_chunk(bits, None, r, BernoulliOracle(), searcher, seed=7)
                 assert int(np.count_nonzero(out != bits)) <= math.floor(r * 173)
 
     def test_target_stops_early(self):
         bits = np.zeros(400, dtype=np.uint8)
-        out = raise_chunk(bits, None, 0.5, BernoulliOracle(), GREEDY, seed=0,
-                          target=0.5)
+        out, _ = raise_chunk(bits, None, 0.5, BernoulliOracle(), GREEDY, seed=0,
+                             target=0.5)
         # H(x) = 0.5 at x ~ 0.11; greedy should stop near 44 flips, not 200
         flips = int(out.sum())
         assert flips < 60
@@ -203,14 +203,14 @@ class TestRaiseChunk:
         for trial in range(5):
             bits = (rng.random(60) < 0.2).astype(np.uint8)
             before = est.estimate(bits)
-            out = raise_chunk(bits, None, 0.2, est, searcher, seed=trial)
+            out, _ = raise_chunk(bits, None, 0.2, est, searcher, seed=trial)
             assert est.estimate(out) >= before - 1e-12
 
     def test_fair_coin_stays_high(self):
         est = BernoulliOracle()
         for seed in range(5):
             bits = gen_coin(10_000, seed).bits
-            out = raise_chunk(bits, None, 0.1, est, GREEDY, seed=seed)
+            out, _ = raise_chunk(bits, None, 0.1, est, GREEDY, seed=seed)
             assert abs(est.estimate(out) - 1.0) <= 0.02
 
     @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL, STEEPEST])
@@ -219,21 +219,21 @@ class TestRaiseChunk:
         size = 400 if searcher == STEEPEST else 10_000
         for seed in range(3):
             bits = gen_coin(size, seed).bits
-            out = raise_chunk(bits, None, 0.1, est, searcher, seed=seed)
+            out, _ = raise_chunk(bits, None, 0.1, est, searcher, seed=seed)
             assert abs(est.estimate(out) - 1.0) <= 0.05
 
     def test_deterministic(self):
         bits = gen_bernoulli(0.2, 500, 4).bits
-        a = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11)
-        b = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11)
+        a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11)
+        b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11)
         assert np.array_equal(a, b)
 
 
 class TestLowerChunk:
     def test_codeword_fixed_point(self):
         cover = quantizer_codebook(12, 0.5)
-        word_bits = lower_chunk(np.zeros(12, np.uint8), 0.5, cover)
-        again = lower_chunk(word_bits, 0.5, cover)
+        word_bits, _ = lower_chunk(np.zeros(12, np.uint8), lambda width: cover, 12)
+        again, _ = lower_chunk(word_bits, lambda width: cover, 12)
         assert np.array_equal(word_bits, again)
 
     def test_single_word_cover(self):
@@ -242,7 +242,7 @@ class TestLowerChunk:
         cover = Codebook(n=8, radius=8, words=np.array([0], dtype=np.int64),
                          coverage_fraction=1.0)
         chunk = np.ones(8, np.uint8)
-        out = lower_chunk(chunk, 0.0, cover)
+        out, _ = lower_chunk(chunk, lambda width: cover, 8)
         assert not out.any()
 
     def test_within_covering_radius(self):
@@ -250,13 +250,56 @@ class TestLowerChunk:
         rng = np.random.default_rng(5)
         for _ in range(200):
             chunk = rng.integers(0, 2, 14, dtype=np.uint8)
-            out = lower_chunk(chunk, 0.4, cover)
+            out, _ = lower_chunk(chunk, lambda width: cover, 14)
             assert int(np.count_nonzero(out != chunk)) <= cover.radius
 
     def test_length_mismatch(self):
         cover = quantizer_codebook(10, 0.5)
         with pytest.raises(ValueError):
-            lower_chunk(np.zeros(12, np.uint8), 0.5, cover)
+            lower_chunk(np.zeros(12, np.uint8), lambda width: cover, 12)
+
+    @staticmethod
+    def _per_block_reference(bits, cover_provider, block_len):
+        """The per-block loop lower_chunk replaced: one scalar nearest-codeword
+        search per block, ties to the lowest index."""
+        out = np.empty_like(bits)
+        index_bits = 0.0
+        for pos in range(0, bits.size, block_len):
+            block = bits[pos:pos + block_len]
+            words = np.asarray(cover_provider(block.size).words, dtype=np.int64)
+            w = int((block.astype(np.int64) << np.arange(block.size, dtype=np.int64)).sum())
+            nearest = int(words[np.argmin(np.bitwise_count(words ^ w))])
+            out[pos:pos + block.size] = (nearest >> np.arange(block.size)) & 1
+            index_bits += math.log2(len(words))
+        return out, index_bits
+
+    @pytest.mark.parametrize("size", [12 * 2000, 12 * 40 + 7, 5, 144])
+    def test_matches_per_block_loop(self, size):
+        # 2000 blocks of 12 bits span several distance-table tiles; 487 and 5
+        # bits end in (or are only) a remainder block
+        provider = lower_cover_provider(0.5)
+        bits = np.random.default_rng(size).integers(0, 2, size, dtype=np.uint8)
+        out, index_bits = lower_chunk(bits, provider, 12)
+        want, want_bits = self._per_block_reference(bits, provider, 12)
+        assert np.array_equal(out, want)
+        assert index_bits == pytest.approx(want_bits, rel=1e-12)
+
+    def test_ties_go_to_lowest_index(self):
+        from dimsurgery.hamming import Codebook
+
+        # every balanced block is at distance w/2 from both words; the first
+        # word listed (all ones) must win, not the smaller word 0
+        def provider(width):
+            return Codebook(n=width, radius=width, coverage_fraction=1.0,
+                            words=np.array([(1 << width) - 1, 0], dtype=np.int64))
+
+        rng = np.random.default_rng(2)
+        blocks = [rng.permutation(np.repeat(np.uint8([0, 1]), 4)) for _ in range(50)]
+        bits = np.concatenate(blocks + [np.uint8([1, 0, 0, 1, 1, 0])])
+        out, index_bits = lower_chunk(bits, provider, 8)
+        want, want_bits = self._per_block_reference(bits, provider, 8)
+        assert out.all() and np.array_equal(out, want)
+        assert index_bits == want_bits == 51.0
 
 
 class TestApplyPlan:
@@ -330,6 +373,43 @@ class TestApplyPlan:
         assert report.dim_before == sequence_dim(x[:used], est, ts).tail_min
         assert report.dim_after == sequence_dim(y[:used], est, ts).tail_min
         assert [o.s_j for o in report.outcomes] == chunk_dims(x[:used], est).tolist()
+
+    @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
+    def test_raise_estimates_are_not_repeated(self, monkeypatch, searcher):
+        # after the input pass, every estimate is made inside raise_chunk, and
+        # t_achieved is the value it returned; greedy estimates no candidate
+        # (the one it returns included) twice
+        import dimsurgery.surgery as surgery
+
+        count = 40
+        x = gen_bernoulli(float(entropy_inv(0.5)), chunk_boundary(count + 1), 3)
+        plan = plan_raise(chunk_dims(x, BernoulliOracle()), 0.5, 0.8, seed=1)
+        calls = []
+
+        class SpyEstimator(BernoulliOracle):
+            def estimate(self, chunk, context=None):
+                calls.append(np.asarray(chunk).tobytes())
+                return super().estimate(chunk, context)
+
+        spans = []
+        real_raise_chunk = surgery.raise_chunk
+
+        def spy_raise_chunk(*args, **kwargs):
+            start = len(calls)
+            y_chunk, value = real_raise_chunk(*args, **kwargs)
+            spans.append((start, len(calls), y_chunk.tobytes(), value))
+            return y_chunk, value
+
+        monkeypatch.setattr(surgery, "raise_chunk", spy_raise_chunk)
+        _, report = apply_plan(x, plan, SpyEstimator(), searcher=searcher)
+        assert len(spans) == count and spans[0][0] == count    # one input pass
+        assert [end for _, end, _, _ in spans] == [s for s, _, _, _ in spans[1:]] + [len(calls)]
+        assert [o.t_achieved for o in report.outcomes] == [v for _, _, _, v in spans]
+        for start, end, returned, _ in spans:
+            if searcher == GREEDY:
+                inside = calls[start:end]
+                assert len(inside) == len(set(inside))
+            assert returned in calls[start:end]
 
     def test_deterministic_given_seed(self):
         n_chunks = 30
