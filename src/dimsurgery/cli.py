@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=10.0)
     p.add_argument("--estimator", default="bernoulli")
     p.add_argument("--searcher", default="greedy",
-                   choices=["greedy", "random_fill", "steepest"])
+                   choices=["greedy", "random_fill"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", default=None,
                    help="comma list; multiple seeds write one CSV per seed")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 LN2 = math.log(2.0)
 
@@ -371,10 +370,11 @@ def verify_concavity_lemma(grid_step: float = 2e-3, tol: float = _D2_TOL,
 def uplift_gap(eps: float, grid_step: float = 1e-4) -> float:
     """Largest d >= 0 (to grid precision) with M(x, eps) >= d + (1-d)x on [0, 1].
 
-    Grid minimization of phi(x) = (M(x, eps) - x)/(1 - x), refined locally
-    around the grid argmin, then shaved by a 1e-9 guard so the affine lower
-    bound holds at off-grid points too.  Positive for eps > 0, nondecreasing
-    in eps, and 0 at eps = 0.
+    Grid minimization of phi(x) = (M(x, eps) - x)/(1 - x), refined on 4001
+    points of the bracket two grid steps either side of the grid argmin,
+    then shaved by a 1e-9 guard so the affine lower bound holds at off-grid
+    points too.  Positive for eps > 0, nondecreasing in eps, and 0 at
+    eps = 0.
     """
     _require_unit(eps, "eps")
     if eps == 0.0:
@@ -384,12 +384,9 @@ def uplift_gap(eps: float, grid_step: float = 1e-4) -> float:
     i = int(np.argmin(phi))
     lo = max(0.0, xs[i] - 2.0 * grid_step)
     hi = min(1.0 - grid_step, xs[i] + 2.0 * grid_step)
-    res = minimize_scalar(
-        lambda x: (raise_profile(float(x), eps) - x) / (1.0 - x),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    d = min(float(phi[i]), float(res.fun)) - 1e-9
+    xf = np.linspace(lo, hi, 4001)
+    fine = (np.asarray(raise_profile(xf, eps)) - xf) / (1.0 - xf)
+    d = min(float(phi[i]), float(fine.min())) - 1e-9
     return max(0.0, d)
 
 

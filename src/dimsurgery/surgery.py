@@ -302,10 +302,8 @@ def plan_lower(n_chunks: int, target_s: float, cover_provider,
 
 GREEDY = "greedy"
 RANDOM_FILL = "random_fill"
-STEEPEST = "steepest"
 
 _RANDOM_FILL_ATTEMPTS = 16
-_STEEPEST_EVAL_FACTOR = 10
 
 
 def _flips_toward_half(bits: np.ndarray):
@@ -333,8 +331,6 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
                   search on the flip count when a target is given)
     random_fill   overwrite a random budget-sized subset with coin bits,
                   redrawing until the estimate is non-decreasing
-    steepest      best-single-flip hill climbing, up to 10*len whole-chunk
-                  estimates per chunk: quadratic in the chunk size
     """
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius}")
@@ -381,33 +377,6 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
             if best_val >= (target if target is not None else base):
                 break
         return best, best_val
-
-    if searcher == STEEPEST:
-        current, cur_val = bits.copy(), base
-        flipped = np.zeros(bits.size, dtype=bool)
-        dist = 0
-        evals = 0
-        cap = _STEEPEST_EVAL_FACTOR * bits.size
-        while evals < cap and (target is None or cur_val < target):
-            best_pos, best_val = -1, cur_val
-            for pos in range(bits.size):
-                if dist >= budget and not flipped[pos]:
-                    continue  # can only unflip once the budget is exhausted
-                current[pos] ^= 1
-                val = est.estimate(current, context)
-                current[pos] ^= 1
-                evals += 1
-                if val > best_val:
-                    best_pos, best_val = pos, val
-                if evals >= cap:
-                    break
-            if best_pos < 0:
-                break
-            current[best_pos] ^= 1
-            flipped[best_pos] = not flipped[best_pos]
-            dist += 1 if flipped[best_pos] else -1
-            cur_val = best_val
-        return current, cur_val
 
     raise ValueError(f"unknown searcher {searcher!r}")
 

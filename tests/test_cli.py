@@ -315,6 +315,12 @@ class TestConfigAndCodes:
         assert exc.value.code == EXIT_USAGE
         assert "error: argument --" in capsys.readouterr().err
 
+    def test_deleted_searcher_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("surgery", "--in", str(tmp_path / "x.bits"), "--strategy", "raise",
+                "--searcher", "steepest")
+        assert exc.value.code == EXIT_USAGE
+
     def test_unknown_compressor_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "x.bits"
         run("gen", "--kind", "coin", "--n", "2000", "--seed", "1", "--out", str(src))
@@ -358,7 +364,7 @@ _CONFIG_FLAGS = [
     (["verify", "concavity", "--grid", "0.25"], "horizon", int),
     (["surgery", "--strategy", "raise"], "seed", int),
     (["surgery", "--strategy", "raise"], "t", float),
-    (["surgery", "--strategy", "raise"], "searcher", ("greedy", "random_fill", "steepest")),
+    (["surgery", "--strategy", "raise"], "searcher", ("greedy", "random_fill")),
 ]
 
 

@@ -417,6 +417,23 @@ class TestUpliftGap:
         assert all(g > 0.0 for g in gaps)
         assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
+    # uplift_gap(2**-k) for k = 0..20 at the default grid, recorded with the
+    # earlier scalar-minimizer refinement; the oracle below only shows that
+    # d is not too large, this shows the array bracket is not looser
+    FROZEN = [
+        0.999999999, 0.999999999, 0.8104080962493243, 0.5306681946986012,
+        0.30950323513158445, 0.16825173899866475, 0.08789079381802838,
+        0.044941958818228066, 0.02272750537796278, 0.011428838426608906,
+        0.005730811630413487, 0.002869518843296228, 0.0014357892241611135,
+        0.0007181519282810654, 0.0003591399482940917, 0.00017958559895032714,
+        8.979633114667146e-05, 4.4898673549990375e-05, 2.244908877640369e-05,
+        1.1224107389580916e-05, 5.611569445080515e-06,
+    ]
+
+    @pytest.mark.parametrize("k", range(len(FROZEN)))
+    def test_matches_frozen_refinement(self, k):
+        assert abs(uplift_gap(2.0 ** -k) - self.FROZEN[k]) <= 1e-12
+
     def test_rejection_oracle(self):
         rng = np.random.default_rng(11)
         for eps in (0.05, 0.15, 0.3):
