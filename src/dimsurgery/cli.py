@@ -407,27 +407,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_index(argv: list) -> int:
+    """Position of the command in an argv that parsed: before it stand only
+    --config options, as `--config PATH`, `--config=PATH` or abbreviated."""
+    at = 0
+    while argv[at].startswith("-"):
+        at += 1 if "=" in argv[at] else 2
+    return at
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    cfg = {}
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config needs a path")
-        try:
-            cfg = load_config(cfg_path)
-        except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
-            print(f"dimsurgery: config {cfg_path}: {exc}", file=sys.stderr)
-            return EXIT_IO
     args = parser.parse_args(argv)
-    if cfg:
+    if args.config is not None:
+        try:
+            cfg = load_config(args.config)
+        except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
+            print(f"dimsurgery: config {args.config}: {exc}", file=sys.stderr)
+            return EXIT_IO
         # key=value becomes --key=value right after the command: argparse
         # converts and checks it as the flag, and flags given in argv win
         commands = next(a.choices for a in parser._actions if a.dest == "command")
         flags = commands[args.command]._option_string_actions
-        at = argv.index(args.command, argv.index("--config") + 2) + 1
+        at = _command_index(argv) + 1
         argv[at:at] = [f"--{key}={value}" for key, value in cfg.items() if f"--{key}" in flags]
         args = parser.parse_args(argv)
     try:

@@ -446,16 +446,12 @@ def buffer_schedule(c: float, s_seq, horizon: int,
     if s_sur >= 1.0 - 1e-12:
         raise ScheduleError("tail average is 1; no buffer headroom")
 
-    uplift_cache: dict[float, float] = {}
     thresh_cache: dict[float, int] = {}
 
     def threshold(eps: float) -> int:
         if eps in thresh_cache:
             return thresh_cache[eps]
-        d = uplift_cache.get(eps)
-        if d is None:
-            d = uplift_gap(eps, grid_step)
-            uplift_cache[eps] = d
+        d = uplift_gap(eps, grid_step)
         if d <= 0.0:
             thresh_cache[eps] = horizon  # never adopted inside the horizon
             return horizon

@@ -325,7 +325,8 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     most floor(radius * len) bits.  The estimate never decreases (the
     original is returned if no candidate improves on it).  With `target`
     set, searchers stop as soon as the estimate reaches it, keeping the
-    distance spent minimal rather than exhausting the budget.
+    distance spent minimal rather than exhausting the budget.  There are
+    two searchers; any other name raises ValueError:
 
     greedy        flip minority-value bits toward 1/2 frequency (binary
                   search on the flip count when a target is given)
@@ -334,6 +335,8 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     """
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius}")
+    if searcher not in (GREEDY, RANDOM_FILL):
+        raise ValueError(f"unknown searcher {searcher!r}")
     bits = as_bits(chunk)
     budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
@@ -365,20 +368,17 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
                     lo = mid + 1
         return (best, best_val) if best_val >= base else (bits.copy(), base)
 
-    if searcher == RANDOM_FILL:
-        best, best_val = bits.copy(), base
-        for _ in range(_RANDOM_FILL_ATTEMPTS):
-            out = bits.copy()
-            pos = rng.choice(bits.size, size=budget, replace=False)
-            out[pos] = rng.integers(0, 2, size=budget, dtype=np.uint8)
-            val = est.estimate(out, context)
-            if val > best_val:
-                best, best_val = out, val
-            if best_val >= (target if target is not None else base):
-                break
-        return best, best_val
-
-    raise ValueError(f"unknown searcher {searcher!r}")
+    best, best_val = bits.copy(), base          # RANDOM_FILL
+    for _ in range(_RANDOM_FILL_ATTEMPTS):
+        out = bits.copy()
+        pos = rng.choice(bits.size, size=budget, replace=False)
+        out[pos] = rng.integers(0, 2, size=budget, dtype=np.uint8)
+        val = est.estimate(out, context)
+        if val > best_val:
+            best, best_val = out, val
+        if best_val >= (target if target is not None else base):
+            break
+    return best, best_val
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,16 @@ class TestConfigAndCodes:
                    "--out", str(out)) == EXIT_OK
         assert len(BitSequence.from_file(out)) == 1234
 
+    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]],
+                             ids=["equals", "abbreviated"])
+    def test_config_any_spelling(self, tmp_path, spelling):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=1234\n")
+        out = tmp_path / "x.bits"
+        assert run(*[token.format(cfg) for token in spelling], "gen", "--kind", "coin",
+                   "--out", str(out)) == EXIT_OK
+        assert len(BitSequence.from_file(out)) == 1234
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=1234\n")

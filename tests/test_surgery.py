@@ -223,8 +223,9 @@ class TestRaiseChunk:
     @pytest.mark.parametrize("searcher", ["steepest", "annealing"])
     def test_unknown_searcher_rejected(self, searcher):
         bits = gen_bernoulli(0.2, 500, 4).bits
-        with pytest.raises(ValueError, match="unknown searcher"):
-            raise_chunk(bits, None, 0.3, BernoulliOracle(), searcher, seed=0)
+        for radius in (0.3, 0.0):   # also when there is no budget to search
+            with pytest.raises(ValueError, match="unknown searcher"):
+                raise_chunk(bits, None, radius, BernoulliOracle(), searcher, seed=0)
 
     def test_deterministic(self):
         bits = gen_bernoulli(0.2, 500, 4).bits
