@@ -443,17 +443,17 @@ class TestOutputPins:
         "verify_buffer":
             "d273915f8e7d8b5270fd6462786079e94a9e904a8dedc128d1e3a5e5a75a60b9",
         "randomize":
-            "d080092d3625388595f5d85884280d4c7e044127488f71ff796468e0f948e352",
+            "78b699b59f50135104ff0fceed8e083e98b847b24c39187839eb85b2ba3a41eb",
         "weak":
-            "719a0a20a432c15940347fe9de2da9a93b4518e8aa9cf9d8c0c85f2807d4969e",
+            "71333e44886c716c69dbb638d5c4100af8d4266b054f2692ff964c39168b07d9",
         "raise_case1":
-            "da0c00207a017660a765d31b22661e5cb7d0c3374bfde37ebc7d3096741d4aec",
+            "9bb384b2a74e365ab1e752e503c4b85f3b1bf8ae9fe61f43d7674dcd01cb9c63",
         "raise_case2":
-            "8930285d853ce0b76b01c72c2321e55babe26d816b625e03fb4cd06b1decd678",
+            "4ac765a530cde05ee8e33bd10f3e3495ef439c82f1c9f8e3608caea06b6e4ed5",
         "raise_zlib":
             "8d15804f699fa5da485492c5870169ec0601a1c78f49c29a2230dd76cecfcd02",
         "lower":
-            "301cc19a18cc04d8cb4947b62c7678614380c0851dac0660659cdfcde5b69df4",
+            "b869233198b9553bb9a7038aee1090a13e06bc3a3c4d1352036b599d7794c80b",
         "lower_y":    # the --save-y payload
             "1ab79f3e42f2278a44362950c3fc6803dbf602aae5b27430a0b981c59dd8e119",
     }

@@ -48,6 +48,12 @@ class TestEntropy:
         assert entropy(0.0) == 0.0
         assert entropy(1.0) == 0.0
 
+    def test_endpoints_are_positive_zero(self):
+        # -0.0 == 0.0, but it prints as -0.000000 in the surgery CSV
+        values = [entropy(0.0), entropy(1.0), *entropy(np.array([0.0, 1.0])),
+                  raise_profile(0.0, 0.0), *raise_profile(np.zeros(2), np.zeros(2))]
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
+
     def test_near_tenth(self):
         assert abs(entropy(0.11) - 0.4999) < 1e-3
         assert entropy(0.11) == pytest.approx(H_011, abs=1e-14)
