@@ -36,8 +36,8 @@ def _require_unit(value, name: str) -> None:
 
 def _entropy_raw(p: np.ndarray) -> np.ndarray:
     # log1p keeps (1-p)*log2(1-p) accurate for small p; the where() guards
-    # produce exact zeros at the endpoints without NaN intermediates, and
-    # 0.0 - (...) turns their -0.0 into +0.0 (the rest is unchanged).
+    # produce exact zeros at the endpoints without NaN intermediates; there
+    # 0.0 - (...) gives +0.0 where -(...) would give -0.0.
     a = np.where(p > 0.0, p, 1.0)
     left = a * (np.log(a) / LN2)
     b = np.where(p < 1.0, p, 0.0)
