@@ -14,6 +14,7 @@ Every command is deterministic given (config, seed); CSV uses '.' decimals.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import math
 import sys
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import ChunkSchedule, chunk_boundary, chunk_dims, planned_distance
+from .dimension import ChunkSchedule, chunk_dims, planned_distance
 from .entropy import (
     ScheduleError,
     bound_curves,
+    buffer_margin,
     buffer_schedule,
     case_select,
     entropy,
@@ -46,7 +48,6 @@ from .hamming import (
 from .duplication import duplication_decode, duplication_encode
 from .surgery import (
     apply_plan,
-    lower_cover_provider,
     plan_lower,
     plan_raise,
     plan_randomize,
@@ -112,19 +113,14 @@ def cmd_curves(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_harper(args, emit) -> int:
-    failures = 0
+def _verify_harper(args, check) -> None:
     for n in range(1, args.n + 1):
         rep = verify_harper(n, trials=args.trials, seed=args.seed + n)
-        ok = rep.ok
-        failures += 0 if ok else 1
-        emit(f"{'PASS' if ok else 'FAIL'} harper n={n} checked={rep.checked} "
-             f"tightest_gap={rep.tightest_gap} sizes={rep.tightest_sizes}")
-    return failures
+        check(rep.ok, f"harper n={n} checked={rep.checked} "
+              f"tightest_gap={rep.tightest_gap} sizes={rep.tightest_sizes}")
 
 
-def _verify_corollary(args, emit) -> int:
-    failures = 0
+def _verify_corollary(args, check) -> None:
     rng = np.random.default_rng(args.seed)
     for n in (10, 12, min(args.n, 14)):
         for eps in (0.1, 0.2):
@@ -136,52 +132,39 @@ def _verify_corollary(args, emit) -> int:
                 words = rng.choice(1 << n, size=size, replace=False)
                 far = harper_far_count(n, words, eps)
                 worst = max(worst, far)
-            ok = worst <= bound
-            failures += 0 if ok else 1
-            emit(f"{'PASS' if ok else 'FAIL'} corollary n={n} eps={eps} "
-                 f"|A|={size} worst_far={worst} bound={bound:.1f}")
-    return failures
+            check(worst <= bound, f"corollary n={n} eps={eps} "
+                  f"|A|={size} worst_far={worst} bound={bound:.1f}")
 
 
-def _verify_cover(args, emit) -> int:
-    failures = 0
+def _verify_cover(args, check) -> None:
     for n in range(4, args.n + 1):
         for ratio in (0.1, 0.2, 0.3, 0.4):
             r = max(1, int(ratio * n + 0.5))
             book = greedy_cover(n, r)
             bound = delsarte_piret_bound(n, r)
-            ok = len(book.words) < bound and book.coverage_fraction == 1.0
-            failures += 0 if ok else 1
-            emit(f"{'PASS' if ok else 'FAIL'} cover n={n} r={r} "
-                 f"|C|={len(book.words)} bound={bound:.1f}")
+            check(len(book.words) < bound and book.coverage_fraction == 1.0,
+                  f"cover n={n} r={r} |C|={len(book.words)} bound={bound:.1f}")
             if n == args.n and r == max(1, int(0.2 * n + 0.5)):
                 m = max(1, len(book.words) // 8)
                 sub = best_subcode(book, m)
                 frac = sub.coverage_fraction
                 floor = m / len(book.words)
                 note = "ok" if frac >= floor else "below-existential-floor"
-                emit(f"INFO subcode n={n} r={r} m={m} coverage={frac:.4f} "
-                     f"m/|C|={floor:.4f} {note}")
-    return failures
+                check(None, f"subcode n={n} r={r} m={m} coverage={frac:.4f} "
+                      f"m/|C|={floor:.4f} {note}")
 
 
-def _verify_convexity(args, emit) -> int:
-    failures = 0
+def _verify_convexity(args, check) -> None:
     deltas = [args.delta] if args.delta else [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
     for delta in deltas:
         rep = verify_convexity_lemma(delta, grid_step=args.grid)
-        ok = rep.sign_pattern_ok
-        failures += 0 if ok else 1
-        emit(f"{'PASS' if ok else 'FAIL'} convexity delta={delta} "
-             f"inflection={rep.inflection} worst={rep.worst_violation:.3g}")
-    return failures
+        check(rep.sign_pattern_ok, f"convexity delta={delta} "
+              f"inflection={rep.inflection} worst={rep.worst_violation:.3g}")
 
 
-def _verify_concavity(args, emit) -> int:
+def _verify_concavity(args, check) -> None:
     rep = verify_concavity_lemma(grid_step=args.grid)
-    ok = rep.sign_pattern_ok
-    emit(f"{'PASS' if ok else 'FAIL'} concavity worst={rep.worst_violation:.3g}")
-    return 0 if ok else 1
+    check(rep.sign_pattern_ok, f"concavity worst={rep.worst_violation:.3g}")
 
 
 def _buffer_families(horizon: int):
@@ -190,28 +173,21 @@ def _buffer_families(horizon: int):
     yield "drifting", [0.3 + 0.3 * i / horizon for i in range(horizon)]
 
 
-def _verify_buffer(args, emit) -> int:
-    failures = 0
-    js = np.arange(1, args.horizon + 1)
-    n_j = np.array([chunk_boundary(j) for j in range(1, args.horizon + 1)])
+def _verify_buffer(args, check) -> None:
     for name, s_seq in _buffer_families(args.horizon):
         eps, b = buffer_schedule(args.c, s_seq, args.horizon)
         s_sur = tail_average_floor(s_seq)
-        prefix = np.cumsum(raise_profile(s_seq, eps) * js * js)
-        lhs = prefix - args.c * js * js - (s_sur * n_j - b)
-        ok = bool(np.all(lhs > 0))
-        failures += 0 if ok else 1
-        emit(f"{'PASS' if ok else 'FAIL'} buffer family={name} "
-             f"s={s_sur:.4f} b={b:.1f} min_margin={float(lhs.min()):.3g}")
-    return failures
+        margin = buffer_margin(raise_profile(s_seq, eps), args.c, s_sur, b)
+        check(bool(np.all(margin > 0)), f"buffer family={name} "
+              f"s={s_sur:.4f} b={b:.1f} min_margin={float(margin.min()):.3g}")
 
 
-def _verify_duplication(args, emit) -> int:
+def _verify_duplication(args, check) -> None:
     rng = np.random.default_rng(args.seed)
     n = args.n - (args.n % 2)
     radius = float(entropy_inv(0.5))
     bound = n + radius * n + n / 4.0 + 2.0 * math.log2(n) + 16.0
-    failures = 0
+    failed = False
     worst = 0
     for _ in range(args.trials):
         y = bitseq.gen_join_dup(n, int(rng.integers(1 << 30)))
@@ -220,17 +196,16 @@ def _verify_duplication(args, emit) -> int:
         x.bits[flips] ^= 1
         desc = duplication_encode(x, y)
         if duplication_decode(desc) != y:
-            failures += 1
-            emit(f"FAIL duplication round-trip n={n}")
+            failed = True
+            check(False, f"duplication round-trip n={n}")
             continue
         worst = max(worst, desc.total_length_bits)
         if desc.total_length_bits > bound:
-            failures += 1
-            emit(f"FAIL duplication length {desc.total_length_bits} > {bound:.1f}")
-    if failures == 0:
-        emit(f"PASS duplication n={n} trials={args.trials} "
-             f"worst_len={worst} bound={bound:.1f}")
-    return failures
+            failed = True
+            check(False, f"duplication length {desc.total_length_bits} > {bound:.1f}")
+    if not failed:
+        check(True, f"duplication n={n} trials={args.trials} "
+              f"worst_len={worst} bound={bound:.1f}")
 
 
 _VERIFY_TARGETS = {
@@ -245,20 +220,19 @@ _VERIFY_TARGETS = {
 
 
 def cmd_verify(args) -> int:
-    lines: list[str] = []
+    rows: list[tuple[str, str]] = []
 
-    def emit(line: str) -> None:
-        lines.append(line)
-        print(line)
+    def check(ok: bool | None, detail: str) -> None:
+        """Print one result line: PASS or FAIL by ok, INFO when ok is None."""
+        head = "INFO" if ok is None else "PASS" if ok else "FAIL"
+        rows.append((head, detail))
+        print(head, detail)
 
-    failures = _VERIFY_TARGETS[args.target](args, emit)
+    _VERIFY_TARGETS[args.target](args, check)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("result,detail\n")
-            for line in lines:
-                head, _, rest = line.partition(" ")
-                fh.write(f"{head},{rest}\n")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([("result", "detail"), *rows])
+    return EXIT_VERIFY_FAIL if any(head == "FAIL" for head, _ in rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +249,12 @@ def _surgery_bound(args, report) -> float:
     return planned_distance(report.plan.deltas(), report.tail_start)
 
 
-def _run_surgery_once(args, seed: int, out_path: str | None) -> None:
+def _run_surgery_once(args, seed: int, out_path: str | None, y_path: str | None) -> None:
     x = BitSequence.from_file(args.infile)
     est = parse_estimator(args.estimator)
     sched = ChunkSchedule.for_length(len(x))
     if sched.count < 2:
         raise ValueError("input too short for even two chunks")
-    cover_provider = None
     if args.strategy == "randomize":
         plan = plan_randomize(chunk_dims(x, est), seed=seed)
     elif args.strategy == "weak":
@@ -289,13 +262,11 @@ def _run_surgery_once(args, seed: int, out_path: str | None) -> None:
     elif args.strategy == "raise":
         plan = plan_raise(chunk_dims(x, est), args.s, args.t, seed=seed)
     elif args.strategy == "lower":
-        cover_provider = lower_cover_provider(args.s)
-        plan = plan_lower(sched.count, args.s, cover_provider, seed=seed)
+        plan = plan_lower(sched.count, args.s, seed=seed)
     else:
         raise argparse.ArgumentTypeError(f"unknown strategy {args.strategy}")
 
-    y, report = apply_plan(x, plan, est, searcher=args.searcher,
-                           cover_provider=cover_provider)
+    y, report = apply_plan(x, plan, est, searcher=args.searcher)
     bound = _surgery_bound(args, report)
     lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
     for oc in report.outcomes:
@@ -319,18 +290,17 @@ def _run_surgery_once(args, seed: int, out_path: str | None) -> None:
     if report.distance > bound + args.tolerance:
         print(f"WARN measured distance exceeds the bound by more than "
               f"--tolerance {args.tolerance}")
-    if args.save_y:
-        y.to_file(args.save_y)
+    if y_path:
+        y.to_file(y_path)
 
 
 def cmd_surgery(args) -> int:
     seeds = [args.seed] if not args.seeds else [int(v) for v in args.seeds.split(",")]
+    many = len(seeds) > 1                       # then one CSV and one y file per seed
     for seed in seeds:
-        if args.out and len(seeds) > 1:
-            out_path = f"{args.out}.seed{seed}.csv"
-        else:
-            out_path = args.out
-        _run_surgery_once(args, seed, out_path)
+        out_path = f"{args.out}.seed{seed}.csv" if args.out and many else args.out
+        y_path = f"{args.save_y}.seed{seed}.bits" if args.save_y and many else args.save_y
+        _run_surgery_once(args, seed, out_path, y_path)
     return EXIT_OK
 
 
@@ -351,6 +321,17 @@ def load_config(path: str) -> dict:
             key, value = line.split("=", 1)
             out[key.strip().replace("_", "-")] = value.strip()
     return out
+
+
+def _unit_float(text: str) -> float:
+    """argparse type of --s and --t: a float in [0, 1] (NaN is not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--strategy", required=True,
                    choices=["randomize", "weak", "raise", "lower"])
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--s", type=_unit_float, default=0.5)
+    p.add_argument("--t", type=_unit_float, default=1.0)
     p.add_argument("--c", type=float, default=10.0)
     p.add_argument("--estimator", default="bernoulli")
     p.add_argument("--searcher", default="greedy",

@@ -416,6 +416,15 @@ def tail_average_floor(s_seq, tail_start: int | None = None) -> float:
     return float(min(1.0, np.min(avg[idx:]) if idx < len(avg) else avg[-1]))
 
 
+def buffer_margin(t_seq, c: float, s: float, b: float) -> np.ndarray:
+    """sum_{i<=j} t_i i^2 - c j^2 - (s n_j - b) at every j = 1..len(t_seq),
+    n_j = sum_{i<j} i^2: the buffer inequality holds where this is positive."""
+    t = np.asarray(t_seq, dtype=float)
+    js = np.arange(1, len(t) + 1)
+    n_j = (js - 1) * js * (2 * js - 1) / 6.0
+    return np.cumsum(t * js * js) - c * js * js - (s * n_j - b)
+
+
 def buffer_schedule(c: float, s_seq, horizon: int,
                     grid_step: float = 1e-4):
     """Halving slack schedule eps_1=1, eps_{j} in {eps_{j-1}, eps_{j-1}/2} and a
@@ -427,9 +436,9 @@ def buffer_schedule(c: float, s_seq, horizon: int,
 
     eps halves at j only once j clears a threshold N_eps computed by direct
     scan from the affine uplift bound of uplift_gap; b absorbs every j up to
-    the first threshold.  The inequality is re-checked for the whole horizon
-    before returning.  Raises ScheduleError when the surrogate s is 1 (no
-    headroom; use a full randomize plan instead).
+    the first threshold.  The inequality is re-checked (buffer_margin) for
+    the whole horizon before returning.  Raises ScheduleError when the
+    surrogate s is 1 (no headroom; use a full randomize plan instead).
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
@@ -469,12 +478,13 @@ def buffer_schedule(c: float, s_seq, horizon: int,
         half = eps[j - 2] / 2.0
         eps[j - 1] = half if j > threshold(half) else eps[j - 2]
 
-    m_prefix = np.cumsum(np.asarray(raise_profile(s_arr, eps)) * w)
+    m = np.asarray(raise_profile(s_arr, eps))
+    m_prefix = np.cumsum(m * w)
     n1 = min(threshold(1.0), horizon)
     b = 1.0
     if n1 >= 1:
         b = max(1.0, float(np.max(s_sur * n[:n1] + c * w[:n1] - m_prefix[:n1])) + 1.0)
 
-    if not np.all(m_prefix - c * w > s_sur * n - b):
+    if not np.all(buffer_margin(m, c, s_sur, b) > 0):
         raise ScheduleError("internal: schedule failed its own inequality check")
     return eps.tolist(), b

@@ -35,6 +35,7 @@ from .dimension import (
 )
 from .entropy import (
     CASE1,
+    buffer_margin,
     buffer_schedule,
     case_select,
     chord_line,
@@ -83,6 +84,10 @@ class SurgeryPlan:
     t: float
     seed: int
     entries: list[PlanEntry]
+    # lower plans: the block quantizer of every width their chunks use, and
+    # the block length of those chunk layouts; apply_plan quantizes onto them
+    codebooks: dict[int, Codebook] = field(default_factory=dict)
+    block_len: int = DEFAULT_BLOCK_LEN
 
     def deltas(self) -> np.ndarray:
         return np.array([e.delta_j for e in self.entries])
@@ -132,8 +137,8 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
     """Buffered raise: eps from the slack schedule, delta_j = 2 eps_j,
     t_j = M(s_j, eps_j) rounded up to granularity 1/j.
 
-    Re-checks the buffer inequality sum t_i i^2 - c j^2 > s n_j - b on the
-    rounded targets before returning.
+    Re-checks the buffer inequality (buffer_margin) on the rounded targets
+    before returning.
     """
     s_arr = np.array([float(v) for v in s_seq])
     js = np.arange(1, len(s_arr) + 1)
@@ -141,17 +146,14 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
     eps = np.array(eps_list)
     s_sur = tail_average_floor(s_arr)
     t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
-    n_j = (js - 1) * js * (2 * js - 1) / 6.0
-    t_prefix = np.cumsum(t_arr * js ** 2)
-    if not np.all(t_prefix - c * js ** 2 > s_sur * n_j - b):
+    if not np.all(buffer_margin(t_arr, c, s_sur, b) > 0):
         raise PlanInvariantError("rounded targets broke the buffer inequality")
     entries = _entries(js, s_arr, t_arr, np.minimum(1.0, 2.0 * eps), eps)
     return SurgeryPlan(strategy=WEAK_SRANDOM, s=s_sur, t=float("nan"),
                        seed=seed, entries=entries)
 
 
-def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0,
-               tail_start: int | None = None) -> SurgeryPlan:
+def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0) -> SurgeryPlan:
     """Raise-to-t plan for a sequence of chunk dims with tail floor >= s.
 
     Strategy picked by case_select: Case 1 uses the flat budget
@@ -182,8 +184,7 @@ def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0,
             raise PlanInvariantError(
                 f"chunk {i + 1}: target {t_arr[i]} fell below the chord {line(s_arr[i])}")
     entries = _entries(js, s_arr, t_arr, delta_arr, eps)
-    ts = default_tail_start(count) if tail_start is None else tail_start
-    ts = min(ts, count + 1)
+    ts = min(default_tail_start(count), count + 1)
     planned = planned_distance(delta_arr, ts)
     budget = delta + float(eps.max()) + 1.0 / ts
     if planned > budget + 1e-12:
@@ -226,18 +227,6 @@ def quantizer_codebook(block_len: int, target_s: float) -> Codebook:
     return Codebook(n=block_len, radius=radius, words=words, coverage_fraction=1.0)
 
 
-def lower_cover_provider(target_s: float):
-    """Length-indexed cache of block quantizers at code rate ~ target_s."""
-    cache: dict[int, Codebook] = {}
-
-    def provider(block_len: int) -> Codebook:
-        if block_len not in cache:
-            cache[block_len] = quantizer_codebook(block_len, target_s)
-        return cache[block_len]
-
-    return provider
-
-
 _NEAREST_TILE = 1 << 16   # block-by-codeword distance entries per numpy step
 
 
@@ -252,9 +241,9 @@ def _word_to_bits(words, n: int) -> np.ndarray:
     return ((words >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
 
 
-def lower_chunk(chunk, cover_provider, block_len: int = DEFAULT_BLOCK_LEN):
+def lower_chunk(chunk, codebooks: dict[int, Codebook], block_len: int):
     """Replace each block of a chunk (_block_layout) by its nearest word in
-    cover_provider(width), ties to the lowest index.
+    codebooks[width], ties to the lowest index.
 
     Returns (y_chunk, index_bits), index_bits = sum of log2 |cover| over the
     blocks.  The distance table is built a tile of blocks at a time.
@@ -264,7 +253,7 @@ def lower_chunk(chunk, cover_provider, block_len: int = DEFAULT_BLOCK_LEN):
     index_bits = 0.0
     pos = 0
     for width, count in _block_layout(bits.size, block_len):
-        cover = cover_provider(width)
+        cover = codebooks[width]
         if cover.n != width:
             raise ValueError(f"cover word length {cover.n} != block width {width}")
         book = np.asarray(cover.words, dtype=np.int64)
@@ -280,20 +269,23 @@ def lower_chunk(chunk, cover_provider, block_len: int = DEFAULT_BLOCK_LEN):
     return out, index_bits
 
 
-def plan_lower(n_chunks: int, target_s: float, cover_provider,
-               block_len: int = DEFAULT_BLOCK_LEN, seed: int = 0) -> SurgeryPlan:
-    """Lower-to-s plan: per-chunk budget = worst block covering-radius ratio.
+def plan_lower(n_chunks: int, target_s: float, block_len: int = DEFAULT_BLOCK_LEN,
+               seed: int = 0) -> SurgeryPlan:
+    """Lower-to-s plan: one quantizer_codebook per block width the chunk
+    layouts use, kept in the plan; per-chunk budget = worst block
+    covering-radius ratio.
 
     The nearest-codeword step can never exceed the covering radius of the
     block codebook, so the per-chunk budget is exact, not statistical.
     """
-    entries = []
-    for j in range(1, n_chunks + 1):
-        delta = max(cover_provider(w).radius / w for w, _ in _block_layout(j * j, block_len))
-        entries.append(PlanEntry(j=j, s_j=float("nan"), t_j=target_s,
-                                 delta_j=delta, eps_j=0.0))
+    layouts = [_block_layout(j * j, block_len) for j in range(1, n_chunks + 1)]
+    widths = dict.fromkeys(w for layout in layouts for w, _ in layout)
+    codebooks = {w: quantizer_codebook(w, target_s) for w in widths}
+    entries = [PlanEntry(j=j, s_j=float("nan"), t_j=target_s, eps_j=0.0,
+                         delta_j=max(codebooks[w].radius / w for w, _ in layout))
+               for j, layout in enumerate(layouts, start=1)]
     return SurgeryPlan(strategy=LOWER, s=target_s, t=target_s, seed=seed,
-                       entries=entries)
+                       entries=entries, codebooks=codebooks, block_len=block_len)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +399,14 @@ class SurgeryReport:
     extras: dict = field(default_factory=dict)
 
 
-def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
-               cover_provider=None, block_len: int = DEFAULT_BLOCK_LEN,
-               tail_start: int | None = None):
+def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
     """Apply a surgery plan chunk by chunk, left to right.
 
     One sequence_dim pass over the input gives every s_j and dim_before.  Per
     chunk, one call modifies it within the plan's budget: raise_chunk
     searches against the constructed prefix and returns its estimate, which
-    is t_achieved; lower_chunk quantizes onto block codebooks, and t_achieved
-    is estimated once.  The per-chunk achieved distance is asserted against
+    is t_achieved; lower_chunk quantizes onto the plan's block codebooks, and
+    t_achieved is estimated once.  The per-chunk achieved distance is asserted against
     the budget on exact bit counts.  dim_after aggregates the t_achieved
     values: each was estimated once its prefix was final, so it equals what a
     fresh sequence_dim pass over the output would measure.
@@ -430,9 +420,7 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
     used = chunk_boundary(count + 1)
     if used > bx.size:
         raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
-    if plan.strategy == LOWER and cover_provider is None:
-        cover_provider = lower_cover_provider(plan.t)
-    ts = tail_start if tail_start is not None else min(default_tail_start(count), count)
+    ts = min(default_tail_start(count), count)
     before = sequence_dim(bx[:used], est, ts)
 
     y = bx.copy()
@@ -443,7 +431,7 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY,
         lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
         x_chunk = bx[lo:hi]
         if plan.strategy == LOWER:
-            y_chunk, index_bits = lower_chunk(x_chunk, cover_provider, block_len)
+            y_chunk, index_bits = lower_chunk(x_chunk, plan.codebooks, plan.block_len)
             index_bits_total += index_bits
             t_achieved = est.estimate(y_chunk, y[:lo])
         else:

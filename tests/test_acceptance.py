@@ -34,7 +34,6 @@ from dimsurgery.hamming import (
 )
 from dimsurgery.surgery import (
     apply_plan,
-    lower_cover_provider,
     plan_lower,
     plan_raise,
     plan_randomize,
@@ -185,14 +184,12 @@ def test_criterion_8_lower():
     n_bits = 300_000
     with Timer(120.0) as t:
         for s in (0.3, 0.5):
-            provider = lower_cover_provider(s)
             bound = float(entropy_inv(1.0 - s))
             for seed in range(5):
                 x = gen_coin(n_bits, seed=800 + seed)
                 count = ChunkSchedule.for_length(n_bits).count
-                plan = plan_lower(count, s, provider, seed=seed)
-                _, report = apply_plan(x, plan, BernoulliOracle(),
-                                       cover_provider=provider)
+                plan = plan_lower(count, s, seed=seed)
+                _, report = apply_plan(x, plan, BernoulliOracle())
                 assert report.distance <= bound + 0.03, (s, seed, report.distance)
                 assert report.codebook_rate <= s + 0.05, (s, seed, report.codebook_rate)
     t.check()

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: commands, exit codes, CSV determinism."""
 
+import csv
 import hashlib
 import os
 import tempfile
@@ -130,12 +131,23 @@ class TestVerify:
         assert text.startswith("result,detail\n")
         assert "PASS," in text
 
+    @pytest.mark.parametrize("argv", [["harper", "--n", "3", "--trials", "50"],
+                                      ["cover", "--n", "6"]], ids=["harper", "cover"])
+    def test_report_csv_rows_have_two_fields(self, tmp_path, capsys, argv):
+        # harper details hold "sizes=(1, 1)" and cover prints an INFO row
+        out = tmp_path / "report.csv"
+        assert run("verify", *argv, "--out", str(out)) == EXIT_OK
+        with open(out, newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["result", "detail"]
+        assert [len(row) for row in rows] == [2] * len(rows)
+        assert [" ".join(row) for row in rows[1:]] == capsys.readouterr().out.splitlines()
+
     def test_failure_sets_exit_code(self, monkeypatch):
         import dimsurgery.cli as cli
 
-        def broken(args, emit):
-            emit("FAIL injected")
-            return 1
+        def broken(args, check):
+            check(False, "injected")
 
         monkeypatch.setitem(cli._VERIFY_TARGETS, "concavity", broken)
         assert run("verify", "concavity") == EXIT_VERIFY_FAIL
@@ -230,6 +242,32 @@ class TestSurgery:
                    "--seeds", "1,2", "--out", str(out)) == EXIT_OK
         assert (tmp_path / "multi.csv.seed1.csv").exists()
         assert (tmp_path / "multi.csv.seed2.csv").exists()
+
+    def test_seed_fanout_saves_one_y_per_seed(self, tmp_path):
+        # each seed's y file is the one a single-seed run writes
+        src = self._gen(tmp_path, n=20_000)
+        assert run("surgery", "--in", str(src), "--strategy", "randomize",
+                   "--seeds", "1,2", "--out", str(tmp_path / "r.csv"),
+                   "--save-y", str(tmp_path / "y.bits")) == EXIT_OK
+        assert not (tmp_path / "y.bits").exists()
+        for seed in ("1", "2"):
+            single = tmp_path / f"single{seed}.bits"
+            assert run("surgery", "--in", str(src), "--strategy", "randomize",
+                       "--seed", seed, "--save-y", str(single)) == EXIT_OK
+            fanned = BitSequence.from_file(tmp_path / f"y.bits.seed{seed}.bits")
+            assert fanned == BitSequence.from_file(single)
+        assert BitSequence.from_file(tmp_path / "y.bits.seed1.bits") != fanned
+
+    @pytest.mark.parametrize("strategy", ["randomize", "weak", "raise", "lower"])
+    @pytest.mark.parametrize("flag, value", [("s", "1.5"), ("s", "-0.2"), ("t", "1.01"),
+                                             ("t", "nan")])
+    def test_out_of_range_s_t_is_usage_error(self, tmp_path, capsys, strategy, flag, value):
+        # rejected by the parser, before the (missing) input is read
+        with pytest.raises(SystemExit) as exc:
+            run("surgery", "--in", str(tmp_path / "none.bits"), "--strategy", strategy,
+                f"--{flag}={value}")
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument --{flag}: must lie in [0, 1], got {value}" in capsys.readouterr().err
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("surgery", "--in", str(tmp_path / "nope.bits"),

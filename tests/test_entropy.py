@@ -17,6 +17,7 @@ from dimsurgery.entropy import (
     BoundCurves,
     ScheduleError,
     bound_curves,
+    buffer_margin,
     buffer_schedule,
     case_select,
     chord_line,
@@ -491,6 +492,18 @@ class TestBufferSchedule:
     def test_saturated_input_rejected(self):
         with pytest.raises(ScheduleError):
             buffer_schedule(1.0, [1.0] * 200, 200)
+
+    def test_buffer_margin_matches_scalar_loop(self):
+        # sum_{i<=j} t_i i^2 - c j^2 - (s n_j - b), n_j = sum_{i<j} i^2
+        t = np.random.default_rng(3).uniform(0, 1, 300)
+        margin = buffer_margin(t, 2.5, 0.4, 7.0)
+        assert margin.shape == (300,)
+        acc, n_j = 0.0, 0
+        for j in range(1, 301):
+            acc += float(t[j - 1]) * j * j
+            assert margin[j - 1] == pytest.approx(acc - 2.5 * j * j - (0.4 * n_j - 7.0),
+                                                  rel=1e-12, abs=1e-9), j
+            n_j += j * j
 
     def test_eps_nonincreasing(self):
         eps, _ = self._check([0.4] * 400, c=5.0, horizon=400)

@@ -1,6 +1,7 @@
 """Tests for surgery plans, chunk search, plan application, and tight pairs."""
 
 import importlib
+import inspect
 import math
 
 import numpy as np
@@ -32,7 +33,6 @@ from dimsurgery.surgery import (
     build_tight_pair,
     default_eps_seq,
     lower_chunk,
-    lower_cover_provider,
     plan_lower,
     plan_raise,
     plan_randomize,
@@ -237,8 +237,8 @@ class TestRaiseChunk:
 class TestLowerChunk:
     def test_codeword_fixed_point(self):
         cover = quantizer_codebook(12, 0.5)
-        word_bits, _ = lower_chunk(np.zeros(12, np.uint8), lambda width: cover, 12)
-        again, _ = lower_chunk(word_bits, lambda width: cover, 12)
+        word_bits, _ = lower_chunk(np.zeros(12, np.uint8), {12: cover}, 12)
+        again, _ = lower_chunk(word_bits, {12: cover}, 12)
         assert np.array_equal(word_bits, again)
 
     def test_single_word_cover(self):
@@ -247,7 +247,7 @@ class TestLowerChunk:
         cover = Codebook(n=8, radius=8, words=np.array([0], dtype=np.int64),
                          coverage_fraction=1.0)
         chunk = np.ones(8, np.uint8)
-        out, _ = lower_chunk(chunk, lambda width: cover, 8)
+        out, _ = lower_chunk(chunk, {8: cover}, 8)
         assert not out.any()
 
     def test_within_covering_radius(self):
@@ -255,23 +255,23 @@ class TestLowerChunk:
         rng = np.random.default_rng(5)
         for _ in range(200):
             chunk = rng.integers(0, 2, 14, dtype=np.uint8)
-            out, _ = lower_chunk(chunk, lambda width: cover, 14)
+            out, _ = lower_chunk(chunk, {14: cover}, 14)
             assert int(np.count_nonzero(out != chunk)) <= cover.radius
 
     def test_length_mismatch(self):
         cover = quantizer_codebook(10, 0.5)
         with pytest.raises(ValueError):
-            lower_chunk(np.zeros(12, np.uint8), lambda width: cover, 12)
+            lower_chunk(np.zeros(12, np.uint8), {12: cover}, 12)
 
     @staticmethod
-    def _per_block_reference(bits, cover_provider, block_len):
+    def _per_block_reference(bits, codebooks, block_len):
         """The per-block loop lower_chunk replaced: one scalar nearest-codeword
         search per block, ties to the lowest index."""
         out = np.empty_like(bits)
         index_bits = 0.0
         for pos in range(0, bits.size, block_len):
             block = bits[pos:pos + block_len]
-            words = np.asarray(cover_provider(block.size).words, dtype=np.int64)
+            words = np.asarray(codebooks[block.size].words, dtype=np.int64)
             w = int((block.astype(np.int64) << np.arange(block.size, dtype=np.int64)).sum())
             nearest = int(words[np.argmin(np.bitwise_count(words ^ w))])
             out[pos:pos + block.size] = (nearest >> np.arange(block.size)) & 1
@@ -282,10 +282,10 @@ class TestLowerChunk:
     def test_matches_per_block_loop(self, size):
         # 2000 blocks of 12 bits span several distance-table tiles; 487 and 5
         # bits end in (or are only) a remainder block
-        provider = lower_cover_provider(0.5)
+        codebooks = {w: quantizer_codebook(w, 0.5) for w in (12, 7, 5)}
         bits = np.random.default_rng(size).integers(0, 2, size, dtype=np.uint8)
-        out, index_bits = lower_chunk(bits, provider, 12)
-        want, want_bits = self._per_block_reference(bits, provider, 12)
+        out, index_bits = lower_chunk(bits, codebooks, 12)
+        want, want_bits = self._per_block_reference(bits, codebooks, 12)
         assert np.array_equal(out, want)
         assert index_bits == pytest.approx(want_bits, rel=1e-12)
 
@@ -294,15 +294,15 @@ class TestLowerChunk:
 
         # every balanced block is at distance w/2 from both words; the first
         # word listed (all ones) must win, not the smaller word 0
-        def provider(width):
-            return Codebook(n=width, radius=width, coverage_fraction=1.0,
-                            words=np.array([(1 << width) - 1, 0], dtype=np.int64))
+        codebooks = {width: Codebook(n=width, radius=width, coverage_fraction=1.0,
+                                     words=np.array([(1 << width) - 1, 0], dtype=np.int64))
+                     for width in (8, 6)}
 
         rng = np.random.default_rng(2)
         blocks = [rng.permutation(np.repeat(np.uint8([0, 1]), 4)) for _ in range(50)]
         bits = np.concatenate(blocks + [np.uint8([1, 0, 0, 1, 1, 0])])
-        out, index_bits = lower_chunk(bits, provider, 8)
-        want, want_bits = self._per_block_reference(bits, provider, 8)
+        out, index_bits = lower_chunk(bits, codebooks, 8)
+        want, want_bits = self._per_block_reference(bits, codebooks, 8)
         assert out.all() and np.array_equal(out, want)
         assert index_bits == want_bits == 51.0
 
@@ -324,7 +324,7 @@ class TestApplyPlan:
         x = gen_bernoulli(0.11, chunk_boundary(n_chunks + 1), 3)
         est = BernoulliOracle()
         plan = plan_randomize(chunk_dims(x, est), seed=5)
-        y, report = apply_plan(x, plan, est, tail_start=20)
+        y, report = apply_plan(x, plan, est)
         for entry, out in zip(plan.entries, report.outcomes):
             assert out.delta_achieved <= entry.delta_j + 1e-15
 
@@ -343,14 +343,51 @@ class TestApplyPlan:
     def test_lower_plan_on_coin(self):
         n_chunks = 40
         x = gen_coin(chunk_boundary(n_chunks + 1), 11)
-        provider = lower_cover_provider(0.5)
-        plan = plan_lower(n_chunks, 0.5, provider, seed=1)
-        y, report = apply_plan(x, plan, BernoulliOracle(), cover_provider=provider)
+        plan = plan_lower(n_chunks, 0.5, seed=1)
+        y, report = apply_plan(x, plan, BernoulliOracle())
         assert report.codebook_rate is not None
         assert report.codebook_rate <= 0.58
         assert report.distance <= entropy_inv(0.5) + 0.05
         for entry, out in zip(plan.entries, report.outcomes):
             assert out.delta_achieved <= entry.delta_j + 1e-15
+
+    def test_lower_plan_carries_its_codebooks(self, monkeypatch):
+        # plan_lower builds one quantizer per block width its chunks use and
+        # keeps it; applying the plan quantizes onto those and builds none
+        import dimsurgery.surgery as surgery
+
+        calls = []
+
+        def spy(width, target_s):
+            calls.append((width, target_s))
+            return quantizer_codebook(width, target_s)
+
+        monkeypatch.setattr(surgery, "quantizer_codebook", spy)
+        count, block_len = 30, 12
+        plan = plan_lower(count, 0.5, block_len=block_len, seed=1)
+        chunk_widths = []
+        for j in range(1, count + 1):
+            full, rest = divmod(j * j, block_len)
+            chunk_widths.append(({block_len} if full else set()) | ({rest} if rest else set()))
+        widths = set().union(*chunk_widths)
+        assert sorted(calls) == sorted((w, 0.5) for w in widths)
+        assert plan.block_len == block_len
+        assert {w: book.n for w, book in plan.codebooks.items()} == {w: w for w in widths}
+        for entry, ws in zip(plan.entries, chunk_widths):
+            assert entry.delta_j == max(plan.codebooks[w].radius / w for w in ws)
+        calls.clear()
+        x = gen_coin(chunk_boundary(count + 1), 3)
+        _, report = apply_plan(x, plan, BernoulliOracle())
+        assert calls == [] and len(report.outcomes) == count
+
+    def test_plan_is_the_whole_contract(self):
+        # nothing but the plan says how to apply it: no codebook source,
+        # block length or tail start can be passed alongside
+        assert list(inspect.signature(apply_plan).parameters) == [
+            "x", "plan", "est", "searcher"]
+        assert "tail_start" not in inspect.signature(plan_raise).parameters
+        assert list(inspect.signature(plan_lower).parameters) == [
+            "n_chunks", "target_s", "block_len", "seed"]
 
     @pytest.mark.parametrize("strategy", [RANDOMIZE, "raise", WEAK_SRANDOM, LOWER])
     @pytest.mark.parametrize("est", [BlockEntropy(8), Compressor("zlib")],
@@ -363,7 +400,6 @@ class TestApplyPlan:
         used = chunk_boundary(count + 1)
         x = gen_bernoulli(float(entropy_inv(0.5)), used + 37, 3)
         s_seq = chunk_dims(x, est)
-        provider = None
         if strategy == RANDOMIZE:
             plan = plan_randomize(s_seq, seed=1)
         elif strategy == "raise":
@@ -371,9 +407,8 @@ class TestApplyPlan:
         elif strategy == WEAK_SRANDOM:
             plan = plan_weak_srandom(s_seq, c=10.0, seed=1)
         else:
-            provider = lower_cover_provider(0.5)
-            plan = plan_lower(count, 0.5, provider, block_len=10, seed=1)
-        y, report = apply_plan(x, plan, est, cover_provider=provider, block_len=10)
+            plan = plan_lower(count, 0.5, block_len=10, seed=1)
+        y, report = apply_plan(x, plan, est)
         ts = min(default_tail_start(count), count)
         assert report.dim_before == sequence_dim(x[:used], est, ts).tail_min
         assert report.dim_after == sequence_dim(y[:used], est, ts).tail_min
@@ -421,8 +456,8 @@ class TestApplyPlan:
         x = gen_bernoulli(0.2, chunk_boundary(n_chunks + 1), 9)
         est = BernoulliOracle()
         plan = plan_randomize([0.7] * n_chunks, seed=21)
-        y1, _ = apply_plan(x, plan, est, tail_start=15)
-        y2, _ = apply_plan(x, plan, est, tail_start=15)
+        y1, _ = apply_plan(x, plan, est)
+        y2, _ = apply_plan(x, plan, est)
         assert y1 == y2
 
     def test_weak_srandom_end_to_end(self):
