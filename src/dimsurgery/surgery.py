@@ -279,7 +279,7 @@ def plan_lower(n_chunks: int, target_s: float, block_len: int = DEFAULT_BLOCK_LE
     block codebook, so the per-chunk budget is exact, not statistical.
     """
     layouts = [_block_layout(j * j, block_len) for j in range(1, n_chunks + 1)]
-    widths = dict.fromkeys(w for layout in layouts for w, _ in layout)
+    widths = {w for layout in layouts for w, _ in layout}
     codebooks = {w: quantizer_codebook(w, target_s) for w in widths}
     entries = [PlanEntry(j=j, s_j=float("nan"), t_j=target_s, eps_j=0.0,
                          delta_j=max(codebooks[w].radius / w for w, _ in layout))
