@@ -334,6 +334,17 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _nonneg_float(text: str) -> float:
+    """argparse type of --c: a finite float >= 0 (NaN and inf are not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimsurgery",
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", type=float, default=1e-3)
-    p.add_argument("--c", type=float, default=10.0)
+    p.add_argument("--c", type=_nonneg_float, default=10.0)
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["randomize", "weak", "raise", "lower"])
     p.add_argument("--s", type=_unit_float, default=0.5)
     p.add_argument("--t", type=_unit_float, default=1.0)
-    p.add_argument("--c", type=float, default=10.0)
+    p.add_argument("--c", type=_nonneg_float, default=10.0)
     p.add_argument("--estimator", default="bernoulli")
     p.add_argument("--searcher", default="greedy",
                    choices=["greedy", "random_fill"])

@@ -27,10 +27,9 @@ _INV_ITERS = 55
 
 
 def _require_unit(value, name: str) -> None:
+    # One pass: NaN fails both comparisons, and np.all of nothing is True.
     arr = np.asarray(value, dtype=float)
-    if arr.size == 0:
-        return
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 

@@ -269,6 +269,20 @@ class TestSurgery:
         assert exc.value.code == EXIT_USAGE
         assert f"argument --{flag}: must lie in [0, 1], got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["surgery", "--strategy", "weak"],
+                                         ["verify", "buffer"]])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_c_is_usage_error(self, tmp_path, capsys, command, value):
+        # rejected by the parser, before the (missing) input is read or any
+        # schedule is built
+        extra = ["--in", str(tmp_path / "none.bits")] if command[0] == "surgery" else []
+        with pytest.raises(SystemExit) as exc:
+            run(*command, *extra, f"--c={value}")
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --c: must be finite and >= 0, got {value}" in err
+        assert "internal" not in err and "RuntimeWarning" not in err
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("surgery", "--in", str(tmp_path / "nope.bits"),
                    "--strategy", "randomize") == EXIT_IO
@@ -490,6 +504,12 @@ class TestOutputPins:
             "4ac765a530cde05ee8e33bd10f3e3495ef439c82f1c9f8e3608caea06b6e4ed5",
         "raise_zlib":
             "8d15804f699fa5da485492c5870169ec0601a1c78f49c29a2230dd76cecfcd02",
+        "raise_lzma":
+            "1ae449593a4143185627869882597dceb1fa169bd28bb293f1770dd420572eb1",
+        "raise_bz2":
+            "14de635a7847d7ee5895914932f9a50579e13a8e2f270cca726310bdd96a28fe",
+        "raise_block8":
+            "32f824c5501e38c2d7a270f77d7543fda1374d55150d1a748d2dcee479550546",
         "lower":
             "b869233198b9553bb9a7038aee1090a13e06bc3a3c4d1352036b599d7794c80b",
         "lower_y":    # the --save-y payload
@@ -507,6 +527,12 @@ class TestOutputPins:
         "raise_case2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8"]),
         "raise_zlib": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
                                          "--estimator", "compressor:zlib"]),
+        "raise_lzma": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
+                                         "--estimator", "compressor:lzma"]),
+        "raise_bz2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
+                                        "--estimator", "compressor:bz2"]),
+        "raise_block8": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
+                                           "--estimator", "block:8"]),
         "lower": ("lower", "0.5", ["--s", "0.5"]),
     }
 

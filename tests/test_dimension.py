@@ -1,7 +1,10 @@
 """Tests for bit sequences, estimators, and the chunked dimension/distance proxies."""
 
+import bz2
+import lzma
 import os
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -26,12 +29,14 @@ from dimsurgery.dimension import (
 )
 from dimsurgery.entropy import entropy
 from dimsurgery.estimators import (
+    CONTEXT_WINDOW_BITS,
     BernoulliOracle,
     BlockEntropy,
     Compressor,
     EstimatorError,
     parse_estimator,
 )
+from dimsurgery.surgery import GREEDY, raise_chunk
 
 
 class TestBitSequence:
@@ -168,6 +173,111 @@ class TestEstimators:
 
         assert np.array_equal(chunk_dims(bits, Spy()), np.full(5, 0.5))
         assert seen == [(1, 0), (4, 1), (9, 5), (16, 14), (25, 30)]
+
+
+def _reference_gram_entropy(bits: np.ndarray, m: int) -> float:
+    """The sliding-window matmul form of the smoothed m-gram entropy."""
+    if m == 0:
+        return 0.0
+    windows = np.lib.stride_tricks.sliding_window_view(bits, m)
+    powers = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+    grams = windows.astype(np.int64) @ powers
+    counts = np.bincount(grams, minlength=1 << m).astype(np.float64) + 1.0
+    probs = counts / counts.sum()
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def _reference_block_rate(bits: np.ndarray, k: int) -> float:
+    k = min(k, bits.size)
+    rate = _reference_gram_entropy(bits, k) - _reference_gram_entropy(bits, k - 1)
+    return min(1.0, max(0.0, rate))
+
+
+_ONE_SHOT = {
+    "zlib": lambda data: len(zlib.compress(data, 9)),
+    "lzma": lambda data: len(lzma.compress(data, preset=6)),
+    "bz2": lambda data: len(bz2.compress(data, 9)),
+}
+
+
+def _reference_compressor_rate(backend: str, chunk: np.ndarray, ctx: np.ndarray) -> float:
+    """(clen(ctx||chunk) - clen(ctx)) / |chunk| from two one-shot compressions."""
+    ctx = ctx[-CONTEXT_WINDOW_BITS:] if ctx.size > CONTEXT_WINDOW_BITS else ctx
+
+    def clen(bits):
+        return 8 * _ONE_SHOT[backend](np.packbits(bits, bitorder="big").tobytes())
+
+    rate = (clen(np.concatenate([ctx, chunk])) - clen(ctx)) / chunk.size
+    return min(1.0, max(0.0, float(rate)))
+
+
+class TestEstimatorKernels:
+    """The shift-or k-gram counts and the primed compressor give exactly the
+    values of the direct computations, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_block_matches_reference(self, k):
+        rng = np.random.default_rng(k)
+        lengths = [1, max(1, k - 1), k, k + 1, 2 * k + 3,
+                   *rng.integers(1, 20_000, size=6).tolist()]
+        est = BlockEntropy(k)
+        for n in lengths:
+            bits = (rng.random(n) < rng.uniform(0.0, 0.5)).astype(np.uint8)
+            assert est.estimate(bits) == _reference_block_rate(bits, k), (k, n)
+
+    @pytest.mark.parametrize("backend", ["zlib", "lzma", "bz2"])
+    def test_compressor_matches_one_shot(self, backend):
+        rng = np.random.default_rng(7)
+        est = Compressor(backend)
+        for ctx_len in (0, 13, 8_191, CONTEXT_WINDOW_BITS, CONTEXT_WINDOW_BITS + 1_003):
+            ctx = (rng.random(ctx_len) < 0.11).astype(np.uint8)
+            for chunk_len, p in ((1, 0.5), (7, 0.3), (2_000, 0.11), (9_000, 0.4)):
+                chunk = (rng.random(chunk_len) < p).astype(np.uint8)
+                expected = _reference_compressor_rate(backend, chunk, ctx)
+                assert est.estimate(chunk, ctx) == expected, (ctx_len, chunk_len)
+        chunk = (rng.random(500) < 0.2).astype(np.uint8)
+        assert est.estimate(chunk) == _reference_compressor_rate(
+            backend, chunk, np.empty(0, np.uint8))
+
+    @pytest.mark.parametrize("backend", ["zlib", "lzma", "bz2"])
+    def test_memo_keys_on_content(self, backend):
+        # the same array mutated in place, in its whole bytes and in its
+        # leftover bits, then a different context of equal length: none may
+        # reuse the memo of the context seen before
+        rng = np.random.default_rng(3)
+        est = Compressor(backend)
+        ctx = (rng.random(20_005) < 0.05).astype(np.uint8)
+        chunk = (rng.random(3_000) < 0.3).astype(np.uint8)
+        for flip in (None, slice(100, 4_000), slice(20_001, 20_005)):
+            if flip is not None:
+                ctx[flip] ^= 1
+            assert est.estimate(chunk, ctx) == _reference_compressor_rate(
+                backend, chunk, ctx)
+        other = (rng.random(ctx.size) < 0.05).astype(np.uint8)
+        assert est.estimate(chunk, other) == _reference_compressor_rate(
+            backend, chunk, other)
+
+    def test_raise_chunk_compresses_its_context_once(self, monkeypatch):
+        primed = []
+        real = zlib.compressobj
+        monkeypatch.setattr(zlib, "compressobj",
+                            lambda *a: primed.append(a) or real(*a))
+
+        class Counting(Compressor):
+            evaluations = 0
+
+            def estimate(self, chunk, context=None):
+                self.evaluations += 1
+                return super().estimate(chunk, context)
+
+        est = Counting("zlib")
+        rng = np.random.default_rng(5)
+        context = (rng.random(30_003) < 0.11).astype(np.uint8)
+        chunk = (rng.random(6_000) < 0.05).astype(np.uint8)
+        _, value = raise_chunk(chunk, context, 0.3, est, GREEDY, seed=1, target=0.6)
+        assert est.evaluations > 2
+        assert len(primed) == 1
+        assert value >= 0.6
 
 
 class TestSequenceDim:

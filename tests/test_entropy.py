@@ -67,6 +67,15 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(float("nan"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
+    def test_domain_message(self, bad):
+        for value in (bad, np.array([0.5, bad, 0.0])):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+                entropy(value)
+
+    def test_empty_array_passes(self):
+        assert entropy(np.array([])).shape == (0,)
+
     @given(unit_floats)
     @settings(deadline=None)
     def test_symmetry(self, p):
