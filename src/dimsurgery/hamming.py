@@ -2,8 +2,9 @@
 
 Words are plain Python ints: bit i of the int is sequence position i.  Exact
 ball volumes, canonical extremal spheres centred at 0^n / 1^n and their
-distance law, brute-force set distances, far-point counts, and covering
-codes built by greedy set cover (meeting the Delsarte-Piret size bound).
+distance law, brute-force set distances, far-point counts, covering codes
+built by greedy set cover (meeting the Delsarte-Piret size bound), and
+systematic linear codes with coset-leader tables.
 
 Space-sized tables (2^n booleans) cap the exhaustive routines; each guard is
 noted on the operation it protects.
@@ -23,6 +24,7 @@ from .entropy import entropy
 MAX_EXHAUSTIVE_N = 22     # one byte per word for cover tables
 MAX_FAR_COUNT_N = 20
 MAX_PAIRWISE_PRODUCT = 1 << 30
+MAX_SYNDROME_BITS = 22    # coset-leader tables hold 2^(n-k) words
 _SCAN_BLOCK = 1 << 12   # words per forward step of the greedy maximum scan
 
 
@@ -339,9 +341,8 @@ def harper_far_count(n: int, words_a, eps: float) -> int:
 class Codebook:
     """A set of n-bit words with a covering-radius claim.
 
-    `words` keeps construction order (nearest-word ties resolve to the lowest
-    index), `coverage_fraction` is the measured fraction of the space within
-    `radius` of some word.
+    `words` keeps construction order, `coverage_fraction` is the measured
+    fraction of the space within `radius` of some word.
     """
 
     n: int
@@ -596,3 +597,51 @@ def best_subcode(book: Codebook, m: int) -> Codebook:
         raise RuntimeError("greedy subcode fell below its provable coverage bound")
     sub.coverage_fraction = covered / float(1 << n)
     return sub
+
+
+@dataclass
+class LinearCode:
+    """A systematic [n, k] code with parity check [A | I]: `columns[i]` is the
+    syndrome of position i, `leaders[z]` a lightest word of syndrome z, so
+    x ^ leaders[syndrome(x)] is a nearest codeword and `radius`, the weight
+    of the heaviest leader, is the covering radius."""
+
+    n: int
+    k: int
+    columns: np.ndarray
+    leaders: np.ndarray
+    radius: int
+
+
+def systematic_code(n: int, k: int) -> LinearCode:
+    """Random systematic [n, k] code, A drawn from a seed fixed by (n, k), with
+    its coset leaders filled breadth-first in weight order: one pass extends
+    every leader of weight w by each position in turn, and a syndrome first
+    reached there has no lighter word (ties to the earlier leader, then the
+    lower position)."""
+    if not (1 <= n <= 62 and 0 <= k <= n):           # words are packed in int64
+        raise ValueError(f"need 0 <= k <= n and 1 <= n <= 62, got n={n}, k={k}")
+    r = n - k
+    if r > MAX_SYNDROME_BITS:
+        raise ValueError(f"[{n},{k}] code has 2^{r} syndromes; coset-leader "
+                         f"tables are capped at 2^{MAX_SYNDROME_BITS}")
+    rng = np.random.default_rng([n, k])
+    columns = np.concatenate([rng.integers(0, 1 << r, size=k, dtype=np.int64),
+                              np.left_shift(1, np.arange(r, dtype=np.int64))])
+    leaders = np.zeros(1 << r, dtype=np.int64)
+    seen = np.zeros(1 << r, dtype=bool)
+    seen[0] = True
+    syns = words = np.zeros(1, dtype=np.int64)      # the leaders of weight radius
+    radius = -1
+    while syns.size:
+        radius += 1
+        grown = []
+        for i, col in enumerate(columns.tolist()):
+            syn = syns ^ col
+            fresh = ~seen[syn]
+            syn, word = syn[fresh], words[fresh] ^ (1 << i)
+            seen[syn] = True
+            leaders[syn] = word
+            grown.append((syn, word))
+        syns, words = (np.concatenate(part) for part in zip(*grown))
+    return LinearCode(n=n, k=k, columns=columns, leaders=leaders, radius=radius)

@@ -8,7 +8,7 @@ budget delta_j, following one of five strategies:
                  slack schedule; keeps a complexity buffer above s
   raise_case1    raise toward t with the flat budget g(t) - g(s)
   raise_case2    raise along the chord through (s, t) and (1, 1)
-  lower          quantize each chunk onto block codebooks of rate ~ s
+  lower          quantize each chunk onto linear block codes of rate ~ s
 
 Application walks chunks left to right, estimating each modified chunk against
 the already-constructed prefix; the per-chunk change budget is a hard
@@ -44,13 +44,14 @@ from .entropy import (
     tail_average_floor,
 )
 from .hamming import (
+    MAX_SYNDROME_BITS,
     Codebook,
-    _expand_once,
+    LinearCode,
     ball_offsets,
     ball_volume,
     best_subcode,
     greedy_cover,
-    greedy_max_coverage,
+    systematic_code,
 )
 
 RANDOMIZE = "randomize"
@@ -60,7 +61,7 @@ RAISE_CASE2 = "raise_case2"
 LOWER = "lower"
 
 EPS_MIN = 1e-3
-DEFAULT_BLOCK_LEN = 20
+TIGHT_PAIR_BLOCK_LEN = 20
 QUANTIZER_RATE_SLACK = 0.045  # extra code rate (bits per bit) for block quantizers
 
 
@@ -86,8 +87,8 @@ class SurgeryPlan:
     entries: list[PlanEntry]
     # lower plans: the block quantizer of every width their chunks use, and
     # the block length of those chunk layouts; apply_plan quantizes onto them
-    codebooks: dict[int, Codebook] = field(default_factory=dict)
-    block_len: int = DEFAULT_BLOCK_LEN
+    codebooks: dict[int, LinearCode] = field(default_factory=dict)
+    block_len: int = 0
 
     def deltas(self) -> np.ndarray:
         return np.array([e.delta_j for e in self.entries])
@@ -197,37 +198,24 @@ def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0) -> Surger
 # Block quantizers for the lower strategy.
 # ---------------------------------------------------------------------------
 
-def _covering_radius(n: int, words: np.ndarray) -> int:
-    reached = np.zeros(1 << n, dtype=bool)
-    reached[np.asarray(words, dtype=np.int64)] = True
-    radius = 0
-    while not reached.all():
-        reached = _expand_once(reached, n)
-        radius += 1
-    return radius
+def _quantizer_dim(block_len: int, target_s: float) -> int:
+    """k = floor((s + slack) L), at most L."""
+    return min(block_len, math.floor((target_s + QUANTIZER_RATE_SLACK) * block_len + 1e-9))
 
 
 @functools.lru_cache(maxsize=128)
-def quantizer_codebook(block_len: int, target_s: float) -> Codebook:
-    """Rate-limited greedy quantizer: up to 2^((s+slack) L) words picked by
-    greedy ball coverage at the distortion radius g(1-s) L (fewer once the
-    balls cover the space); `radius` is the exact covering radius, so
-    nearest-codeword distance is always <= radius."""
-    if not 1 <= block_len <= 22:
-        raise ValueError("block quantizers capped at 22 bits")
-    space = 1 << block_len
-    m = max(1, int(2.0 ** ((target_s + QUANTIZER_RATE_SLACK) * block_len)))
-    if m >= space:
-        words = np.arange(space, dtype=np.int64)
-        return Codebook(n=block_len, radius=0, words=words, coverage_fraction=1.0)
-    r_star = max(1, round(float(entropy_inv(1.0 - target_s)) * block_len))
-    r_star = min(r_star, block_len)
-    words = np.array(greedy_max_coverage(block_len, r_star, picks=m), dtype=np.int64)
-    radius = _covering_radius(block_len, words)
-    return Codebook(n=block_len, radius=radius, words=words, coverage_fraction=1.0)
+def quantizer_codebook(block_len: int, target_s: float) -> LinearCode:
+    """Block quantizer of rate (s + slack) at most: the systematic [L, k]
+    code with k = floor((s + slack) L).  Its coset leaders decode to a
+    nearest codeword, so the distance to it never exceeds `radius`; past
+    2^22 syndromes it raises ValueError."""
+    return systematic_code(block_len, _quantizer_dim(block_len, target_s))
 
 
-_NEAREST_TILE = 1 << 16   # block-by-codeword distance entries per numpy step
+def default_block_len(target_s: float) -> int:
+    """The largest L <= 32 whose quantizer has at most 2^22 syndromes."""
+    return max(L for L in range(1, 33)
+               if L - _quantizer_dim(L, target_s) <= MAX_SYNDROME_BITS)
 
 
 def _block_layout(size: int, block_len: int) -> list[tuple[int, int]]:
@@ -241,46 +229,43 @@ def _word_to_bits(words, n: int) -> np.ndarray:
     return ((words >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
 
 
-def lower_chunk(chunk, codebooks: dict[int, Codebook], block_len: int):
-    """Replace each block of a chunk (_block_layout) by its nearest word in
-    codebooks[width], ties to the lowest index.
+def lower_chunk(chunk, codebooks: dict[int, LinearCode], block_len: int):
+    """Replace each block x of a chunk (_block_layout) by its nearest
+    codeword x ^ leaders[syndrome(x)] in codebooks[width].
 
-    Returns (y_chunk, index_bits), index_bits = sum of log2 |cover| over the
-    blocks.  The distance table is built a tile of blocks at a time.
+    Returns (y_chunk, index_bits), index_bits = k bits per block.
     """
     bits = as_bits(chunk)
     out = np.empty_like(bits)
-    index_bits = 0.0
+    index_bits = 0
     pos = 0
     for width, count in _block_layout(bits.size, block_len):
-        cover = codebooks[width]
-        if cover.n != width:
-            raise ValueError(f"cover word length {cover.n} != block width {width}")
-        book = np.asarray(cover.words, dtype=np.int64)
+        code = codebooks[width]
+        if code.n != width:
+            raise ValueError(f"code length {code.n} != block width {width}")
         span = slice(pos, pos + width * count)
-        words = (bits[span].reshape(count, width).astype(np.int64) << np.arange(width)).sum(1)
-        y_blocks = out[span].reshape(count, width)
-        rows = max(1, _NEAREST_TILE // book.size)
-        for lo in range(0, count, rows):
-            dist = np.bitwise_count(words[lo:lo + rows, None] ^ book)
-            y_blocks[lo:lo + rows] = _word_to_bits(book[dist.argmin(axis=1)], width)
-        index_bits += count * math.log2(book.size)
+        blocks = bits[span].reshape(count, width)
+        syndromes = np.bitwise_xor.reduce(blocks * code.columns, axis=1)
+        out[span] = (blocks ^ _word_to_bits(code.leaders[syndromes], width)).ravel()
+        index_bits += count * code.k
         pos += width * count
     return out, index_bits
 
 
-def plan_lower(n_chunks: int, target_s: float, block_len: int = DEFAULT_BLOCK_LEN,
+def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None,
                seed: int = 0) -> SurgeryPlan:
     """Lower-to-s plan: one quantizer_codebook per block width the chunk
     layouts use, kept in the plan; per-chunk budget = worst block
-    covering-radius ratio.
+    covering-radius ratio.  block_len defaults to default_block_len(s).
 
     The nearest-codeword step can never exceed the covering radius of the
-    block codebook, so the per-chunk budget is exact, not statistical.
+    block code, so the per-chunk budget is exact, not statistical.
     """
+    if block_len is None:
+        block_len = default_block_len(target_s)
     layouts = [_block_layout(j * j, block_len) for j in range(1, n_chunks + 1)]
     widths = {w for layout in layouts for w, _ in layout}
-    codebooks = {w: quantizer_codebook(w, target_s) for w in widths}
+    codebooks = {w: quantizer_codebook(w, target_s) for w in sorted(widths, reverse=True)}
     entries = [PlanEntry(j=j, s_j=float("nan"), t_j=target_s, eps_j=0.0,
                          delta_j=max(codebooks[w].radius / w for w, _ in layout))
                for j, layout in enumerate(layouts, start=1)]
@@ -486,7 +471,7 @@ class TightPairReport:
 
 
 def build_tight_pair(s: float, t: float, chunks: int, seed: int,
-                     block_len: int = DEFAULT_BLOCK_LEN):
+                     block_len: int = TIGHT_PAIR_BLOCK_LEN):
     """Construct (X, Y) with X on a rate-s subcode, Y = X + a random ball
     offset, realizing distance about g(t - s) with Y-rate about t.
 

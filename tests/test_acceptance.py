@@ -193,8 +193,8 @@ def test_criterion_8_lower():
                 assert report.distance <= bound + 0.03, (s, seed, report.distance)
                 assert report.codebook_rate <= s + 0.05, (s, seed, report.codebook_rate)
     t.check()
-    print(f"\nPASS criterion 8: lower to s in {{0.3,0.5}} with 20-bit block "
-          f"covers, distance and rate in budget ({t.elapsed:.1f}s)")
+    print(f"\nPASS criterion 8: lower to s in {{0.3,0.5}} with systematic linear "
+          f"block codes, distance and rate in budget ({t.elapsed:.1f}s)")
 
 
 def test_criterion_9_duplication_coder():

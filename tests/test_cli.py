@@ -235,6 +235,16 @@ class TestSurgery:
         assert distance <= 0.14
         assert bound == pytest.approx(0.110028, abs=1e-4)
 
+    def test_lower_to_one_is_the_identity(self, tmp_path):
+        # at s = 1 every block code is the whole space: y = x, distance 0
+        src = self._gen(tmp_path, kind="coin", n=20_000, seed=2)
+        out, y = tmp_path / "lower.csv", tmp_path / "y.bits"
+        assert run("surgery", "--in", str(src), "--strategy", "lower", "--s", "1.0",
+                   "--out", str(out), "--save-y", str(y)) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert float(lines[lines.index("") + 2].split(",")[2]) == 0.0
+        assert BitSequence.from_file(y) == BitSequence.from_file(src)
+
     def test_seed_fanout(self, tmp_path):
         src = self._gen(tmp_path)
         out = tmp_path / "multi.csv"
@@ -511,9 +521,9 @@ class TestOutputPins:
         "raise_block8":
             "32f824c5501e38c2d7a270f77d7543fda1374d55150d1a748d2dcee479550546",
         "lower":
-            "b869233198b9553bb9a7038aee1090a13e06bc3a3c4d1352036b599d7794c80b",
+            "c6f6e17a96a219030309532ff9162328a25775115893ab2e9f6bbecdf1108eb1",
         "lower_y":    # the --save-y payload
-            "1ab79f3e42f2278a44362950c3fc6803dbf602aae5b27430a0b981c59dd8e119",
+            "aad84c02cccc6b60202193b2733234cba22b2e2d20f04b04c5305ff7a5800fbf",
     }
 
     # (strategy, bernoulli p of the input, extra flags); the two bernoulli

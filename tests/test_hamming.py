@@ -492,8 +492,10 @@ class TestCodebookSerialization:
 
 
 class TestCodebookPins:
-    """sha256 of words.tobytes(), in sweep order: any change in which words
-    the greedy engine picks, or in their order, fails here."""
+    """sha256 in sweep order of the greedy covers' words.tobytes() and the
+    quantizers' columns and leaders: any change in which words the greedy
+    engine picks, in their order, or in a linear code or its coset leaders,
+    fails here."""
 
     def test_codebook_content_pinned(self):
         from dimsurgery.surgery import quantizer_codebook
@@ -508,6 +510,8 @@ class TestCodebookPins:
         quantizers = hashlib.sha256()
         for block_len in (9, 12, 16):
             for s in (0.3, 0.4, 0.5):
-                quantizers.update(quantizer_codebook(block_len, s).words.tobytes())
+                code = quantizer_codebook(block_len, s)
+                quantizers.update(code.columns.tobytes())
+                quantizers.update(code.leaders.tobytes())
         assert quantizers.hexdigest() == (
-            "c4e6e3d368fd2528c4d3644a20bd0f68acf89395e12ae4fa75be4f662aadbcf9")
+            "6bc2a2b0f56fd97abc4e7b2b6fd9c861739eb5d93553509b456bf9362877dddc")

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("bound_curves.py", ["c.csv"]),
     ("raise_experiment.py", ["20000", "1"]),
     ("verify_all.py", []),
+    ("lower_experiment.py", ["20000", "1"]),
 ])
 def test_script_exits_zero(tmp_path, script, args):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])

@@ -19,9 +19,11 @@ from dimsurgery.dimension import (
 )
 from dimsurgery.entropy import bound_curves, chord_line, entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
+from dimsurgery.hamming import _expand_once, systematic_code
 from dimsurgery.surgery import (
     GREEDY,
     LOWER,
+    QUANTIZER_RATE_SLACK,
     RAISE_CASE1,
     RAISE_CASE2,
     RANDOM_FILL,
@@ -31,6 +33,7 @@ from dimsurgery.surgery import (
     SurgeryPlan,
     apply_plan,
     build_tight_pair,
+    default_block_len,
     default_eps_seq,
     lower_chunk,
     plan_lower,
@@ -241,15 +244,6 @@ class TestLowerChunk:
         again, _ = lower_chunk(word_bits, {12: cover}, 12)
         assert np.array_equal(word_bits, again)
 
-    def test_single_word_cover(self):
-        from dimsurgery.hamming import Codebook
-
-        cover = Codebook(n=8, radius=8, words=np.array([0], dtype=np.int64),
-                         coverage_fraction=1.0)
-        chunk = np.ones(8, np.uint8)
-        out, _ = lower_chunk(chunk, {8: cover}, 8)
-        assert not out.any()
-
     def test_within_covering_radius(self):
         cover = quantizer_codebook(14, 0.4)
         rng = np.random.default_rng(5)
@@ -265,46 +259,139 @@ class TestLowerChunk:
 
     @staticmethod
     def _per_block_reference(bits, codebooks, block_len):
-        """The per-block loop lower_chunk replaced: one scalar nearest-codeword
-        search per block, ties to the lowest index."""
-        out = np.empty_like(bits)
-        index_bits = 0.0
+        """One scalar search per block over every codeword of its width: the
+        nearest-codeword distance of each block, and k index bits per block."""
+        codewords = {}
+        for width, code in codebooks.items():
+            space = np.arange(1 << width, dtype=np.int64)
+            codewords[width] = space[_syndromes(code, space) == 0]
+        dists, index_bits = [], 0
         for pos in range(0, bits.size, block_len):
             block = bits[pos:pos + block_len]
-            words = np.asarray(codebooks[block.size].words, dtype=np.int64)
             w = int((block.astype(np.int64) << np.arange(block.size, dtype=np.int64)).sum())
-            nearest = int(words[np.argmin(np.bitwise_count(words ^ w))])
-            out[pos:pos + block.size] = (nearest >> np.arange(block.size)) & 1
-            index_bits += math.log2(len(words))
-        return out, index_bits
+            dists.append(int(np.bitwise_count(codewords[block.size] ^ w).min()))
+            index_bits += codebooks[block.size].k
+        return dists, index_bits
 
     @pytest.mark.parametrize("size", [12 * 2000, 12 * 40 + 7, 5, 144])
     def test_matches_per_block_loop(self, size):
-        # 2000 blocks of 12 bits span several distance-table tiles; 487 and 5
-        # bits end in (or are only) a remainder block
+        # 487 and 5 bits end in (or are only) a remainder block; every output
+        # block is a codeword of its width at the nearest distance
         codebooks = {w: quantizer_codebook(w, 0.5) for w in (12, 7, 5)}
         bits = np.random.default_rng(size).integers(0, 2, size, dtype=np.uint8)
         out, index_bits = lower_chunk(bits, codebooks, 12)
         want, want_bits = self._per_block_reference(bits, codebooks, 12)
-        assert np.array_equal(out, want)
-        assert index_bits == pytest.approx(want_bits, rel=1e-12)
+        dists = []
+        for pos in range(0, size, 12):
+            x, y = bits[pos:pos + 12], out[pos:pos + 12]
+            word = int((y.astype(np.int64) << np.arange(y.size, dtype=np.int64)).sum())
+            assert _syndromes(codebooks[y.size], [word]).tolist() == [0]
+            dists.append(int(np.count_nonzero(x != y)))
+        assert dists == want and index_bits == want_bits
 
-    def test_ties_go_to_lowest_index(self):
-        from dimsurgery.hamming import Codebook
 
-        # every balanced block is at distance w/2 from both words; the first
-        # word listed (all ones) must win, not the smaller word 0
-        codebooks = {width: Codebook(n=width, radius=width, coverage_fraction=1.0,
-                                     words=np.array([(1 << width) - 1, 0], dtype=np.int64))
-                     for width in (8, 6)}
+def _syndromes(code, words):
+    """H x over GF(2) as a matrix product, H = [A | I] unpacked to bits."""
+    r = code.n - code.k
+    h = (code.columns[:, None] >> np.arange(r)) & 1              # n x r
+    bits = (np.asarray(words, dtype=np.int64)[:, None] >> np.arange(code.n)) & 1
+    return ((bits @ h) % 2) @ (1 << np.arange(r, dtype=np.int64))
 
-        rng = np.random.default_rng(2)
-        blocks = [rng.permutation(np.repeat(np.uint8([0, 1]), 4)) for _ in range(50)]
-        bits = np.concatenate(blocks + [np.uint8([1, 0, 0, 1, 1, 0])])
-        out, index_bits = lower_chunk(bits, codebooks, 8)
-        want, want_bits = self._per_block_reference(bits, codebooks, 8)
-        assert out.all() and np.array_equal(out, want)
-        assert index_bits == want_bits == 51.0
+
+def _covering_radius(n: int, words) -> int:
+    """Exhaustive covering radius: grow balls around the words to the space."""
+    reached = np.zeros(1 << n, dtype=bool)
+    reached[np.asarray(words, dtype=np.int64)] = True
+    radius = 0
+    while not reached.all():
+        reached = _expand_once(reached, n)
+        radius += 1
+    return radius
+
+
+def _lower_every_word(code):
+    """lower_chunk on a chunk of all 2^n words, one block each."""
+    space = np.arange(1 << code.n, dtype=np.int64)
+    bits = ((space[:, None] >> np.arange(code.n)) & 1).astype(np.uint8)
+    out, index_bits = lower_chunk(bits.ravel(), {code.n: code}, code.n)
+    return space, out.reshape(bits.shape), index_bits
+
+
+class TestLinearQuantizer:
+    """Every [L, k] code with L <= 12 against brute force over the space."""
+
+    CODES = [(n, k) for n in range(1, 13) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("n, k", CODES)
+    def test_leaders_have_minimum_coset_weight(self, n, k):
+        code = systematic_code(n, k)
+        assert code.columns[k:].tolist() == [1 << i for i in range(n - k)]
+        space = np.arange(1 << n, dtype=np.int64)
+        syn = _syndromes(code, space)
+        lightest = np.full(1 << (n - k), n + 1)
+        np.minimum.at(lightest, syn, np.bitwise_count(space))
+        assert np.array_equal(_syndromes(code, code.leaders), np.arange(1 << (n - k)))
+        assert np.array_equal(np.bitwise_count(code.leaders), lightest)
+
+    @pytest.mark.parametrize("n, k", CODES)
+    def test_lowering_reaches_a_nearest_codeword(self, n, k):
+        code = systematic_code(n, k)
+        space, out, index_bits = _lower_every_word(code)
+        codewords = space[_syndromes(code, space) == 0]
+        assert codewords.size == 1 << k
+        y = (out.astype(np.int64) << np.arange(n)).sum(1)
+        assert not _syndromes(code, y).any()
+        nearest = np.concatenate([np.bitwise_count(part[:, None] ^ codewords).min(1)
+                                  for part in np.array_split(space, 16)])
+        assert np.array_equal(np.bitwise_count(y ^ space), nearest)
+        assert code.radius == nearest.max() == _covering_radius(n, codewords)
+        assert index_bits == k * space.size
+
+    @pytest.mark.parametrize("n", [1, 7, 12, 32])
+    def test_full_and_empty_codes(self, n):
+        whole = quantizer_codebook(n, 1.0)              # k = n: every word
+        assert (whole.k, whole.radius, whole.leaders.tolist()) == (n, 0, [0])
+        bits = np.random.default_rng(n).integers(0, 2, 5 * n, dtype=np.uint8)
+        out, index_bits = lower_chunk(bits, {n: whole}, n)
+        assert np.array_equal(out, bits) and index_bits == 5 * n
+        if n <= 12:
+            zero = systematic_code(n, 0)                # k = 0: the zero word
+            out, index_bits = lower_chunk(bits, {n: zero}, n)
+            assert not out.any() and index_bits == 0 and zero.radius == n
+
+    def test_syndrome_cap(self):
+        with pytest.raises(ValueError, match="syndromes"):
+            systematic_code(30, 7)
+        with pytest.raises(ValueError, match="syndromes"):
+            quantizer_codebook(40, 0.3)                 # [40, 13]: 2^27
+        with pytest.raises(ValueError, match="syndromes"):
+            plan_lower(30, 0.3, block_len=40)
+        quantizer_codebook(40, 0.5)                     # [40, 21]: 2^19
+
+    def test_same_output_after_cache_clear(self):
+        bits = gen_coin(32 * 40 + 10, 8).bits
+        codebooks = {w: quantizer_codebook(w, 0.4) for w in (32, 10)}
+        first, first_bits = lower_chunk(bits, codebooks, 32)
+        quantizer_codebook.cache_clear()
+        rebuilt = {w: quantizer_codebook(w, 0.4) for w in codebooks}
+        for w, code in rebuilt.items():
+            assert code is not codebooks[w]
+            assert np.array_equal(code.columns, codebooks[w].columns)
+            assert np.array_equal(code.leaders, codebooks[w].leaders)
+        again, again_bits = lower_chunk(bits, rebuilt, 32)
+        assert np.array_equal(first, again) and first_bits == again_bits
+
+    @pytest.mark.parametrize("s", [0.0, 0.05, 0.1, 0.2, 0.25, 0.26, 0.27, 0.3, 0.5, 1.0])
+    def test_default_block_len(self, s):
+        def syndrome_bits(L):
+            return L - min(L, int((s + QUANTIZER_RATE_SLACK) * L + 1e-9))
+
+        L = default_block_len(s)
+        if s >= 0.27:
+            assert L == 32
+        else:
+            assert syndrome_bits(L) <= 22 < syndrome_bits(L + 1)
+        assert plan_lower(3, s).block_len == L
 
 
 class TestApplyPlan:
