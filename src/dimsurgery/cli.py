@@ -47,6 +47,7 @@ from .hamming import (
 )
 from .duplication import duplication_decode, duplication_encode
 from .surgery import (
+    PlanInvariantError,
     apply_plan,
     plan_lower,
     plan_raise,
@@ -175,7 +176,7 @@ def _buffer_families(horizon: int):
 
 def _verify_buffer(args, check) -> None:
     for name, s_seq in _buffer_families(args.horizon):
-        eps, b = buffer_schedule(args.c, s_seq, args.horizon)
+        eps, b = buffer_schedule(args.c, s_seq)
         s_sur = tail_average_floor(s_seq)
         margin = buffer_margin(raise_profile(s_seq, eps), args.c, s_sur, b)
         check(bool(np.all(margin > 0)), f"buffer family={name} "
@@ -246,7 +247,7 @@ def _surgery_bound(args, report) -> float:
         return float(entropy_inv(args.t) - entropy_inv(args.s))
     if args.strategy == "lower":
         return float(entropy_inv(1.0 - args.s))
-    return planned_distance(report.plan.deltas(), report.tail_start)
+    return planned_distance(report.plan.deltas())
 
 
 def _run_surgery_once(args, seed: int, out_path: str | None, y_path: str | None) -> None:
@@ -261,10 +262,8 @@ def _run_surgery_once(args, seed: int, out_path: str | None, y_path: str | None)
         plan = plan_weak_srandom(chunk_dims(x, est), c=args.c, seed=seed)
     elif args.strategy == "raise":
         plan = plan_raise(chunk_dims(x, est), args.s, args.t, seed=seed)
-    elif args.strategy == "lower":
+    else:                                       # lower
         plan = plan_lower(sched.count, args.s, seed=seed)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown strategy {args.strategy}")
 
     y, report = apply_plan(x, plan, est, searcher=args.searcher)
     bound = _surgery_bound(args, report)
@@ -430,7 +429,8 @@ def main(argv=None) -> int:
     except (OSError, bitseq.BitFileError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (argparse.ArgumentTypeError, ValueError, ScheduleError) as exc:
+    except (argparse.ArgumentTypeError, ValueError, ScheduleError,
+            PlanInvariantError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,7 +5,9 @@ bits, starting at n_j = sum_{i<j} i^2).  The proxy dimension of a sequence is
 the weighted running average of per-chunk conditional estimates, with a
 tail extremum standing in for the infinite-horizon liminf; the distance
 aggregator mirrors it with per-chunk Hamming densities and a tail maximum.
-Chunks are measured only by chunk_dims and averaged only by weighted_series.
+This module owns the chunk layout: chunk_boundary is the one n_j,
+weighted_series the one quadratic weighting and default_tail_start the one
+tail window every extremum reads.  Chunks are measured only by chunk_dims.
 """
 
 from __future__ import annotations
@@ -15,16 +17,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import as_bits
-from .entropy import entropy
 
 # chunks below this index carry too much per-chunk overhead to be meaningful
 MIN_TAIL_CHUNK = 10
 
 
-def chunk_boundary(j: int) -> int:
-    """n_j = sum_{i<j} i^2 = (j-1) j (2j-1) / 6; chunk j spans [n_j, n_j + j^2)."""
-    if j < 1:
-        raise ValueError(f"chunk index must be >= 1, got {j}")
+def chunk_boundary(j):
+    """n_j = sum_{i<j} i^2 = (j-1) j (2j-1) / 6; chunk j spans [n_j, n_j + j^2).
+
+    An int j gives an int; an int array gives an int64 array, elementwise.
+    """
+    if isinstance(j, int):
+        # plain int arithmetic: the chunk loops call this once per chunk
+        if j < 1:
+            raise ValueError(f"chunk index must be >= 1, got {j}")
+    else:
+        j = np.asarray(j, dtype=np.int64)
+        if np.any(j < 1):
+            raise ValueError(f"chunk indices must be >= 1, got {j}")
     return (j - 1) * j * (2 * j - 1) // 6
 
 
@@ -53,7 +63,14 @@ class ChunkSchedule:
 
 
 def default_tail_start(count: int) -> int:
-    return max(MIN_TAIL_CHUNK, count // 2)
+    """First boundary j of the tail over `count` chunks: half the horizon,
+    at least MIN_TAIL_CHUNK, at most count (so the tail is never empty)."""
+    return min(max(MIN_TAIL_CHUNK, count // 2), count)
+
+
+def _tail(series: np.ndarray) -> np.ndarray:
+    # series index i holds boundary j = i + 2
+    return series[max(0, default_tail_start(len(series)) - 2):]
 
 
 def chunk_dims(x, est) -> np.ndarray:
@@ -78,7 +95,6 @@ class DimSeries:
     tail_min: float
     series: np.ndarray            # A_j for j = 2 .. count+1
     chunk_values: np.ndarray      # s_i for i = 1 .. count
-    tail_start: int
 
 
 @dataclass
@@ -87,63 +103,40 @@ class DistanceSeries:
     tail_max: float
     series: np.ndarray            # weighted averages at j = 2 .. count+1
     chunk_values: np.ndarray      # per-chunk normalized Hamming distances
-    tail_start: int
 
 
 def weighted_series(values) -> np.ndarray:
     """Quadratic-weight running averages (1/n_{j+1}) sum_{i<=j} v_i i^2, j = 1..count."""
     js = np.arange(1, len(values) + 1, dtype=np.int64)
     weights = (js.astype(np.float64)) ** 2
-    n_next = (js * (js + 1) * (2 * js + 1) / 6.0)        # n_{j+1}
-    return np.cumsum(np.asarray(values) * weights) / n_next
+    return np.cumsum(np.asarray(values) * weights) / chunk_boundary(js + 1)
 
 
-def _check_tail(count: int, tail_start: int | None) -> None:
-    want = default_tail_start(count) if tail_start is None else tail_start
-    if count < max(1, want):
-        raise ValueError(
-            f"sequence too short: {count} complete chunks, tail needs {want}")
-
-
-def _tail_slice(count: int, tail_start: int | None):
-    # the j < MIN_TAIL_CHUNK exclusion is a default; an explicit tail_start wins
-    start = default_tail_start(count) if tail_start is None else tail_start
-    start = min(start, count + 1)
-    # series index i holds boundary j = i + 2
-    return max(0, start - 2), start
-
-
-def dim_series(values, tail_start: int | None = None) -> DimSeries:
+def dim_series(values) -> DimSeries:
     """Aggregate per-chunk dimension values; tail_min is the finite liminf
-    surrogate (min over boundaries j >= tail_start)."""
+    surrogate (min over the tail boundaries)."""
     values = np.asarray(values, dtype=np.float64)
     series = weighted_series(values)
-    idx, start = _tail_slice(len(values), tail_start)
     return DimSeries(
         final=float(series[-1]),
-        tail_min=float(series[idx:].min()),
+        tail_min=float(_tail(series).min()),
         series=series,
         chunk_values=values,
-        tail_start=start,
     )
 
 
-def planned_distance(deltas, tail_start: int | None = None) -> float:
+def planned_distance(deltas) -> float:
     """Tail max of weighted_series(deltas): the distance a plan's change
     densities add up to, over the tail that sequence_distance reads."""
-    series = weighted_series(deltas)
-    idx, _ = _tail_slice(len(series), tail_start)
-    return float(series[idx:].max())
+    return float(_tail(weighted_series(deltas)).max())
 
 
-def sequence_dim(x, est, tail_start: int | None = None) -> DimSeries:
+def sequence_dim(x, est) -> DimSeries:
     """Proxy dimension of a sequence: chunk_dims aggregated by dim_series."""
-    bits = as_bits(x)
-    _check_tail(ChunkSchedule.for_length(len(bits)).count, tail_start)
-    return dim_series(chunk_dims(bits, est), tail_start)
+    return dim_series(chunk_dims(x, est))
 
 
-def sequence_distance(x, y, tail_start: int | None = None) -> DistanceSeries:
+def sequence_distance(x, y) -> DistanceSeries:
     """Chunk-aggregated normalized distance between two equal-length sequences.
 
     `series` is the integer running mismatch count over n_{j+1}, so it equals
@@ -155,7 +148,6 @@ def sequence_distance(x, y, tail_start: int | None = None) -> DistanceSeries:
     if bx.size != by.size:
         raise ValueError(f"length mismatch: {bx.size} vs {by.size}")
     sched = ChunkSchedule.for_length(bx.size)
-    _check_tail(sched.count, tail_start)
     mism = bx != by
     counts = np.empty(sched.count, dtype=np.int64)
     for j in range(1, sched.count + 1):
@@ -163,41 +155,10 @@ def sequence_distance(x, y, tail_start: int | None = None) -> DistanceSeries:
         counts[j - 1] = int(np.count_nonzero(mism[lo:hi]))
     js = np.arange(1, sched.count + 1, dtype=np.int64)
     deltas = counts / (js.astype(np.float64) ** 2)
-    n_next = js * (js + 1) * (2 * js + 1) // 6
-    series = np.cumsum(counts) / n_next.astype(np.float64)
-    idx, start = _tail_slice(sched.count, tail_start)
+    series = np.cumsum(counts) / chunk_boundary(js + 1).astype(np.float64)
     return DistanceSeries(
         final=float(series[-1]),
-        tail_max=float(series[idx:].max()),
+        tail_max=float(_tail(series).max()),
         series=series,
         chunk_values=deltas,
-        tail_start=start,
     )
-
-
-@dataclass
-class DimBoundCheck:
-    """Soft proxy form of |dim(Y) - dim(X)| <= H(d(X,Y)): logged, not asserted."""
-
-    dim_x: float
-    dim_y: float
-    distance: float
-    gap: float              # |dim_y - dim_x| - H(distance); negative is fine
-    within_slack: bool
-    slack: float
-
-
-def check_dim_bound_proxy(x, y, est, slack: float = 0.1,
-                          tail_start: int | None = None) -> DimBoundCheck:
-    """Measure the naive dimension/distance bound under a proxy estimator.
-
-    Compressor-style estimators are not ideal codes, so the bound only holds
-    up to a calibration slack; callers log failures with the instance rather
-    than asserting.
-    """
-    dx = sequence_dim(x, est, tail_start).tail_min
-    dy = sequence_dim(y, est, tail_start).tail_min
-    dist = sequence_distance(x, y, tail_start).tail_max
-    gap = abs(dy - dx) - float(entropy(min(1.0, dist)))
-    return DimBoundCheck(dim_x=dx, dim_y=dy, distance=dist, gap=gap,
-                         within_slack=gap <= slack, slack=slack)

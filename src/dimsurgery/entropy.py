@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimension import chunk_boundary, weighted_series
+
 LN2 = math.log(2.0)
 
 # Bisection iteration count for the entropy inverse.  55 halvings of [0, 1/2]
@@ -394,25 +396,21 @@ class ScheduleError(RuntimeError):
     """A slack schedule cannot be built (tail average of the input is too high)."""
 
 
-def tail_average_floor(s_seq, tail_start: int | None = None) -> float:
+def tail_average_floor(s_seq) -> float:
     """Finite liminf surrogate of the quadratically weighted chunk averages.
 
-    Minimum over boundaries j >= tail_start (default: half the horizon) of
-    (1/n_j) sum_{i<j} s_i i^2, clamped to [0, 1].
+    Minimum over boundaries j = horizon//2 .. horizon of
+    A_j = (1/n_j) sum_{i<j} s_i i^2, clamped to [0, 1]: the boundaries the
+    buffer inequality reads, not the shared tail window of dimension.py.
     """
     s_arr = np.asarray(list(s_seq), dtype=float)
     horizon = len(s_arr)
     if horizon < 2:
         raise ValueError("need at least two chunk values")
     _require_unit(s_arr, "s_seq")
-    js = np.arange(1, horizon + 1)
-    w = js.astype(float) ** 2
-    n = (js - 1) * js * (2 * js - 1) / 6.0
-    avg = np.cumsum(s_arr * w)[:-1] / n[1:]          # A_j for j = 2..horizon
-    start = max(1, horizon // 2) if tail_start is None else max(2, tail_start)
+    avg = weighted_series(s_arr)[:-1]                # A_j for j = 2..horizon
     # avg index i holds boundary j = i + 2
-    idx = max(0, start - 2)
-    return float(min(1.0, np.min(avg[idx:]) if idx < len(avg) else avg[-1]))
+    return float(min(1.0, np.min(avg[max(0, horizon // 2 - 2):])))
 
 
 def buffer_margin(t_seq, c: float, s: float, b: float) -> np.ndarray:
@@ -420,14 +418,12 @@ def buffer_margin(t_seq, c: float, s: float, b: float) -> np.ndarray:
     n_j = sum_{i<j} i^2: the buffer inequality holds where this is positive."""
     t = np.asarray(t_seq, dtype=float)
     js = np.arange(1, len(t) + 1)
-    n_j = (js - 1) * js * (2 * js - 1) / 6.0
-    return np.cumsum(t * js * js) - c * js * js - (s * n_j - b)
+    return np.cumsum(t * js * js) - c * js * js - (s * chunk_boundary(js) - b)
 
 
-def buffer_schedule(c: float, s_seq, horizon: int,
-                    grid_step: float = 1e-4):
+def buffer_schedule(c: float, s_seq):
     """Halving slack schedule eps_1=1, eps_{j} in {eps_{j-1}, eps_{j-1}/2} and a
-    constant b such that for every j <= horizon
+    constant b such that for every j <= horizon = len(s_seq)
 
         sum_{i<=j} M(s_i, eps_i) i^2  -  c j^2  >  s n_j - b,
 
@@ -442,14 +438,12 @@ def buffer_schedule(c: float, s_seq, horizon: int,
     if c < 0:
         raise ValueError("c must be nonnegative")
     s_arr = np.asarray(list(s_seq), dtype=float)
-    if len(s_arr) < horizon:
-        raise ValueError(f"need at least horizon={horizon} chunk dims, got {len(s_arr)}")
     _require_unit(s_arr, "s_seq")
-    s_arr = s_arr[:horizon]
+    horizon = len(s_arr)
 
     js = np.arange(1, horizon + 1)
     w = js.astype(float) ** 2
-    n = (js - 1) * js * (2 * js - 1) / 6.0          # n_j
+    n = chunk_boundary(js)
     prefix = np.cumsum(s_arr * w)                    # sum_{i<=j} s_i i^2
     s_sur = tail_average_floor(s_arr)
     if s_sur >= 1.0 - 1e-12:
@@ -460,7 +454,7 @@ def buffer_schedule(c: float, s_seq, horizon: int,
     def threshold(eps: float) -> int:
         if eps in thresh_cache:
             return thresh_cache[eps]
-        d = uplift_gap(eps, grid_step)
+        d = uplift_gap(eps)
         if d <= 0.0:
             thresh_cache[eps] = horizon  # never adopted inside the horizon
             return horizon

@@ -94,13 +94,13 @@ class SurgeryPlan:
         return np.array([e.delta_j for e in self.entries])
 
 
-def default_eps_seq(count: int, eps_min: float = EPS_MIN) -> list[float]:
-    """Slowly vanishing slack: eps_j = max(eps_min, 1/ceil(log2(j+2))).
+def default_eps_seq(count: int) -> list[float]:
+    """Slowly vanishing slack: eps_j = max(EPS_MIN, 1/ceil(log2(j+2))).
 
     Decays slower than the modulus of continuity of entropy_inv at 1 (which
     is ~sqrt(1/j)), so 1/j target rounding always fits inside one eps.
     """
-    return [max(eps_min, 1.0 / math.ceil(math.log2(j + 2))) for j in range(1, count + 1)]
+    return [max(EPS_MIN, 1.0 / math.ceil(math.log2(j + 2))) for j in range(1, count + 1)]
 
 
 def _round_up_to_grid(value: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -108,15 +108,10 @@ def _round_up_to_grid(value: np.ndarray, js: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.ceil(value * js - 1e-9) / js)
 
 
-def _chunk_arrays(s_seq, eps_seq):
-    """s_j, eps_j (default_eps_seq when None) and j = 1..count as arrays."""
+def _chunk_arrays(s_seq):
+    """s_j, eps_j (default_eps_seq) and j = 1..count as arrays."""
     s_arr = np.array([float(v) for v in s_seq])
-    if eps_seq is None:
-        eps_seq = default_eps_seq(len(s_arr))
-    eps = np.array([float(e) for e in eps_seq])
-    if len(eps) != len(s_arr):
-        raise ValueError("eps_seq length mismatch")
-    return s_arr, eps, np.arange(1, len(s_arr) + 1)
+    return s_arr, np.array(default_eps_seq(len(s_arr))), np.arange(1, len(s_arr) + 1)
 
 
 def _entries(js, s_arr, t_arr, delta_arr, eps) -> list[PlanEntry]:
@@ -125,9 +120,9 @@ def _entries(js, s_arr, t_arr, delta_arr, eps) -> list[PlanEntry]:
                                              delta_arr.tolist(), eps.tolist())]
 
 
-def plan_randomize(s_seq, eps_seq=None, seed: int = 0) -> SurgeryPlan:
+def plan_randomize(s_seq, seed: int = 0) -> SurgeryPlan:
     """Full-randomize plan: t_j = 1, delta_j = 1/2 + eps_j - g(s_j) + 1/j."""
-    s_arr, eps, js = _chunk_arrays(s_seq, eps_seq)
+    s_arr, eps, js = _chunk_arrays(s_seq)
     delta = 0.5 + eps - entropy_inv(s_arr) + 1.0 / js
     entries = _entries(js, s_arr, np.ones_like(s_arr), np.clip(delta, 0.0, 1.0), eps)
     return SurgeryPlan(strategy=RANDOMIZE, s=tail_average_floor(s_arr), t=1.0,
@@ -143,7 +138,7 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
     """
     s_arr = np.array([float(v) for v in s_seq])
     js = np.arange(1, len(s_arr) + 1)
-    eps_list, b = buffer_schedule(c, s_arr, horizon=len(s_arr))
+    eps_list, b = buffer_schedule(c, s_arr)
     eps = np.array(eps_list)
     s_sur = tail_average_floor(s_arr)
     t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
@@ -154,21 +149,22 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
                        seed=seed, entries=entries)
 
 
-def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0) -> SurgeryPlan:
+def plan_raise(s_seq, s: float, t: float, seed: int = 0) -> SurgeryPlan:
     """Raise-to-t plan for a sequence of chunk dims with tail floor >= s.
 
     Strategy picked by case_select: Case 1 uses the flat budget
     delta_i = g(t)-g(s) + eps_i with targets M(s_i, delta); Case 2 follows
     the chord through (s, t) and (1, 1) with delta_i = g(t_i)-g(s_i)+eps_i.
     Asserts, arithmetically from the plan alone: the Case-2 chord invariant,
-    and planned aggregate distance <= (g(t)-g(s)) + max eps + 1/tail_start.
+    and planned aggregate distance <= (g(t)-g(s)) + max eps + 1/j0, both
+    read over the tail window (from j0 = default_tail_start(count)) that
+    apply_plan measures the distance on.
     """
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     if t == 1.0:
-        return plan_randomize(s_seq, eps_seq, seed)
-    s_arr, eps, js = _chunk_arrays(s_seq, eps_seq)
-    count = len(s_arr)
+        return plan_randomize(s_seq, seed)
+    s_arr, eps, js = _chunk_arrays(s_seq)
     delta = entropy_inv(t) - entropy_inv(s)
     if case_select(s, t) == CASE1:
         strategy = RAISE_CASE1
@@ -185,9 +181,8 @@ def plan_raise(s_seq, s: float, t: float, eps_seq=None, seed: int = 0) -> Surger
             raise PlanInvariantError(
                 f"chunk {i + 1}: target {t_arr[i]} fell below the chord {line(s_arr[i])}")
     entries = _entries(js, s_arr, t_arr, delta_arr, eps)
-    ts = min(default_tail_start(count), count + 1)
-    planned = planned_distance(delta_arr, ts)
-    budget = delta + float(eps.max()) + 1.0 / ts
+    planned = planned_distance(delta_arr)
+    budget = delta + float(eps.max()) + 1.0 / default_tail_start(len(s_arr))
     if planned > budget + 1e-12:
         raise PlanInvariantError(
             f"planned aggregate distance {planned:.6f} exceeds bound budget {budget:.6f}")
@@ -380,7 +375,6 @@ class SurgeryReport:
     dim_after: float
     distance: float
     codebook_rate: float | None = None   # lower runs: index bits per sequence bit
-    tail_start: int | None = None        # tail of dim_before, dim_after and distance
     extras: dict = field(default_factory=dict)
 
 
@@ -405,8 +399,7 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
     used = chunk_boundary(count + 1)
     if used > bx.size:
         raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
-    ts = min(default_tail_start(count), count)
-    before = sequence_dim(bx[:used], est, ts)
+    before = sequence_dim(bx[:used], est)
 
     y = bx.copy()
     outcomes = []
@@ -434,11 +427,11 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
             delta_planned=entry.delta_j, delta_achieved=mismatches / x_chunk.size,
             t_planned=entry.t_j, t_achieved=t_achieved))
 
-    dim_after = dim_series([o.t_achieved for o in outcomes], ts).tail_min
-    distance = sequence_distance(bx[:used], y[:used], ts).tail_max
+    dim_after = dim_series([o.t_achieved for o in outcomes]).tail_min
+    distance = sequence_distance(bx[:used], y[:used]).tail_max
     report = SurgeryReport(
         plan=plan, outcomes=outcomes, dim_before=before.tail_min,
-        dim_after=dim_after, distance=distance, tail_start=ts,
+        dim_after=dim_after, distance=distance,
         codebook_rate=(index_bits_total / used if plan.strategy == LOWER else None))
     return BitSequence(y), report
 
@@ -517,8 +510,7 @@ def build_tight_pair(s: float, t: float, chunks: int, seed: int,
         # remainder bits (< L) are copied zeros on both sides: zero distance,
         # zero rate, and a vanishing share of every tail chunk
     x, y = BitSequence(xb), BitSequence(yb)
-    ts = min(default_tail_start(chunks), chunks)
-    dist = sequence_distance(x, y, ts).tail_max if chunks >= 2 else 0.0
+    dist = sequence_distance(x, y).tail_max if chunks >= 2 else 0.0
     report = TightPairReport(
         s=s, t=t, block_len=L, subcode_size=m, draw_radius=r_draw,
         x_rate=math.log2(m) / L,

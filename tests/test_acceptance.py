@@ -228,7 +228,7 @@ def test_criterion_10_buffer_schedule():
         for name, s_seq in families.items():
             s_sur = tail_average_floor(s_seq)
             assert s_sur <= 0.9
-            eps, b = buffer_schedule(c, s_seq, horizon)
+            eps, b = buffer_schedule(c, s_seq)
             m_vals = np.asarray(raise_profile(np.asarray(s_seq), np.asarray(eps)))
             prefix = 0.0
             for j in range(1, horizon + 1):

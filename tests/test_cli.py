@@ -14,7 +14,6 @@ from dimsurgery.bitseq import BitSequence
 from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from dimsurgery.dimension import (
     chunk_boundary,
-    default_tail_start,
     planned_distance,
     sequence_dim,
     sequence_distance,
@@ -211,7 +210,7 @@ class TestSurgery:
 
     def test_weak_bound_reads_the_distance_tail(self, tmp_path):
         # bound is the planned distance over the boundaries that the measured
-        # distance reads (tail from default_tail_start), not a later tail
+        # distance reads (the one tail window), not a later tail
         src = self._gen(tmp_path, n=60_000)
         out = tmp_path / "weak.csv"
         assert run("surgery", "--in", str(src), "--strategy", "weak", "--c", "1",
@@ -220,7 +219,7 @@ class TestSurgery:
         blank = lines.index("")
         deltas = [float(line.split(",")[2]) for line in lines[1:blank]]
         bound = float(lines[blank + 2].split(",")[3])
-        want = planned_distance(deltas, default_tail_start(len(deltas)))
+        want = planned_distance(deltas)
         assert bound == pytest.approx(want, abs=1e-5)
 
     def test_lower_summary(self, tmp_path):
@@ -393,6 +392,16 @@ class TestConfigAndCodes:
                 "--searcher", "steepest")
         assert exc.value.code == EXIT_USAGE
 
+    def test_unplannable_raise_is_usage_error(self, tmp_path, capsys):
+        # on 14 zero bits (3 chunks) the raise plan's planned distance
+        # exceeds its own budget: the input cannot be planned for
+        src = tmp_path / "x.bits"
+        src.write_bytes(bytes(2))
+        (tmp_path / "x.bits.len").write_text("len=14\n")
+        assert run("surgery", "--in", str(src), "--strategy", "raise",
+                   "--t", "0.8") == EXIT_USAGE
+        self._one_error_line(capsys)
+
     def test_unknown_compressor_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "x.bits"
         run("gen", "--kind", "coin", "--n", "2000", "--seed", "1", "--out", str(src))
@@ -461,6 +470,8 @@ class TestExitCodeProperties:
     # zlib rates both chunks of these 8 zero bits at 1 (its header overhead),
     # so weak has no headroom below dimension 1
     @example(files=(b"len=8\n", b"\x00"), strategy="weak", estimator="compressor:zlib")
+    # 6 bits hold 2 chunks: plan_raise runs its budget check on the smallest tail
+    @example(files=(b"len=6\n", b"\x00"), strategy="raise", estimator="bernoulli")
     def test_surgery_on_any_bit_file(self, files, strategy, estimator):
         sidecar, payload = files
         with tempfile.TemporaryDirectory() as tmp:
@@ -469,7 +480,8 @@ class TestExitCodeProperties:
                 fh.write(payload)
             with open(path + ".len", "wb") as fh:
                 fh.write(sidecar)
-            code = _exit_code(["surgery", "--in", path, "--strategy", strategy,
+            # --t below 1, or raise would route to plan_randomize
+            code = _exit_code(["surgery", "--in", path, "--strategy", strategy, "--t", "0.8",
                                "--estimator", estimator, "--out", os.path.join(tmp, "r.csv")])
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
 

@@ -20,7 +20,6 @@ from dimsurgery.bitseq import (
 )
 from dimsurgery.dimension import (
     ChunkSchedule,
-    check_dim_bound_proxy,
     chunk_boundary,
     chunk_dims,
     planned_distance,
@@ -102,6 +101,16 @@ class TestChunkSchedule:
         for j in range(1, 200):
             assert chunk_boundary(j) == total
             total += j * j
+
+    def test_array_form_matches_int_form(self):
+        js = np.arange(1, 200)
+        got = chunk_boundary(js)
+        assert got.dtype == np.int64
+        assert got.tolist() == [chunk_boundary(j) for j in range(1, 200)]
+        with pytest.raises(ValueError):
+            chunk_boundary(np.arange(0, 5))
+        with pytest.raises(ValueError):
+            chunk_boundary(0)
 
     def test_schedule_count(self):
         sched = ChunkSchedule.for_length(14)
@@ -288,7 +297,7 @@ class TestSequenceDim:
             def estimate(self, chunk, context=None):
                 return 0.625
 
-        res = sequence_dim(gen_coin(3000, 0), Const(), tail_start=5)
+        res = sequence_dim(gen_coin(3000, 0), Const())
         assert res.final == pytest.approx(0.625, abs=1e-12)
         assert res.tail_min == pytest.approx(0.625, abs=1e-12)
         assert np.allclose(res.series, 0.625)
@@ -305,7 +314,7 @@ class TestSequenceDim:
                 return 1.0 if self.j % 2 == 0 else 0.0
 
         n_bits = chunk_boundary(101)
-        res = sequence_dim(gen_coin(n_bits, 0), Parity(), tail_start=50)
+        res = sequence_dim(gen_coin(n_bits, 0), Parity())
         # oracle: exact partial sums of i^2 over even i up to j-1
         j = 100
         even_sum = sum(i * i for i in range(2, j, 2))
@@ -329,20 +338,28 @@ class TestSequenceDim:
         assert abs(np.mean(vals) - entropy(p)) < 0.01
 
     def test_too_short(self):
+        # no bits, no chunk
         with pytest.raises(ValueError):
-            sequence_dim(gen_coin(30, 0), BernoulliOracle(), tail_start=10)
+            sequence_dim(BitSequence(np.zeros(0, dtype=np.uint8)), BernoulliOracle())
+
+    def test_short_input_reads_its_last_boundaries(self):
+        # 30 bits hold 4 chunks, fewer than MIN_TAIL_CHUNK: the tail window
+        # shrinks to start at boundary j = 4, so A_4 and A_5 are read
+        res = sequence_dim(gen_coin(30, 0), BernoulliOracle())
+        assert len(res.series) == 4
+        assert res.tail_min == res.series[2:].min()
 
 
 class TestSequenceDistance:
     def test_identical(self):
         x = gen_coin(5000, 3)
-        res = sequence_distance(x, x, tail_start=5)
+        res = sequence_distance(x, x)
         assert res.final == 0.0 and res.tail_max == 0.0
 
     def test_complement(self):
         x = gen_coin(5000, 3)
         y = BitSequence(1 - x.bits)
-        res = sequence_distance(x, y, tail_start=5)
+        res = sequence_distance(x, y)
         assert res.final == 1.0 and res.tail_max == 1.0
 
     def test_first_bit_of_each_chunk(self):
@@ -352,7 +369,7 @@ class TestSequenceDistance:
         for j in range(1, 61):
             pos = chunk_boundary(j)
             y.bits[pos] ^= 1
-        res = sequence_distance(x, y, tail_start=30)
+        res = sequence_distance(x, y)
         # delta_i = 1/i^2, so the weighted average is (j-1)/n_j -> 0
         assert res.chunk_values[3] == pytest.approx(1 / 16)
         assert res.series[-1] == pytest.approx(60 / chunk_boundary(61), abs=1e-12)
@@ -361,7 +378,7 @@ class TestSequenceDistance:
     def test_prefix_identity_exact(self):
         x = gen_coin(30_000, 7)
         y = gen_bernoulli(0.4, 30_000, 8)
-        res = sequence_distance(x, y, tail_start=5)
+        res = sequence_distance(x, y)
         # at every chunk boundary n_{j+1} the series is the plain prefix density
         mism = x.bits != y.bits
         n_next = [chunk_boundary(j + 1) for j in range(1, len(res.series) + 1)]
@@ -370,31 +387,26 @@ class TestSequenceDistance:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sequence_distance(gen_coin(100, 0), gen_coin(99, 0), tail_start=2)
+            sequence_distance(gen_coin(100, 0), gen_coin(99, 0))
 
-    @pytest.mark.parametrize("tail_start", [None, 3, 20])
-    def test_planned_distance_reads_the_same_tail(self, tail_start):
+    def test_planned_distance_reads_the_same_tail(self):
         # a plan whose densities are the measured ones plans the measured
-        # distance, over the same boundaries
-        x = gen_coin(30_000, 7)
-        y = gen_bernoulli(0.4, 30_000, 8)
-        res = sequence_distance(x, y, tail_start=tail_start)
-        assert planned_distance(res.chunk_values, tail_start) == pytest.approx(
-            res.tail_max, rel=1e-12)
+        # distance, over the same boundaries: under MIN_TAIL_CHUNK chunks,
+        # at the minimum and past it
+        for n_bits in (100, 385, 30_000):
+            x = gen_coin(n_bits, 7)
+            y = gen_bernoulli(0.4, n_bits, 8)
+            res = sequence_distance(x, y)
+            assert planned_distance(res.chunk_values) == pytest.approx(
+                res.tail_max, rel=1e-12), n_bits
 
 
 class TestDimBoundProxy:
-    def test_soft_check_runs_and_logs(self):
-        x = gen_coin(120_000, 0)
-        y = BitSequence(x.bits.copy())
-        flip = np.random.default_rng(1).choice(len(y), size=len(y) // 20, replace=False)
-        y.bits[flip] ^= 1
-        report = check_dim_bound_proxy(x, y, Compressor("zlib"))
-        assert report.distance == pytest.approx(0.05, abs=0.01)
-        assert isinstance(report.within_slack, bool)
-
     def test_bernoulli_oracle_obeys_bound(self):
+        # |dim(Y) - dim(X)| <= H(d(X, Y)) up to a 0.1 proxy slack
         x = gen_bernoulli(0.11, 150_000, 5)
         y = gen_coin(150_000, 6)
-        report = check_dim_bound_proxy(x, y, BernoulliOracle())
-        assert report.within_slack
+        dim_x = sequence_dim(x, BernoulliOracle()).tail_min
+        dim_y = sequence_dim(y, BernoulliOracle()).tail_min
+        dist = sequence_distance(x, y).tail_max
+        assert abs(dim_y - dim_x) - entropy(min(1.0, dist)) <= 0.1

@@ -465,15 +465,12 @@ class TestTailAverageFloor:
         # at j = 1, so both boundaries count
         s_seq = [0.2, 0.9, 0.1]
         assert tail_average_floor(s_seq) == pytest.approx(0.2, abs=1e-15)
-        assert tail_average_floor(s_seq) == tail_average_floor(s_seq, tail_start=1)
-
-    def test_tail_start_past_horizon_uses_last_average(self):
-        assert tail_average_floor([0.2, 0.9, 0.1], tail_start=9) == pytest.approx(0.76)
 
 
 class TestBufferSchedule:
-    def _check(self, s_list, c, horizon):
-        eps, b = buffer_schedule(c, s_list, horizon)
+    def _check(self, s_list, c):
+        horizon = len(s_list)
+        eps, b = buffer_schedule(c, s_list)
         assert len(eps) == horizon
         assert eps[0] == 1.0
         for prev, cur in zip(eps, eps[1:]):
@@ -482,7 +479,7 @@ class TestBufferSchedule:
         js = np.arange(1, horizon + 1)
         w = js.astype(float) ** 2
         n = (js - 1) * js * (2 * js - 1) / 6.0
-        s_arr = np.asarray(s_list[:horizon], dtype=float)
+        s_arr = np.asarray(s_list, dtype=float)
         prefix = np.cumsum(np.asarray(raise_profile(s_arr, np.asarray(eps))) * w)
         avg = np.full(horizon, np.inf)
         avg[1:] = np.cumsum(s_arr * w)[:-1] / n[1:]
@@ -491,16 +488,16 @@ class TestBufferSchedule:
         return eps, b
 
     def test_constant_half(self):
-        eps, _ = self._check([0.5] * 600, c=1.0, horizon=600)
+        eps, _ = self._check([0.5] * 600, c=1.0)
         assert eps[-1] < eps[0]
 
     def test_alternating(self):
         s = [0.2 if i % 2 else 0.8 for i in range(600)]
-        self._check(s, c=1.0, horizon=600)
+        self._check(s, c=1.0)
 
     def test_saturated_input_rejected(self):
         with pytest.raises(ScheduleError):
-            buffer_schedule(1.0, [1.0] * 200, 200)
+            buffer_schedule(1.0, [1.0] * 200)
 
     def test_buffer_margin_matches_scalar_loop(self):
         # sum_{i<=j} t_i i^2 - c j^2 - (s n_j - b), n_j = sum_{i<j} i^2
@@ -515,5 +512,5 @@ class TestBufferSchedule:
             n_j += j * j
 
     def test_eps_nonincreasing(self):
-        eps, _ = self._check([0.4] * 400, c=5.0, horizon=400)
+        eps, _ = self._check([0.4] * 400, c=5.0)
         assert all(b <= a for a, b in zip(eps, eps[1:]))

@@ -13,7 +13,6 @@ from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin
 from dimsurgery.dimension import (
     chunk_boundary,
     chunk_dims,
-    default_tail_start,
     sequence_dim,
     sequence_distance,
 )
@@ -47,11 +46,13 @@ from dimsurgery.surgery import (
 
 class TestPlans:
     def test_randomize_formulas(self):
-        plan = plan_randomize([1.0, 1.0, 0.0], eps_seq=[0.1, 0.1, 0.1])
+        plan = plan_randomize([1.0, 0.0] * 40)
+        eps = default_eps_seq(80)
         # s_j = 1: delta = eps + 1/j (clamped at j=1); s_j = 0: 1/2 + eps + 1/j
         assert plan.entries[0].delta_j == 1.0
-        assert plan.entries[1].delta_j == pytest.approx(0.1 + 0.5, abs=1e-12)
-        assert plan.entries[2].delta_j == pytest.approx(0.5 + 0.1 + 1 / 3, abs=1e-12)
+        assert plan.entries[78].delta_j == pytest.approx(eps[78] + 1 / 79, abs=1e-12)
+        assert plan.entries[79].delta_j == pytest.approx(0.5 + eps[79] + 1 / 80, abs=1e-12)
+        assert [e.eps_j for e in plan.entries] == eps
         assert all(e.t_j == 1.0 for e in plan.entries)
 
     def test_randomize_planned_aggregate(self):
@@ -496,9 +497,8 @@ class TestApplyPlan:
         else:
             plan = plan_lower(count, 0.5, block_len=10, seed=1)
         y, report = apply_plan(x, plan, est)
-        ts = min(default_tail_start(count), count)
-        assert report.dim_before == sequence_dim(x[:used], est, ts).tail_min
-        assert report.dim_after == sequence_dim(y[:used], est, ts).tail_min
+        assert report.dim_before == sequence_dim(x[:used], est).tail_min
+        assert report.dim_after == sequence_dim(y[:used], est).tail_min
         assert [o.s_j for o in report.outcomes] == chunk_dims(x[:used], est).tolist()
 
     @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
@@ -560,7 +560,7 @@ class TestApplyPlan:
         y, report = apply_plan(x, plan, est)
         from dimsurgery.entropy import buffer_schedule, tail_average_floor
 
-        _, b = buffer_schedule(c, s_seq, n_chunks)
+        _, b = buffer_schedule(c, s_seq)
         s_sur = tail_average_floor(s_seq)
         # tiny chunks cannot reach their targets (frequency granularity);
         # fold their shortfall into the absorbing constant like b does
