@@ -19,9 +19,11 @@ from dimsurgery.bitseq import (
     gen_zero_padded,
 )
 from dimsurgery.dimension import (
+    MIN_TAIL_CHUNK,
     ChunkSchedule,
     chunk_boundary,
     chunk_dims,
+    default_tail_start,
     planned_distance,
     sequence_dim,
     sequence_distance,
@@ -389,16 +391,24 @@ class TestSequenceDistance:
         with pytest.raises(ValueError):
             sequence_distance(gen_coin(100, 0), gen_coin(99, 0))
 
-    def test_planned_distance_reads_the_same_tail(self):
+    @pytest.mark.parametrize("tail_start", [None, 3, 10, 20])
+    def test_planned_distance_reads_the_same_tail(self, tail_start):
         # a plan whose densities are the measured ones plans the measured
-        # distance, over the same boundaries: under MIN_TAIL_CHUNK chunks,
-        # at the minimum and past it
-        for n_bits in (100, 385, 30_000):
-            x = gen_coin(n_bits, 7)
-            y = gen_bernoulli(0.4, n_bits, 8)
-            res = sequence_distance(x, y)
-            assert planned_distance(res.chunk_values) == pytest.approx(
-                res.tail_max, rel=1e-12), n_bits
+        # distance, over the same boundaries.  tail_start is the tail the
+        # input length leads to: under MIN_TAIL_CHUNK chunks (3), at the
+        # minimum (10) and past it (20); None is a plain 30000-bit input
+        if tail_start is None:
+            n_bits = 30_000
+        else:
+            count = tail_start if tail_start <= MIN_TAIL_CHUNK else 2 * tail_start
+            n_bits = chunk_boundary(count + 1)
+        x = gen_coin(n_bits, 7)
+        y = gen_bernoulli(0.4, n_bits, 8)
+        res = sequence_distance(x, y)
+        if tail_start is not None:
+            assert default_tail_start(len(res.chunk_values)) == tail_start
+        assert planned_distance(res.chunk_values) == pytest.approx(
+            res.tail_max, rel=1e-12)
 
 
 class TestDimBoundProxy:
