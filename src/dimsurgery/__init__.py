@@ -37,12 +37,9 @@ from .hamming import (
     SphereDescriptor,
     ball_volume,
     best_subcode,
-    brute_force_set_distance,
-    check_volume_entropy_bounds,
     greedy_cover,
     harper_far_count,
     opposite_sphere_distance,
-    random_cover,
     sphere_for_size,
     verify_harper,
 )

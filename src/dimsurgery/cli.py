@@ -7,7 +7,8 @@ finitely-checkable lemmas, and run surgery experiments to CSV.
     dimsurgery surgery  --in x.bits --strategy raise --s 0.5 --t 0.8 --out run.csv
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (or an input the
-strategy cannot plan for), 3 I/O error (a malformed bit or config file too).
+strategy cannot plan for, or a verify run that checks nothing), 3 I/O error
+(a malformed bit or config file too).
 Every command is deterministic given (config, seed); CSV uses '.' decimals.
 """
 
@@ -221,6 +222,8 @@ _VERIFY_TARGETS = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rows: list[tuple[str, str]] = []
 
     def check(ok: bool | None, detail: str) -> None:
@@ -233,6 +236,9 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([("result", "detail"), *rows])
+    if not any(head in ("PASS", "FAIL") for head, _ in rows):
+        print(f"dimsurgery: verify {args.target} checked nothing", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_VERIFY_FAIL if any(head == "FAIL" for head, _ in rows) else EXIT_OK
 
 

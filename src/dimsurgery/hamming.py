@@ -2,9 +2,10 @@
 
 Words are plain Python ints: bit i of the int is sequence position i.  Exact
 ball volumes, canonical extremal spheres centred at 0^n / 1^n and their
-distance law, brute-force set distances, far-point counts, covering codes
-built by greedy set cover (meeting the Delsarte-Piret size bound), and
-systematic linear codes with coset-leader tables.
+distance law, the brute-force set distance that checks it, far-point counts,
+covering codes built by greedy set cover (meeting the Delsarte-Piret size
+bound) with their greedy subcodes, and systematic linear codes with
+coset-leader tables.
 
 Space-sized tables (2^n booleans) cap the exhaustive routines; each guard is
 noted on the operation it protects.
@@ -13,13 +14,10 @@ noted on the operation it protects.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-from .entropy import entropy
 
 MAX_EXHAUSTIVE_N = 22     # one byte per word for cover tables
 MAX_FAR_COUNT_N = 20
@@ -33,20 +31,6 @@ def ball_volume(n: int, k: int):
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return sum(math.comb(n, i) for i in range(k + 1))
-
-
-def check_volume_entropy_bounds(n: int, r: float) -> bool:
-    """True iff H(r) n - 2 log2 n <= log2 V(n, floor(rn)) <= H(r) n.
-
-    The explicit constant 2 on the log term is safe for n >= 4 (Stirling
-    gives ~0.5 log n); this check exists to catch gross volume bugs.
-    """
-    if not 0.0 < r < 0.5:
-        raise ValueError(f"need 0 < r < 1/2, got {r}")
-    k = int(math.floor(r * n + 1e-9))
-    log_v = math.log2(ball_volume(n, k))
-    hn = entropy(r) * n
-    return hn - 2.0 * math.log2(n) <= log_v <= hn + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +99,6 @@ class SphereDescriptor:
     center: str                 # ZERO or ONE
     inner_radius: int           # k: the full ball has radius k (in bits)
     partial_layer: int          # how many weight-(k+1) words are included
-    layer_order: str = "colex"
 
     @property
     def size(self):
@@ -206,10 +189,11 @@ def opposite_sphere_distance(n: int, size_a, size_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force distances (the definitional oracle).
+# Brute-force distance (the definitional oracle).
 # ---------------------------------------------------------------------------
 
 def _min_distance_bits(words_a, words_b) -> int:
+    """Exact min pairwise Hamming distance (bits) between two word sets."""
     a = np.asarray(list(words_a), dtype=np.int64)
     b = np.asarray(list(words_b), dtype=np.int64)
     if a.size == 0 or b.size == 0:
@@ -224,11 +208,6 @@ def _min_distance_bits(words_a, words_b) -> int:
         if best == 0:
             break
     return best
-
-
-def brute_force_set_distance(n: int, words_a, words_b) -> float:
-    """Exact min pairwise normalized distance between two word sets (double loop)."""
-    return _min_distance_bits(words_a, words_b) / n
 
 
 # ---------------------------------------------------------------------------
@@ -350,47 +329,6 @@ class Codebook:
     words: np.ndarray
     coverage_fraction: float
 
-    def to_text(self) -> str:
-        total = 4 * ((self.n + 3) // 4)
-        lines = [f"{self.n} {self.radius} {len(self.words)}"]
-        for w in self.words:
-            v = 0
-            for i in range(self.n):
-                v = (v << 1) | ((int(w) >> i) & 1)
-            v <<= total - self.n
-            lines.append(f"{v:0{total // 4}x}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Codebook":
-        """Parse `to_text` output; malformed text raises ValueError."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        try:
-            n, radius, count = (int(x) for x in lines[0].split())
-            if not 1 <= n <= 62:                    # words are packed in int64
-                raise ValueError
-        except (IndexError, ValueError):
-            raise ValueError("malformed codebook header: want 'n r count' "
-                             "with 1 <= n <= 62") from None
-        if len(lines) - 1 != count:
-            raise ValueError(f"codebook header promises {count} words, "
-                             f"found {len(lines) - 1}")
-        total = 4 * ((n + 3) // 4)
-        words = np.empty(count, dtype=np.int64)
-        for idx, ln in enumerate(lines[1:]):
-            if not re.fullmatch(f"[0-9a-fA-F]{{{total // 4}}}", ln):
-                raise ValueError(f"codebook word {ln!r} is not {total // 4} hex digits")
-            v = int(ln, 16)
-            if v & ((1 << (total - n)) - 1):
-                raise ValueError(f"codebook word {ln!r} has nonzero padding bits")
-            w = 0
-            for i in range(n):
-                w |= ((v >> (total - 1 - i)) & 1) << i
-            words[idx] = w
-        book = cls(n=n, radius=radius, words=words, coverage_fraction=0.0)
-        book.coverage_fraction = measure_coverage(book)
-        return book
-
 
 def popcount_table(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
@@ -411,23 +349,6 @@ def coverage_table(book: Codebook) -> np.ndarray:
     for _ in range(book.radius):
         reached = _expand_once(reached, n)
     return reached
-
-
-def measure_coverage(book: Codebook, samples: int = 100_000, seed: int = 0) -> float:
-    """Coverage fraction: exact for n <= 22, sampled beyond."""
-    if book.n <= MAX_EXHAUSTIVE_N:
-        return float(np.count_nonzero(coverage_table(book))) / float(1 << book.n)
-    words = np.asarray(book.words, dtype=np.int64)
-    if words.size == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, 1 << book.n, size=samples, dtype=np.int64)
-    hit = 0
-    step = max(1, (1 << 22) // max(1, len(words)))
-    for i in range(0, samples, step):
-        block = pts[i:i + step, None] ^ words[None, :]
-        hit += int(np.count_nonzero(np.bitwise_count(block).min(axis=1) <= book.radius))
-    return hit / samples
 
 
 def delsarte_piret_bound(n: int, r: int) -> float:
@@ -545,31 +466,6 @@ def greedy_cover(n: int, r: int) -> Codebook:
         raise RuntimeError(
             f"greedy cover size {len(book.words)} violates the Delsarte-Piret "
             f"bound {delsarte_piret_bound(n, r):.2f} at (n={n}, r={r})")
-    return book
-
-
-def random_cover(n: int, r: int, size: int, seed: int) -> Codebook:
-    """Codebook of `size` distinct pseudo-random words with measured coverage.
-
-    Scalable surrogate for greedy_cover at large n; coverage is exact for
-    n <= 22 and sampled (1e5 points) beyond.  Deterministic given seed.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if n > 62:
-        raise ValueError("words are packed in int64; n capped at 62")
-    size = min(size, 1 << n)
-    rng = np.random.default_rng(seed)
-    if n <= MAX_EXHAUSTIVE_N:
-        words = rng.choice(1 << n, size=size, replace=False).astype(np.int64)
-    else:
-        seen: set[int] = set()
-        while len(seen) < size:
-            draw = rng.integers(0, 1 << n, size=size - len(seen), dtype=np.int64)
-            seen.update(int(x) for x in draw)
-        words = np.fromiter(seen, dtype=np.int64, count=size)
-    book = Codebook(n=n, radius=r, words=words, coverage_fraction=0.0)
-    book.coverage_fraction = measure_coverage(book, seed=seed + 1)
     return book
 
 

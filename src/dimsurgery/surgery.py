@@ -45,12 +45,9 @@ from .entropy import (
 )
 from .hamming import (
     MAX_SYNDROME_BITS,
-    Codebook,
     LinearCode,
     ball_offsets,
     ball_volume,
-    best_subcode,
-    greedy_cover,
     systematic_code,
 )
 
@@ -440,16 +437,6 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
 # Tight pair construction.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _cached_cover(block_len: int, radius: int) -> Codebook:
-    return greedy_cover(block_len, radius)
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_subcode(block_len: int, radius: int, m: int) -> Codebook:
-    return best_subcode(_cached_cover(block_len, radius), m)
-
-
 @dataclass
 class TightPairReport:
     s: float
@@ -463,13 +450,14 @@ class TightPairReport:
     expected_distance: float    # mean ball weight / L
 
 
-def build_tight_pair(s: float, t: float, chunks: int, seed: int,
-                     block_len: int = TIGHT_PAIR_BLOCK_LEN):
-    """Construct (X, Y) with X on a rate-s subcode, Y = X + a random ball
+def build_tight_pair(s: float, t: float, chunks: int, seed: int):
+    """Construct (X, Y) with X on a rate-s linear code, Y = X + a random ball
     offset, realizing distance about g(t - s) with Y-rate about t.
 
-    Per block: X takes a random word of D = best_subcode(C, 2^(sL)) for a
-    greedy cover C at radius ~ g(t-s) L, and Y adds a uniform offset from
+    Per block of L = TIGHT_PAIR_BLOCK_LEN bits: X takes the codeword
+    m | (p << k) of a uniform message m < 2^k in systematic_code(L, k),
+    k = round(sL), where the parity p is the xor of columns[i] over the set
+    bits i of m (syndrome 0 under [A | I]).  Y adds a uniform offset from
     the smallest ball whose index rate tops up the Y description to
     (t - 0.03) L bits.  The finite-block log-size allowance lands on the
     draw radius, so the measured distance sits within the fat-block
@@ -477,18 +465,14 @@ def build_tight_pair(s: float, t: float, chunks: int, seed: int,
     """
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    L = block_len
-    m = max(1, round(2.0 ** (s * L)))
+    L = TIGHT_PAIR_BLOCK_LEN
+    code = systematic_code(L, round(s * L))
+    k = code.k
+    m = 1 << k
     want_bits = (t - 0.03) * L
     r_draw = 0
     while r_draw < L and math.log2(m * ball_volume(L, r_draw)) < want_bits:
         r_draw += 1
-    # the cover radius must reach the draw radius so Y stays inside the
-    # subcode's covered region
-    r_cov = max(1, round(float(entropy_inv(t - s)) * L), r_draw)
-    base = _cached_cover(L, r_cov)
-    m = min(len(base.words), m)
-    sub = _cached_subcode(L, r_cov, m)
     offsets = ball_offsets(L, r_draw)
     pop = np.bitwise_count(offsets.astype(np.int64))
     expected_distance = float(pop.mean()) / L
@@ -497,23 +481,24 @@ def build_tight_pair(s: float, t: float, chunks: int, seed: int,
     total = chunk_boundary(chunks + 1)
     xb = np.zeros(total, dtype=np.uint8)
     yb = np.zeros(total, dtype=np.uint8)
-    words = np.asarray(sub.words, dtype=np.int64)
     for j in range(1, chunks + 1):
         lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
-        pos = lo
-        while pos + L <= hi:
-            w = int(words[rng.integers(0, len(words))])
-            off = int(offsets[rng.integers(0, len(offsets))])
-            xb[pos:pos + L] = _word_to_bits(w, L)
-            yb[pos:pos + L] = _word_to_bits(w ^ off, L)
-            pos += L
+        count = (hi - lo) // L
+        draws = np.array([(rng.integers(0, m), rng.integers(0, len(offsets)))
+                          for _ in range(count)], dtype=np.int64).reshape(count, 2)
+        msgs = draws[:, 0]
+        parity = np.bitwise_xor.reduce(_word_to_bits(msgs, k) * code.columns[:k], axis=1)
+        words = msgs | (parity << k)
+        span = slice(lo, lo + count * L)
+        xb[span] = _word_to_bits(words, L).ravel()
+        yb[span] = _word_to_bits(words ^ offsets[draws[:, 1]], L).ravel()
         # remainder bits (< L) are copied zeros on both sides: zero distance,
         # zero rate, and a vanishing share of every tail chunk
     x, y = BitSequence(xb), BitSequence(yb)
     dist = sequence_distance(x, y).tail_max if chunks >= 2 else 0.0
     report = TightPairReport(
         s=s, t=t, block_len=L, subcode_size=m, draw_radius=r_draw,
-        x_rate=math.log2(m) / L,
+        x_rate=k / L,
         y_rate=math.log2(m * ball_volume(L, r_draw)) / L,
         distance=dist, expected_distance=expected_distance)
     return x, y, report

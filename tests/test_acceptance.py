@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup
 from dimsurgery.dimension import ChunkSchedule, chunk_boundary, chunk_dims
@@ -26,7 +25,6 @@ from dimsurgery.entropy import (
 )
 from dimsurgery.estimators import BernoulliOracle
 from dimsurgery.hamming import (
-    ball_volume,
     delsarte_piret_bound,
     greedy_cover,
     harper_far_count,

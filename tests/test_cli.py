@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from dimsurgery.bitseq import BitSequence
 from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from dimsurgery.dimension import (
-    chunk_boundary,
     planned_distance,
     sequence_dim,
     sequence_distance,
@@ -129,6 +128,16 @@ class TestVerify:
         text = out.read_text()
         assert text.startswith("result,detail\n")
         assert "PASS," in text
+
+    @pytest.mark.parametrize("argv", [
+        ["harper", "--n", "0"],
+        ["cover", "--n", "3"],
+        ["corollary", "--n", "3", "--trials", "0"],
+        ["duplication", "--n", "4", "--trials", "0"],
+    ], ids=["harper-n0", "cover-n3", "corollary-trials0", "duplication-trials0"])
+    def test_vacuous_run_is_usage_error(self, capsys, argv):
+        assert run("verify", *argv) == EXIT_USAGE
+        assert "PASS" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [["harper", "--n", "3", "--trials", "50"],
                                       ["cover", "--n", "6"]], ids=["harper", "cover"])

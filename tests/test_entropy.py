@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from dimsurgery.entropy import (
     CASE1,
     CASE2,
-    BoundCurves,
     ScheduleError,
     bound_curves,
     buffer_margin,

@@ -15,28 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimsurgery import hamming
+from dimsurgery.entropy import entropy
 from dimsurgery.hamming import (
     ONE,
     ZERO,
-    Codebook,
     ball_volume,
     best_subcode,
-    brute_force_set_distance,
-    check_volume_entropy_bounds,
     colex_combinations,
     colex_rank,
     colex_unrank,
-    coverage_table,
     delsarte_piret_bound,
     _ball_transform,
     _marginal_table,
     greedy_cover,
     greedy_max_coverage,
     harper_far_count,
-    measure_coverage,
     opposite_sphere_distance,
     opposite_sphere_distance_bits,
-    random_cover,
     sphere_for_size,
     sphere_words,
     verify_harper,
@@ -68,6 +63,20 @@ class TestBallVolume:
             ball_volume(5, 6)
         with pytest.raises(ValueError):
             ball_volume(5, -1)
+
+
+def check_volume_entropy_bounds(n: int, r: float) -> bool:
+    """True iff H(r) n - 2 log2 n <= log2 V(n, floor(rn)) <= H(r) n.
+
+    The explicit constant 2 on the log term is safe for n >= 4 (Stirling
+    gives ~0.5 log n); this check exists to catch gross volume bugs.
+    """
+    if not 0.0 < r < 0.5:
+        raise ValueError(f"need 0 < r < 1/2, got {r}")
+    k = int(math.floor(r * n + 1e-9))
+    log_v = math.log2(ball_volume(n, k))
+    hn = entropy(r) * n
+    return hn - 2.0 * math.log2(n) <= log_v <= hn + 1e-9
 
 
 class TestVolumeEntropyBounds:
@@ -178,31 +187,31 @@ class TestOppositeSphereDistance:
                 for sb in sizes:
                     words_a = sphere_words(sphere_for_size(n, sa, ZERO))
                     words_b = sphere_words(sphere_for_size(n, sb, ONE))
-                    want = int(round(brute_force_set_distance(n, words_a, words_b) * n))
+                    want = hamming._min_distance_bits(words_a, words_b)
                     got = opposite_sphere_distance_bits(n, sa, sb)
                     assert got == want, (n, sa, sb)
 
 
 class TestBruteForceDistance:
     def test_identical(self):
-        assert brute_force_set_distance(3, [0b101], [0b101]) == 0.0
+        assert hamming._min_distance_bits([0b101], [0b101]) == 0
 
     def test_antipodal(self):
-        assert brute_force_set_distance(3, [0b000], [0b111]) == 1.0
+        assert hamming._min_distance_bits([0b000], [0b111]) == 3
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = rng.integers(0, 2 ** 10, size=17)
             b = rng.integers(0, 2 ** 10, size=23)
-            want = min(bin(int(x) ^ int(y)).count("1") for x in a for y in b) / 10
-            assert brute_force_set_distance(10, a, b) == want
+            want = min(bin(int(x) ^ int(y)).count("1") for x in a for y in b)
+            assert hamming._min_distance_bits(a, b) == want
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            brute_force_set_distance(4, [], [1])
+            hamming._min_distance_bits([], [1])
         with pytest.raises(ValueError):
-            brute_force_set_distance(62, np.arange(2 ** 16), np.arange(2 ** 16))
+            hamming._min_distance_bits(np.arange(2 ** 16), np.arange(2 ** 16))
 
 
 class TestVerifyHarper:
@@ -378,30 +387,6 @@ def _marginals_by_shells(uncovered: np.ndarray, n: int, r: int) -> np.ndarray:
     return total
 
 
-class TestRandomCover:
-    def test_full_space(self):
-        book = random_cover(6, 1, 2 ** 6, seed=0)
-        assert book.coverage_fraction == 1.0
-
-    def test_single_ball(self):
-        book = random_cover(8, 2, 1, seed=3)
-        assert book.coverage_fraction == pytest.approx(ball_volume(8, 2) / 2 ** 8)
-
-    def test_deterministic(self):
-        b1 = random_cover(10, 2, 37, seed=42)
-        b2 = random_cover(10, 2, 37, seed=42)
-        assert np.array_equal(b1.words, b2.words)
-        assert b1.coverage_fraction == b2.coverage_fraction
-
-    def test_large_n_sampled_coverage(self):
-        # beyond the exhaustive cap, coverage is measured on sampled points
-        book = random_cover(30, 9, 64, seed=1)
-        assert len(set(book.words.tolist())) == 64
-        assert 0.0 <= book.coverage_fraction <= 1.0
-        again = random_cover(30, 9, 64, seed=1)
-        assert book.coverage_fraction == again.coverage_fraction
-
-
 class TestBestSubcode:
     def test_full_code(self):
         book = greedy_cover(8, 2)
@@ -423,72 +408,6 @@ class TestBestSubcode:
         for m in (1, 4, 16, 64):
             if m <= len(book.words):
                 best_subcode(book, m)  # internal exact assert must not raise
-
-
-class TestCodebookSerialization:
-    @given(st.data())
-    @settings(deadline=None, max_examples=60)
-    def test_round_trip_any_width(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=62))
-        radius = data.draw(st.integers(min_value=0, max_value=min(n, 3)))
-        words = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
-                                   max_size=12))
-        book = Codebook(n=n, radius=radius, words=np.array(words, dtype=np.int64),
-                        coverage_fraction=0.0)
-        back = Codebook.from_text(book.to_text())
-        assert (back.n, back.radius) == (n, radius)
-        assert back.words.tolist() == words
-
-    def test_round_trip(self):
-        book = greedy_cover(10, 2)
-        text = book.to_text()
-        back = Codebook.from_text(text)
-        assert back.n == book.n and back.radius == book.radius
-        assert np.array_equal(back.words, book.words)
-        assert back.coverage_fraction == 1.0
-
-    def test_header_and_bit_order(self):
-        # bit 0 of the word is the first (leftmost, most significant) position
-        book = Codebook(n=4, radius=1, words=np.array([0b0001], dtype=np.int64),
-                        coverage_fraction=0.0)
-        text = book.to_text()
-        lines = text.splitlines()
-        assert lines[0] == "4 1 1"
-        assert lines[1] == "8"  # position 0 set -> leading bit of the nibble
-
-    def test_odd_width_padding(self):
-        words = np.array([0b10110, 0, 31], dtype=np.int64)
-        book = Codebook(n=5, radius=0, words=words, coverage_fraction=0.0)
-        back = Codebook.from_text(book.to_text())
-        assert np.array_equal(back.words, words)
-
-    @pytest.mark.parametrize("text", [
-        "10 2\n000\n",             # header of two fields
-        "10 2 x\n000\n",           # non-integer count
-        "",                        # no header at all
-        "-3 1 1\n0\n",              # word length out of range
-        "63 1 0\n",
-    ])
-    def test_malformed_header_rejected(self, text):
-        with pytest.raises(ValueError, match="header"):
-            Codebook.from_text(text)
-
-    @pytest.mark.parametrize("text", ["4 1 2\n8\n", "4 1 1\n8\n0\n"])
-    def test_word_count_mismatch_rejected(self, text):
-        with pytest.raises(ValueError, match="promises"):
-            Codebook.from_text(text)
-
-    @pytest.mark.parametrize("word", ["ff", "0000", "0x0", "zz0", "+ff"])
-    def test_word_width_and_digits_checked(self, word):
-        with pytest.raises(ValueError, match="hex digits"):
-            Codebook.from_text(f"10 2 1\n{word}\n")
-
-    def test_nonzero_padding_rejected(self):
-        # n = 10 uses 12 bits; the last two must be zero
-        assert Codebook.from_text("10 2 1\nffc\n").words.tolist() == [1023]
-        for word in ("fff", "ffd"):
-            with pytest.raises(ValueError, match="padding"):
-                Codebook.from_text(f"10 2 1\n{word}\n")
 
 
 class TestCodebookPins:

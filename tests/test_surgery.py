@@ -6,17 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin
+from dimsurgery.bitseq import gen_bernoulli, gen_coin
 from dimsurgery.dimension import (
     chunk_boundary,
     chunk_dims,
     sequence_dim,
-    sequence_distance,
 )
-from dimsurgery.entropy import bound_curves, chord_line, entropy, entropy_inv, raise_profile
+from dimsurgery.entropy import chord_line, entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
 from dimsurgery.hamming import _expand_once, systematic_code
 from dimsurgery.surgery import (
@@ -28,7 +25,6 @@ from dimsurgery.surgery import (
     RANDOM_FILL,
     RANDOMIZE,
     WEAK_SRANDOM,
-    PlanInvariantError,
     SurgeryPlan,
     apply_plan,
     build_tight_pair,
@@ -592,6 +588,16 @@ class TestBuildTightPair:
         x, y, report = build_tight_pair(0.0, 1.0, chunks=20, seed=1)
         assert report.subcode_size == 1
         assert report.distance <= 0.5 + 1e-9
+
+    def test_x_blocks_are_codewords(self):
+        x, _, report = build_tight_pair(0.25, 0.75, chunks=12, seed=2)
+        L = report.block_len
+        code = systematic_code(L, round(0.25 * L))
+        assert report.subcode_size == 2 ** code.k
+        for j in range(1, 13):
+            lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
+            blocks = x.bits[lo:lo + (hi - lo) // L * L].reshape(-1, L)
+            assert not np.bitwise_xor.reduce(blocks * code.columns, axis=1).any()
 
     def test_deterministic(self):
         x1, y1, _ = build_tight_pair(0.25, 0.75, chunks=15, seed=5)
