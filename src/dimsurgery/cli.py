@@ -40,6 +40,8 @@ from .entropy import (
 )
 from .estimators import parse_estimator
 from .hamming import (
+    MAX_EXHAUSTIVE_N,
+    MAX_HARPER_N,
     best_subcode,
     delsarte_piret_bound,
     greedy_cover,
@@ -116,6 +118,8 @@ def cmd_curves(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_harper(args, check) -> None:
+    if args.n > MAX_HARPER_N:
+        raise ValueError(f"--n must be <= {MAX_HARPER_N}, got {args.n}")
     for n in range(1, args.n + 1):
         rep = verify_harper(n, trials=args.trials, seed=args.seed + n)
         check(rep.ok, f"harper n={n} checked={rep.checked} "
@@ -139,6 +143,8 @@ def _verify_corollary(args, check) -> None:
 
 
 def _verify_cover(args, check) -> None:
+    if args.n > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"--n must be <= {MAX_EXHAUSTIVE_N}, got {args.n}")
     for n in range(4, args.n + 1):
         for ratio in (0.1, 0.2, 0.3, 0.4):
             r = max(1, int(ratio * n + 0.5))
@@ -185,6 +191,8 @@ def _verify_buffer(args, check) -> None:
 
 
 def _verify_duplication(args, check) -> None:
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
     n = args.n - (args.n % 2)
     radius = float(entropy_inv(0.5))

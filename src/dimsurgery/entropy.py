@@ -8,12 +8,33 @@ entropy_inv, raise_profile, bound_curves, case_select and drop_profile work
 elementwise on numpy arrays and return Python scalars for scalar input; a
 scalar result equals the matching element of the array result bit for bit,
 so callers that loop over chunks or grid points make one array call instead.
+
+entropy_inv is defined as a 55-step bisection of [0, 1/2] on the predicate
+h(mid) < y, h the float formula for H.  It returns that bisection's bits but
+evaluates h at far fewer midpoints, in three stages:
+
+1. Seed: a table of h at the 2^K0 - 1 midpoints of levels 0 .. K0 - 1,
+   K0 = 12, built once and checked nondecreasing.  A binary search of a
+   monotone predicate is a bisection, so searchsorted(table, y) is the
+   level-K0 bracket exactly.
+2. Skip: interpolation of sqrt(1 - H) in that bracket and two Newton steps
+   guess x; the level-K (K = 38) dyadic bracket [lo, hi] around x is taken
+   when each end that is not a seed end satisfies h(lo) < y - tau and
+   h(hi) > y + tau, tau = 1e-13.  This is sound whenever |h - H| <= tau/2 on
+   [0, 1/2] (numpy's log2 and log1p are a few ulp off; tau is ~450 ulp of
+   1): every midpoint m bisection would visit on the way lies at or left of
+   lo, where h(m) <= H(lo) + tau/2 < y, or at or right of hi, where
+   h(m) > y, so it compares as bisection compares it.  Where the check fails
+   the next coarser level (30, then 20) is tried, then bisection from the
+   seed.
+3. Finish: the last 55 - K bisection steps, with the reference formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +47,11 @@ LN2 = math.log(2.0)
 # ~6e-15 even where H' blows up (y -> 0).  A 1e-13 bracket is NOT enough for
 # a 1e-12 round-trip guarantee near zero.
 _INV_ITERS = 55
+# The seed table's level K0, the skip levels K tried finest first, and the
+# skip check's margin tau (see the module docstring).
+_SEED_LEVEL = 12
+_SKIP_LEVELS = (38, 30, 20)
+_SKIP_TOL = 1e-13
 
 
 def _require_unit(value, name: str) -> None:
@@ -54,24 +80,104 @@ def entropy(p):
     return float(out) if arr.ndim == 0 else out
 
 
+def _h_mid(mid):
+    # the bisection's h; midpoints stay strictly inside (0, 1/2], so no
+    # endpoint guards are needed
+    return -(mid * np.log2(mid) + (1.0 - mid) * (np.log1p(-mid) / LN2))
+
+
+def _bisect(y, lo, hi, steps: int):
+    """`steps` reference bisection steps on the brackets [lo, hi] of y."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        go_right = _h_mid(mid) < y
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return lo, hi
+
+
+@lru_cache(maxsize=None)
+def _seed_table():
+    """h at the midpoints j 2^-(K0+1), j = 1 .. 2^K0 - 1, that bisection
+    visits at levels 0 .. K0 - 1; and sqrt(1 - H) at the level-K0 bracket
+    ends."""
+    table = _h_mid(np.arange(1, 1 << _SEED_LEVEL) * 2.0 ** -(_SEED_LEVEL + 1))
+    assert np.all(np.diff(table) >= 0.0), "h is not monotone on the seed grid"
+    root = np.sqrt(1.0 - np.concatenate([[0.0], table, [1.0]]))
+    table.flags.writeable = False
+    root.flags.writeable = False
+    return table, root
+
+
+def _seed(y):
+    """Level-K0 bisection brackets [lo, hi] of y from the seed table, and a
+    guess x of H^{-1}(y): interpolation of sqrt(1 - H), which stays nearly
+    linear where H flattens at 1/2, then two Newton steps on H(x) = y."""
+    table, root = _seed_table()
+    i = np.searchsorted(table, y, "left")
+    width = 2.0 ** -(_SEED_LEVEL + 1)
+    lo = i * width
+    r_lo = root[i]
+    x = lo + width * ((np.sqrt(1.0 - y) - r_lo) / (root[i + 1] - r_lo))
+    for _ in range(2):
+        # H'(x) = log2(1 - x) - log2(x); the clip keeps both logs finite and
+        # H' nonzero
+        x = np.clip(x, 1e-300, 0.5 - 2.0 ** -30)
+        l0 = np.log2(x)
+        l1 = np.log1p(-x) / LN2
+        x = x + (y + x * l0 + (1.0 - x) * l1) / (l1 - l0)
+    return lo, lo + width, x
+
+
+def _skip_to(y, lo, hi, x, levels):
+    """Bisection brackets of y at level levels[0], given its level-K0
+    brackets [lo, hi] and guesses x of H^{-1}(y); any shape, 0-d included.
+
+    Takes the dyadic bracket around x where the tau check proves it; the rest
+    recurse to the coarser levels (the seed after the last) and bisect down.
+    """
+    level = levels[0]
+    scale = 2.0 ** (level + 1)
+    lo_k = np.minimum(np.maximum(np.floor(x * scale), lo * scale), hi * scale - 1.0) / scale
+    hi_k = lo_k + 1.0 / scale
+    # lo_k is 0 only where it is the seed end, whose check is skipped; the
+    # floor keeps log2 finite there
+    ok = (lo_k == lo) | (_h_mid(np.maximum(lo_k, 5e-324)) < y - _SKIP_TOL)
+    ok &= (hi_k == hi) | (_h_mid(hi_k) > y + _SKIP_TOL)
+    if ok.all():
+        return lo_k, hi_k
+    # the rest: the whole arrays where nothing passed (a scalar, say), which
+    # spares the indexing
+    rest = ~ok if ok.any() else Ellipsis
+    y, lo, hi = y[rest], lo[rest], hi[rest]
+    start = _SEED_LEVEL
+    if len(levels) > 1:
+        lo, hi = _skip_to(y, lo, hi, x[rest], levels[1:])
+        start = levels[1]
+    lo, hi = _bisect(y, lo, hi, level - start)
+    if rest is Ellipsis:
+        return lo, hi
+    lo_k[rest], hi_k[rest] = lo, hi
+    return lo_k, hi_k
+
+
 def entropy_inv(y):
     """Inverse of H on the branch mapping [0, 1] onto [0, 1/2].
 
-    Bisection, elementwise; monotone nondecreasing, entropy_inv(0) = 0 and
+    Elementwise; monotone nondecreasing, entropy_inv(0) = 0 and
     entropy_inv(1) = 0.5 exactly, and |entropy(entropy_inv(y)) - y| <= 1e-12
     everywhere on [0, 1].  Scalar input gives a float.
+
+    The value is the midpoint of the final bracket of 55 bisection steps on
+    h(mid) < y, bit for bit.  The steps to level K0 = 12 come from the seed
+    table, those to level 38 (or 30, or 20) from a guess whose bracket ends
+    are checked against y -/+ tau, tau = 1e-13, which is sound while the
+    float h is within tau/2 of H; the remaining steps run as bisection.
     """
     _require_unit(y, "y")
     arr = np.asarray(y, dtype=float)
-    lo = np.zeros_like(arr)
-    hi = np.full_like(arr, 0.5)
-    for _ in range(_INV_ITERS):
-        mid = 0.5 * (lo + hi)
-        # midpoints stay strictly inside (0, 1/2), so no endpoint guards needed
-        h = -(mid * np.log2(mid) + (1.0 - mid) * (np.log1p(-mid) / LN2))
-        go_right = h < arr
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
+    lo, hi = _skip_to(arr, *_seed(arr), _SKIP_LEVELS)
+    lo, hi = _bisect(arr, lo, hi, _INV_ITERS - _SKIP_LEVELS[0])
     out = 0.5 * (lo + hi)
     out = np.where(arr >= 1.0, 0.5, out)
     out = np.where(arr <= 0.0, 0.0, out)
@@ -97,9 +203,13 @@ def raise_profile(s, eps):
     _require_unit(s, "s")
     _require_unit(eps, "eps")
     g = np.asarray(entropy_inv(s), dtype=float)
-    x = np.minimum(0.5, g + np.asarray(eps, dtype=float))
-    out = _entropy_raw(np.asarray(x, dtype=float))
+    out = _raise_from_inv(g, np.asarray(eps, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def _raise_from_inv(g: np.ndarray, eps) -> np.ndarray:
+    """M(s, eps) given g = H^{-1}(s)."""
+    return _entropy_raw(np.minimum(0.5, g + eps))
 
 
 @dataclass(frozen=True)
@@ -320,6 +430,9 @@ def _h_aux_d2(y):
     return num / den
 
 
+_CONCAVITY_ROWS = 8
+
+
 def verify_concavity_lemma(grid_step: float = 2e-3, tol: float = _D2_TOL,
                            h_tol: float = 1e-9) -> ConvexityReport:
     """Check that p(x) = g(a x + 1 - a) - g(x) is concave for every slope a in (0, 1].
@@ -339,12 +452,13 @@ def verify_concavity_lemma(grid_step: float = 2e-3, tol: float = _D2_TOL,
 
     worst = 0.0
     ok = True
-    for a in a_grid:
+    m = len(xs)
+    # rows of a few slopes per inversion: fewer calls, small temporaries
+    for k in range(0, len(a_grid), _CONCAVITY_ROWS):
+        a = a_grid[k:k + _CONCAVITY_ROWS, None]
         ell = a * x_stencil + (1.0 - a)
-        g_l = np.asarray(entropy_inv(np.clip(ell, 0.0, 1.0)))
-        p = g_l - g_x
-        m = len(xs)
-        d2 = p[2 * m:] - 2.0 * p[m:2 * m] + p[:m]
+        p = entropy_inv(np.clip(ell, 0.0, 1.0)) - g_x
+        d2 = p[:, 2 * m:] - 2.0 * p[:, m:2 * m] + p[:, :m]
         v = float(np.max(d2 - tol, initial=0.0))
         if v > 0.0:
             ok = False
@@ -369,6 +483,16 @@ def verify_concavity_lemma(grid_step: float = 2e-3, tol: float = _D2_TOL,
     )
 
 
+@lru_cache(maxsize=4)
+def _inverse_grid(grid_step: float):
+    """The grid arange(0, 1, grid_step) and entropy_inv of it, read-only."""
+    xs = np.arange(0.0, 1.0, grid_step)
+    g = entropy_inv(xs)
+    xs.flags.writeable = False
+    g.flags.writeable = False
+    return xs, g
+
+
 def uplift_gap(eps: float, grid_step: float = 1e-4) -> float:
     """Largest d >= 0 (to grid precision) with M(x, eps) >= d + (1-d)x on [0, 1].
 
@@ -381,8 +505,8 @@ def uplift_gap(eps: float, grid_step: float = 1e-4) -> float:
     _require_unit(eps, "eps")
     if eps == 0.0:
         return 0.0
-    xs = np.arange(0.0, 1.0, grid_step)
-    phi = (np.asarray(raise_profile(xs, eps)) - xs) / (1.0 - xs)
+    xs, g = _inverse_grid(grid_step)
+    phi = (_raise_from_inv(g, float(eps)) - xs) / (1.0 - xs)
     i = int(np.argmin(phi))
     lo = max(0.0, xs[i] - 2.0 * grid_step)
     hi = min(1.0 - grid_step, xs[i] + 2.0 * grid_step)

@@ -21,6 +21,7 @@ import numpy as np
 
 MAX_EXHAUSTIVE_N = 22     # one byte per word for cover tables
 MAX_FAR_COUNT_N = 20
+MAX_HARPER_N = 14
 MAX_PAIRWISE_PRODUCT = 1 << 30
 MAX_SYNDROME_BITS = 22    # coset-leader tables hold 2^(n-k) words
 _SCAN_BLOCK = 1 << 12   # words per forward step of the greedy maximum scan
@@ -159,6 +160,8 @@ def _disjoint_rank_prefix_min(n: int, a: int, b: int):
     return np.minimum.accumulate(mins)
 
 
+# verify_harper asks for the same few small sizes over and over
+@lru_cache(maxsize=256)
 def opposite_sphere_distance_bits(n: int, size_a, size_b) -> int:
     """Min Hamming distance (bits) between the canonical spheres of the given
     sizes centred at 0^n and 1^n.
@@ -192,10 +195,14 @@ def opposite_sphere_distance(n: int, size_a, size_b) -> float:
 # Brute-force distance (the definitional oracle).
 # ---------------------------------------------------------------------------
 
+def _word_array(words) -> np.ndarray:
+    return np.asarray(words if isinstance(words, np.ndarray) else list(words), dtype=np.int64)
+
+
 def _min_distance_bits(words_a, words_b) -> int:
-    """Exact min pairwise Hamming distance (bits) between two word sets."""
-    a = np.asarray(list(words_a), dtype=np.int64)
-    b = np.asarray(list(words_b), dtype=np.int64)
+    """Exact min pairwise Hamming distance (bits) between two word sets:
+    arrays or any iterables of words."""
+    a, b = _word_array(words_a), _word_array(words_b)
     if a.size == 0 or b.size == 0:
         raise ValueError("sets must be nonempty")
     if a.size * b.size > MAX_PAIRWISE_PRODUCT:
@@ -238,8 +245,8 @@ def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
     Distances are compared as exact integer bit counts; any violation is a
     genuine counterexample (an implementation bug) and is recorded.
     """
-    if n > 14:
-        raise ValueError("exhaustive verification capped at n=14")
+    if n > MAX_HARPER_N:
+        raise ValueError(f"exhaustive verification capped at n={MAX_HARPER_N}")
     rng = np.random.default_rng(seed)
     report = HarperReport(n=n, trials=trials)
     space = 1 << n

@@ -160,6 +160,29 @@ class TestVerify:
         monkeypatch.setitem(cli._VERIFY_TARGETS, "concavity", broken)
         assert run("verify", "concavity") == EXIT_VERIFY_FAIL
 
+    @pytest.mark.parametrize("argv, worker, message", [
+        (["cover", "--n", "23"], "greedy_cover", "--n must be <= 22, got 23"),
+        (["harper", "--n", "15"], "verify_harper", "--n must be <= 14, got 15"),
+    ], ids=["cover-n23", "harper-n15"])
+    def test_cap_is_checked_before_any_work(self, monkeypatch, capsys, argv, worker, message):
+        import dimsurgery.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{worker} ran before the cap check")
+
+        monkeypatch.setattr(cli, worker, never)
+        assert run("verify", *argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dimsurgery: {message}\n"
+
+    @pytest.mark.parametrize("n", ["1", "0", "-4"])
+    def test_duplication_n_below_two_is_usage_error(self, capsys, n):
+        assert run("verify", "duplication", "--n", n, "--trials", "1") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dimsurgery: --n must be >= 2, got {n}\n"
+
 
 class TestSurgery:
     def _gen(self, tmp_path, kind="bernoulli", p=0.11, n=80_000, seed=4):

@@ -4,6 +4,7 @@ Expected values marked as derived were computed with an independent root
 finder (scipy.optimize.brentq on the entropy formula) and frozen here.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -31,6 +32,9 @@ from dimsurgery.entropy import (
     verify_concavity_lemma,
     verify_convexity_lemma,
 )
+
+# the module itself: the package exports a function of the same name
+entropy_module = importlib.import_module("dimsurgery.entropy")
 
 # Independent brentq oracles, frozen.
 HINV_HALF = 0.11002786443835955
@@ -142,6 +146,111 @@ class TestEntropyInv:
         lhs = np.asarray(entropy_inv(t)) - np.asarray(entropy_inv(s))
         rhs = np.asarray(entropy_inv(t - s))
         assert np.min(lhs - rhs) >= -1e-12
+
+
+LN2 = math.log(2.0)
+
+
+def _bisection_h(mid):
+    return -(mid * np.log2(mid) + (1.0 - mid) * (np.log1p(-mid) / LN2))
+
+
+def reference_inv(y):
+    """The defining 55-step bisection of [0, 1/2] on h(mid) < y, elementwise."""
+    arr = np.asarray(y, dtype=float)
+    lo = np.zeros_like(arr)
+    hi = np.full_like(arr, 0.5)
+    for _ in range(55):
+        mid = 0.5 * (lo + hi)
+        go_right = _bisection_h(mid) < arr
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    out = 0.5 * (lo + hi)
+    out = np.where(arr >= 1.0, 0.5, out)
+    out = np.where(arr <= 0.0, 0.0, out)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _adversarial_points(rng) -> np.ndarray:
+    """y = h(m) at dyadic bisection midpoints m of levels 0..40 and both float
+    neighbours, y near 0 and near 1, and 0 and 1 exactly."""
+    mids = [np.array([0.25])]
+    for level in range(1, 41):
+        k = rng.integers(0, 1 << level, size=4000)
+        mids.append((2 * k + 1) * 2.0 ** -(level + 2))
+    hm = _bisection_h(np.concatenate(mids))
+    return np.clip(np.concatenate([
+        hm, np.nextafter(hm, 0.0), np.nextafter(hm, 2.0),
+        10.0 ** -rng.uniform(0.0, 323.0, 40_000),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 40_000),
+        [0.0, 1.0, 5e-324, 1e-300, np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -53],
+    ]), 0.0, 1.0)
+
+
+class TestEntropyInvBits:
+    """entropy_inv returns the reference bisection's bits, not just its value."""
+
+    def test_million_points(self):
+        rng = np.random.default_rng(20)
+        ys = np.concatenate([_adversarial_points(rng), rng.uniform(0.0, 1.0, 500_000)])
+        assert len(ys) >= 1_000_000
+        for chunk in np.array_split(ys, 8):
+            got, want = entropy_inv(chunk), reference_inv(chunk)
+            bad = np.flatnonzero(_bits(got) != _bits(want))
+            assert len(bad) == 0, chunk[bad[:5]]
+
+    def test_shapes(self):
+        rng = np.random.default_rng(21)
+        ys = rng.permutation(_adversarial_points(rng))[:6000]
+        for y in ys[:300].tolist():
+            got = entropy_inv(y)
+            assert type(got) is float
+            assert _bits(got) == _bits(reference_inv(y)), y
+        assert type(entropy_inv(np.float64(0.5))) is float
+        grid = ys.reshape(60, 100)
+        for y in (grid, grid.T, grid[:, :1], ys[:0], ys[:1]):
+            got = entropy_inv(y)
+            assert got.shape == y.shape
+            assert np.array_equal(_bits(got), _bits(reference_inv(y)))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_guess_off_by_one_bracket(self, monkeypatch, shift):
+        # move every guess one finest-level bracket: the skip check must turn
+        # those brackets down, and the answer must not change
+        real = entropy_module._skip_to
+        levels = entropy_module._SKIP_LEVELS
+        rejected = []
+
+        def shifted(y, lo, hi, x, at):
+            if at == levels:
+                x = x + shift * 2.0 ** -(levels[0] + 1)
+            elif at == levels[1:]:
+                rejected.append(len(y))
+            return real(y, lo, hi, x, at)
+
+        monkeypatch.setattr(entropy_module, "_skip_to", shifted)
+        rng = np.random.default_rng(22)
+        ys = np.concatenate([rng.uniform(0.05, 0.95, 20_000), _adversarial_points(rng)[::50]])
+        assert np.array_equal(_bits(entropy_inv(ys)), _bits(reference_inv(ys)))
+        assert sum(rejected) >= 0.9 * len(ys)
+
+    def test_unshifted_guess_mostly_skips(self, monkeypatch):
+        real = entropy_module._skip_to
+        rejected = []
+
+        def spy(y, lo, hi, x, at):
+            if at == entropy_module._SKIP_LEVELS[1:]:
+                rejected.append(len(y))
+            return real(y, lo, hi, x, at)
+
+        monkeypatch.setattr(entropy_module, "_skip_to", spy)
+        ys = np.random.default_rng(23).uniform(0.05, 0.95, 20_000)
+        entropy_inv(ys)
+        assert sum(rejected) <= 0.2 * len(ys)
 
 
 class TestEntropyDeriv:
@@ -423,7 +532,54 @@ class TestConcavityVerification:
         assert np.max(np.abs(p)) <= 1e-15
 
 
+def _concavity_per_slope(grid_step, tol):
+    """verify_concavity_lemma's second-difference scan, one inversion per slope."""
+    n = max(4, round(1.0 / grid_step))
+    a_grid = np.linspace(0.0, 1.0, n + 1)[1:]
+    xs = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    x_stencil = np.concatenate([xs - 1e-4, xs, xs + 1e-4])
+    g_x = np.asarray(entropy_inv(x_stencil))
+    m = len(xs)
+    worst, ok = 0.0, True
+    for a in a_grid:
+        p = np.asarray(entropy_inv(np.clip(a * x_stencil + (1.0 - a), 0.0, 1.0))) - g_x
+        d2 = p[2 * m:] - 2.0 * p[m:2 * m] + p[:m]
+        v = float(np.max(d2 - tol, initial=0.0))
+        if v > 0.0:
+            ok = False
+            worst = max(worst, v)
+    return worst, ok
+
+
+class TestConcavityRows:
+    @pytest.mark.parametrize("grid_step", [0.01, 0.002])
+    @pytest.mark.parametrize("tol", [-1e-9, 1e-6])
+    def test_matches_per_slope_loop(self, grid_step, tol):
+        # at tol = -1e-9 every slope violates, so worst is the largest d2 + 1e-9
+        rep = verify_concavity_lemma(grid_step=grid_step, tol=tol)
+        worst, ok = _concavity_per_slope(grid_step, tol)
+        assert _bits(rep.worst_violation) == _bits(worst)
+        assert rep.sign_pattern_ok == ok
+        assert ok == (tol > 0.0)
+
+
+def _uplift_by_profile(eps, grid_step=1e-4):
+    """uplift_gap computed with raise_profile over the whole grid per eps."""
+    xs = np.arange(0.0, 1.0, grid_step)
+    phi = (np.asarray(raise_profile(xs, eps)) - xs) / (1.0 - xs)
+    i = int(np.argmin(phi))
+    lo = max(0.0, xs[i] - 2.0 * grid_step)
+    hi = min(1.0 - grid_step, xs[i] + 2.0 * grid_step)
+    xf = np.linspace(lo, hi, 4001)
+    fine = (np.asarray(raise_profile(xf, eps)) - xf) / (1.0 - xf)
+    return max(0.0, min(float(phi[i]), float(fine.min())) - 1e-9)
+
+
 class TestUpliftGap:
+    @pytest.mark.parametrize("k", range(21))
+    def test_equals_profile_over_grid(self, k):
+        assert _bits(uplift_gap(2.0 ** -k)) == _bits(_uplift_by_profile(2.0 ** -k))
+
     def test_zero_eps(self):
         assert uplift_gap(0.0) == 0.0
 

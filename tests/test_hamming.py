@@ -207,6 +207,15 @@ class TestBruteForceDistance:
             want = min(bin(int(x) ^ int(y)).count("1") for x in a for y in b)
             assert hamming._min_distance_bits(a, b) == want
 
+    def test_any_iterable_of_words(self):
+        a = np.array([0b0011, 0b1100, 0b0110], dtype=np.int64)
+        b = np.array([0b0111, 0b1010], dtype=np.uint8)
+        want = hamming._min_distance_bits(a, b)
+        assert want == 1
+        assert hamming._min_distance_bits(a.tolist(), tuple(b.tolist())) == want
+        assert hamming._min_distance_bits(set(a.tolist()), (int(w) for w in b)) == want
+        assert hamming._min_distance_bits(range(3, 4), b) == 1
+
     def test_guards(self):
         with pytest.raises(ValueError):
             hamming._min_distance_bits([], [1])
