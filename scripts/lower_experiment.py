@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from dimsurgery.bitseq import gen_coin
-from dimsurgery.dimension import ChunkSchedule
+from dimsurgery.dimension import chunk_count
 from dimsurgery.entropy import entropy_inv
 from dimsurgery.estimators import BernoulliOracle
 from dimsurgery.surgery import apply_plan, default_block_len, plan_lower, quantizer_codebook
@@ -25,7 +25,7 @@ def main() -> int:
     n_bits = int(float(sys.argv[1])) if len(sys.argv) > 1 else 10_000_000
     n_seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     est = BernoulliOracle()
-    count = ChunkSchedule.for_length(n_bits).count
+    count = chunk_count(n_bits)
     inputs = [gen_coin(n_bits, seed=seed) for seed in range(n_seeds)]
     print(f"{'s':>5} {'L':>8} {'distance':>9} {'rate':>9} {'radius/L':>9} {'H^-1(1-s)':>9}")
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):

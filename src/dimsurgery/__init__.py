@@ -3,8 +3,8 @@ bit-sequence dimension surgery."""
 
 from .bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup, gen_zero_padded
 from .dimension import (
-    ChunkSchedule,
     chunk_boundary,
+    chunk_count,
     chunk_dims,
     sequence_dim,
     sequence_distance,

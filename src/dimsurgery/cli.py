@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import ChunkSchedule, chunk_dims, planned_distance
+from .dimension import chunk_count, planned_distance, sequence_dim
 from .entropy import (
     ScheduleError,
     bound_curves,
@@ -93,8 +93,6 @@ def _case_labels(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def cmd_curves(args) -> int:
-    if args.grid <= 0:
-        raise argparse.ArgumentTypeError("grid step must be positive")
     steps = round(1.0 / args.grid)
     grid = [min(1.0, i * args.grid) for i in range(steps + 1)]
     if grid[-1] != 1.0:
@@ -127,6 +125,8 @@ def _verify_harper(args, check) -> None:
 
 
 def _verify_corollary(args, check) -> None:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     for n in (10, 12, min(args.n, 14)):
         for eps in (0.1, 0.2):
@@ -254,42 +254,42 @@ def cmd_verify(args) -> int:
 # surgery
 # ---------------------------------------------------------------------------
 
-def _surgery_bound(args, report) -> float:
+def _surgery_bound(args, plan, dim_before: float) -> float:
     if args.strategy == "randomize":
-        return 0.5 - float(entropy_inv(report.dim_before))
+        return 0.5 - float(entropy_inv(dim_before))
     if args.strategy == "raise":
         return float(entropy_inv(args.t) - entropy_inv(args.s))
     if args.strategy == "lower":
         return float(entropy_inv(1.0 - args.s))
-    return planned_distance(report.plan.deltas())
+    return planned_distance(plan.deltas())
 
 
 def _run_surgery_once(args, seed: int, out_path: str | None, y_path: str | None) -> None:
     x = BitSequence.from_file(args.infile)
     est = parse_estimator(args.estimator)
-    sched = ChunkSchedule.for_length(len(x))
-    if sched.count < 2:
+    if chunk_count(len(x)) < 2:
         raise ValueError("input too short for even two chunks")
+    before = sequence_dim(x, est)               # the one pass over the input
     if args.strategy == "randomize":
-        plan = plan_randomize(chunk_dims(x, est), seed=seed)
+        plan = plan_randomize(before.chunk_values, seed=seed)
     elif args.strategy == "weak":
-        plan = plan_weak_srandom(chunk_dims(x, est), c=args.c, seed=seed)
+        plan = plan_weak_srandom(before.chunk_values, c=args.c, seed=seed)
     elif args.strategy == "raise":
-        plan = plan_raise(chunk_dims(x, est), args.s, args.t, seed=seed)
+        plan = plan_raise(before.chunk_values, args.s, args.t, seed=seed)
     else:                                       # lower
-        plan = plan_lower(sched.count, args.s, seed=seed)
+        plan = plan_lower(len(before.chunk_values), args.s, seed=seed)
 
     y, report = apply_plan(x, plan, est, searcher=args.searcher)
-    bound = _surgery_bound(args, report)
+    bound = _surgery_bound(args, plan, before.tail_min)
     lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
-    for oc in report.outcomes:
+    for s_j, entry, oc in zip(before.chunk_values, plan.entries, report.outcomes):
         lines.append(",".join([
-            str(oc.j), _fmt(oc.s_j), _fmt(oc.delta_planned),
-            _fmt(oc.delta_achieved), _fmt(oc.t_planned), _fmt(oc.t_achieved)]))
+            str(oc.j), _fmt(s_j), _fmt(entry.delta_j),
+            _fmt(oc.delta_achieved), _fmt(entry.t_j), _fmt(oc.t_achieved)]))
     lines.append("")
     lines.append("dim_before,dim_after,distance,bound,slack")
     lines.append(",".join([
-        _fmt(report.dim_before), _fmt(report.dim_after), _fmt(report.distance),
+        _fmt(before.tail_min), _fmt(report.dim_after), _fmt(report.distance),
         _fmt(bound), _fmt(bound - report.distance)]))
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -297,7 +297,7 @@ def _run_surgery_once(args, seed: int, out_path: str | None, y_path: str | None)
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"seed={seed} dim_before={_fmt(report.dim_before)} "
+    print(f"seed={seed} dim_before={_fmt(before.tail_min)} "
           f"dim_after={_fmt(report.dim_after)} distance={_fmt(report.distance)} "
           f"bound={_fmt(bound)}")
     if report.distance > bound + args.tolerance:
@@ -336,26 +336,24 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _unit_float(text: str) -> float:
-    """argparse type of --s and --t: a float in [0, 1] (NaN is not)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+def _checked_float(accept, rule: str):
+    """An argparse type: a float for which accept(value) holds, else a usage
+    error that states `rule`.  NaN fails every comparison, so no rule here
+    accepts it."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+    return parse
 
 
-def _nonneg_float(text: str) -> float:
-    """argparse type of --c: a finite float >= 0 (NaN and inf are not)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+_unit_float = _checked_float(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_nonneg_float = _checked_float(lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+_positive_float = _checked_float(lambda v: 0.0 < v < math.inf, "be finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("curves", help="emit the bound-curve CSV over a grid")
-    p.add_argument("--grid", type=float, default=0.05)
+    p.add_argument("--grid", type=_positive_float, default=0.05)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curves)
 
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid", type=float, default=1e-3)
+    p.add_argument("--grid", type=_positive_float, default=1e-3)
     p.add_argument("--c", type=_nonneg_float, default=10.0)
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--out", default=None)
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--save-y", dest="save_y", default=None,
                    help="also write the modified sequence here")
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=_nonneg_float, default=0.05)
     p.set_defaults(func=cmd_surgery)
     return parser
 
@@ -443,8 +441,7 @@ def main(argv=None) -> int:
     except (OSError, bitseq.BitFileError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (argparse.ArgumentTypeError, ValueError, ScheduleError,
-            PlanInvariantError) as exc:
+    except (ValueError, ScheduleError, PlanInvariantError) as exc:
         print(f"dimsurgery: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

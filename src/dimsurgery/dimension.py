@@ -6,8 +6,9 @@ the weighted running average of per-chunk conditional estimates, with a
 tail extremum standing in for the infinite-horizon liminf; the distance
 aggregator mirrors it with per-chunk Hamming densities and a tail maximum.
 This module owns the chunk layout: chunk_boundary is the one n_j,
-weighted_series the one quadratic weighting and default_tail_start the one
-tail window every extremum reads.  Chunks are measured only by chunk_dims.
+chunk_count the one number of complete chunks, weighted_series the one
+quadratic weighting and default_tail_start the one tail window every
+extremum reads.  Chunks are measured only by chunk_dims.
 """
 
 from __future__ import annotations
@@ -38,28 +39,15 @@ def chunk_boundary(j):
     return (j - 1) * j * (2 * j - 1) // 6
 
 
-@dataclass(frozen=True)
-class ChunkSchedule:
-    """Chunk layout covering a given number of bits."""
-
-    length: int
-    count: int                    # complete chunks fitting in `length`
-    boundaries: tuple             # n_1 .. n_{count+1}
-
-    @classmethod
-    def for_length(cls, length: int) -> "ChunkSchedule":
-        if length < 1:
-            raise ValueError("length must be positive")
-        count = 0
-        while chunk_boundary(count + 2) <= length:
-            count += 1
-        bounds = tuple(chunk_boundary(j) for j in range(1, count + 2))
-        return cls(length=length, count=count, boundaries=bounds)
-
-    def span(self, j: int) -> tuple[int, int]:
-        if not 1 <= j <= self.count:
-            raise ValueError(f"chunk {j} out of range (1..{self.count})")
-        return self.boundaries[j - 1], self.boundaries[j]
+def chunk_count(length: int) -> int:
+    """Number of complete chunks in `length` bits: the largest count with
+    chunk_boundary(count + 1) <= length."""
+    if length < 1:
+        raise ValueError("length must be positive")
+    count = 0
+    while chunk_boundary(count + 2) <= length:
+        count += 1
+    return count
 
 
 def default_tail_start(count: int) -> int:
@@ -79,10 +67,9 @@ def chunk_dims(x, est) -> np.ndarray:
     This is the one measurement loop; every complete chunk is estimated once.
     """
     bits = as_bits(x)
-    sched = ChunkSchedule.for_length(len(bits))
-    values = np.empty(sched.count)
-    for j in range(1, sched.count + 1):
-        lo, hi = sched.span(j)
+    values = np.empty(chunk_count(len(bits)))
+    for j in range(1, len(values) + 1):
+        lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
         values[j - 1] = est.estimate(bits[lo:hi], bits[:lo])
     return values
 
@@ -147,13 +134,13 @@ def sequence_distance(x, y) -> DistanceSeries:
     bx, by = as_bits(x), as_bits(y)
     if bx.size != by.size:
         raise ValueError(f"length mismatch: {bx.size} vs {by.size}")
-    sched = ChunkSchedule.for_length(bx.size)
+    count = chunk_count(bx.size)
     mism = bx != by
-    counts = np.empty(sched.count, dtype=np.int64)
-    for j in range(1, sched.count + 1):
-        lo, hi = sched.span(j)
-        counts[j - 1] = int(np.count_nonzero(mism[lo:hi]))
-    js = np.arange(1, sched.count + 1, dtype=np.int64)
+    # per-chunk count_nonzero: np.add.reduceat(mism, ..., dtype=np.int64)
+    # would first cast every bit to an int64, 8 bytes per bit
+    counts = np.array([np.count_nonzero(mism[chunk_boundary(j):chunk_boundary(j + 1)])
+                       for j in range(1, count + 1)], dtype=np.int64)
+    js = np.arange(1, count + 1, dtype=np.int64)
     deltas = counts / (js.astype(np.float64) ** 2)
     series = np.cumsum(counts) / chunk_boundary(js + 1).astype(np.float64)
     return DistanceSeries(

@@ -30,7 +30,6 @@ from .dimension import (
     default_tail_start,
     dim_series,
     planned_distance,
-    sequence_dim,
     sequence_distance,
 )
 from .entropy import (
@@ -69,7 +68,6 @@ class PlanInvariantError(RuntimeError):
 @dataclass(frozen=True)
 class PlanEntry:
     j: int
-    s_j: float
     t_j: float
     delta_j: float
     eps_j: float
@@ -78,8 +76,6 @@ class PlanEntry:
 @dataclass
 class SurgeryPlan:
     strategy: str
-    s: float
-    t: float
     seed: int
     entries: list[PlanEntry]
     # lower plans: the block quantizer of every width their chunks use, and
@@ -111,19 +107,18 @@ def _chunk_arrays(s_seq):
     return s_arr, np.array(default_eps_seq(len(s_arr))), np.arange(1, len(s_arr) + 1)
 
 
-def _entries(js, s_arr, t_arr, delta_arr, eps) -> list[PlanEntry]:
-    return [PlanEntry(j=j, s_j=s_j, t_j=t_j, delta_j=d_j, eps_j=e_j)
-            for j, s_j, t_j, d_j, e_j in zip(js.tolist(), s_arr.tolist(), t_arr.tolist(),
-                                             delta_arr.tolist(), eps.tolist())]
+def _entries(js, t_arr, delta_arr, eps) -> list[PlanEntry]:
+    return [PlanEntry(j=j, t_j=t_j, delta_j=d_j, eps_j=e_j)
+            for j, t_j, d_j, e_j in zip(js.tolist(), t_arr.tolist(), delta_arr.tolist(),
+                                        eps.tolist())]
 
 
 def plan_randomize(s_seq, seed: int = 0) -> SurgeryPlan:
     """Full-randomize plan: t_j = 1, delta_j = 1/2 + eps_j - g(s_j) + 1/j."""
     s_arr, eps, js = _chunk_arrays(s_seq)
     delta = 0.5 + eps - entropy_inv(s_arr) + 1.0 / js
-    entries = _entries(js, s_arr, np.ones_like(s_arr), np.clip(delta, 0.0, 1.0), eps)
-    return SurgeryPlan(strategy=RANDOMIZE, s=tail_average_floor(s_arr), t=1.0,
-                       seed=seed, entries=entries)
+    entries = _entries(js, np.ones_like(s_arr), np.clip(delta, 0.0, 1.0), eps)
+    return SurgeryPlan(strategy=RANDOMIZE, seed=seed, entries=entries)
 
 
 def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
@@ -141,9 +136,8 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
     t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
     if not np.all(buffer_margin(t_arr, c, s_sur, b) > 0):
         raise PlanInvariantError("rounded targets broke the buffer inequality")
-    entries = _entries(js, s_arr, t_arr, np.minimum(1.0, 2.0 * eps), eps)
-    return SurgeryPlan(strategy=WEAK_SRANDOM, s=s_sur, t=float("nan"),
-                       seed=seed, entries=entries)
+    entries = _entries(js, t_arr, np.minimum(1.0, 2.0 * eps), eps)
+    return SurgeryPlan(strategy=WEAK_SRANDOM, seed=seed, entries=entries)
 
 
 def plan_raise(s_seq, s: float, t: float, seed: int = 0) -> SurgeryPlan:
@@ -177,13 +171,13 @@ def plan_raise(s_seq, s: float, t: float, seed: int = 0) -> SurgeryPlan:
             i = below[0]
             raise PlanInvariantError(
                 f"chunk {i + 1}: target {t_arr[i]} fell below the chord {line(s_arr[i])}")
-    entries = _entries(js, s_arr, t_arr, delta_arr, eps)
+    entries = _entries(js, t_arr, delta_arr, eps)
     planned = planned_distance(delta_arr)
     budget = delta + float(eps.max()) + 1.0 / default_tail_start(len(s_arr))
     if planned > budget + 1e-12:
         raise PlanInvariantError(
             f"planned aggregate distance {planned:.6f} exceeds bound budget {budget:.6f}")
-    return SurgeryPlan(strategy=strategy, s=s, t=t, seed=seed, entries=entries)
+    return SurgeryPlan(strategy=strategy, seed=seed, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +252,11 @@ def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None,
     layouts = [_block_layout(j * j, block_len) for j in range(1, n_chunks + 1)]
     widths = {w for layout in layouts for w, _ in layout}
     codebooks = {w: quantizer_codebook(w, target_s) for w in sorted(widths, reverse=True)}
-    entries = [PlanEntry(j=j, s_j=float("nan"), t_j=target_s, eps_j=0.0,
+    entries = [PlanEntry(j=j, t_j=target_s, eps_j=0.0,
                          delta_j=max(codebooks[w].radius / w for w, _ in layout))
                for j, layout in enumerate(layouts, start=1)]
-    return SurgeryPlan(strategy=LOWER, s=target_s, t=target_s, seed=seed,
-                       entries=entries, codebooks=codebooks, block_len=block_len)
+    return SurgeryPlan(strategy=LOWER, seed=seed, entries=entries,
+                       codebooks=codebooks, block_len=block_len)
 
 
 # ---------------------------------------------------------------------------
@@ -357,46 +351,40 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
 @dataclass
 class ChunkOutcome:
     j: int
-    s_j: float
-    delta_planned: float
     delta_achieved: float
-    t_planned: float
     t_achieved: float
 
 
 @dataclass
 class SurgeryReport:
-    plan: SurgeryPlan
     outcomes: list[ChunkOutcome]
-    dim_before: float
     dim_after: float
     distance: float
     codebook_rate: float | None = None   # lower runs: index bits per sequence bit
-    extras: dict = field(default_factory=dict)
 
 
 def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
     """Apply a surgery plan chunk by chunk, left to right.
 
-    One sequence_dim pass over the input gives every s_j and dim_before.  Per
-    chunk, one call modifies it within the plan's budget: raise_chunk
-    searches against the constructed prefix and returns its estimate, which
-    is t_achieved; lower_chunk quantizes onto the plan's block codebooks, and
-    t_achieved is estimated once.  The per-chunk achieved distance is asserted against
-    the budget on exact bit counts.  dim_after aggregates the t_achieved
-    values: each was estimated once its prefix was final, so it equals what a
-    fresh sequence_dim pass over the output would measure.
+    The input is not estimated: the plan was built from the caller's
+    measurement of it.  Per chunk, one call modifies it within the plan's
+    budget: raise_chunk searches against the constructed prefix and returns
+    its estimate, which is t_achieved; lower_chunk quantizes onto the plan's
+    block codebooks, and t_achieved is estimated once.  The per-chunk
+    achieved distance is asserted against the budget on exact bit counts.
+    dim_after aggregates the t_achieved values: each was estimated once its
+    prefix was final, so it equals what a sequence_dim pass over the output
+    would measure.  The report holds only achieved values; the planned ones
+    stay in the plan.
     """
     bx = as_bits(x)
     count = len(plan.entries)
     if count == 0:
         return BitSequence(bx.copy()), SurgeryReport(
-            plan=plan, outcomes=[], dim_before=float("nan"),
-            dim_after=float("nan"), distance=0.0)
+            outcomes=[], dim_after=float("nan"), distance=0.0)
     used = chunk_boundary(count + 1)
     if used > bx.size:
         raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
-    before = sequence_dim(bx[:used], est)
 
     y = bx.copy()
     outcomes = []
@@ -420,15 +408,12 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
                 f"chunk {j}: achieved {mismatches} flips over budget {budget_bits}")
         y[lo:hi] = y_chunk
         outcomes.append(ChunkOutcome(
-            j=j, s_j=float(before.chunk_values[j - 1]),
-            delta_planned=entry.delta_j, delta_achieved=mismatches / x_chunk.size,
-            t_planned=entry.t_j, t_achieved=t_achieved))
+            j=j, delta_achieved=mismatches / x_chunk.size, t_achieved=t_achieved))
 
     dim_after = dim_series([o.t_achieved for o in outcomes]).tail_min
     distance = sequence_distance(bx[:used], y[:used]).tail_max
     report = SurgeryReport(
-        plan=plan, outcomes=outcomes, dim_before=before.tail_min,
-        dim_after=dim_after, distance=distance,
+        outcomes=outcomes, dim_after=dim_after, distance=distance,
         codebook_rate=(index_bits_total / used if plan.strategy == LOWER else None))
     return BitSequence(y), report
 

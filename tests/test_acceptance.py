@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup
-from dimsurgery.dimension import ChunkSchedule, chunk_boundary, chunk_dims
+from dimsurgery.dimension import chunk_boundary, chunk_count, chunk_dims
 from dimsurgery.duplication import duplication_decode, duplication_encode
 from dimsurgery.entropy import (
     buffer_schedule,
@@ -185,7 +185,7 @@ def test_criterion_8_lower():
             bound = float(entropy_inv(1.0 - s))
             for seed in range(5):
                 x = gen_coin(n_bits, seed=800 + seed)
-                count = ChunkSchedule.for_length(n_bits).count
+                count = chunk_count(n_bits)
                 plan = plan_lower(count, s, seed=seed)
                 _, report = apply_plan(x, plan, BernoulliOracle())
                 assert report.distance <= bound + 0.03, (s, seed, report.distance)

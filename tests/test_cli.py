@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from dimsurgery.bitseq import BitSequence
 from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from dimsurgery.dimension import (
+    chunk_boundary,
+    chunk_count,
     planned_distance,
     sequence_dim,
     sequence_distance,
 )
 from dimsurgery.entropy import CASE1, CASE2, case_select
-from dimsurgery.estimators import Compressor
+from dimsurgery.estimators import Compressor, parse_estimator
 
 
 def run(*argv) -> int:
@@ -89,6 +91,17 @@ class TestCurves:
         for s, pairs in by_s.items():
             vals = [v for _, v in sorted(pairs)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("command", [["curves"], ["verify", "convexity"],
+                                         ["verify", "concavity"]],
+                             ids=["curves", "convexity", "concavity"])
+    @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf"])
+    def test_bad_grid_is_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, f"--grid={value}")
+        assert exc.value.code == EXIT_USAGE
+        assert (f"argument --grid: must be finite and > 0, got {value}"
+                in capsys.readouterr().err)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -182,6 +195,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"dimsurgery: --n must be >= 2, got {n}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_corollary_n_below_one_is_usage_error(self, capsys, n):
+        # checked before the n = 10 and n = 12 rows, which need no --n
+        assert run("verify", "corollary", "--n", n, "--trials", "1") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dimsurgery: --n must be >= 1, got {n}\n"
 
 
 class TestSurgery:
@@ -323,6 +344,75 @@ class TestSurgery:
         err = capsys.readouterr().err
         assert f"argument --c: must be finite and >= 0, got {value}" in err
         assert "internal" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("value", ["-0.01", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, value):
+        # a NaN tolerance would silence the WARN line, a negative one always print it
+        with pytest.raises(SystemExit) as exc:
+            run("surgery", "--in", str(tmp_path / "none.bits"), "--strategy", "raise",
+                f"--tolerance={value}")
+        assert exc.value.code == EXIT_USAGE
+        assert (f"argument --tolerance: must be finite and >= 0, got {value}"
+                in capsys.readouterr().err)
+
+    def test_tolerance_sets_the_warning(self, tmp_path, capsys):
+        # distance 0.195074 against bound 0.132976 on this input
+        src = self._gen(tmp_path, p=0.3, n=4000, seed=1)
+        argv = ["surgery", "--in", str(src), "--strategy", "raise", "--s", "0.5", "--t", "0.8",
+                "--out", str(tmp_path / "r.csv")]
+        for tolerance, warns in [("0.05", True), ("0.07", False)]:
+            assert run(*argv, "--tolerance", tolerance) == EXIT_OK
+            assert ("WARN" in capsys.readouterr().out) == warns
+
+    @pytest.mark.parametrize("strategy", ["randomize", "weak", "raise", "lower"])
+    def test_input_is_estimated_once(self, tmp_path, monkeypatch, strategy):
+        # the CLI's one pass estimates each complete input chunk against its
+        # input prefix x[:n_j], in order; apply_plan then makes no estimate
+        # before its first chunk step.  That pass gives the s_j column and
+        # dim_before, equal to a fresh sequence_dim pass
+        import dimsurgery.cli as cli
+        import dimsurgery.surgery as surgery
+
+        src = self._gen(tmp_path, n=20_000)
+        x = BitSequence.from_file(src).bits
+        spec = "compressor:zlib"                 # remembers the last context it saw
+        calls, marks = [], {}
+
+        class SpyEstimator:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def estimate(self, chunk, context=None):
+                calls.append((np.asarray(chunk).tobytes(), np.asarray(context).tobytes()))
+                return self.inner.estimate(chunk, context)
+
+        def mark_first(name, fn):
+            def wrapped(*args, **kwargs):
+                marks.setdefault(name, len(calls))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "parse_estimator",
+                            lambda text: SpyEstimator(parse_estimator(text)))
+        monkeypatch.setattr(cli, "apply_plan", mark_first("apply", cli.apply_plan))
+        for step in ("raise_chunk", "lower_chunk"):
+            monkeypatch.setattr(surgery, step, mark_first("step", getattr(surgery, step)))
+        out = tmp_path / "run.csv"
+        assert run("surgery", "--in", str(src), "--strategy", strategy, "--s", "0.5",
+                   "--t", "0.8", "--c", "5", "--estimator", spec,
+                   "--out", str(out)) == EXIT_OK
+
+        count = chunk_count(x.size)
+        bounds = [chunk_boundary(j) for j in range(1, count + 2)]
+        assert calls[:marks["apply"]] == [(x[lo:hi].tobytes(), x[:lo].tobytes())
+                                          for lo, hi in zip(bounds, bounds[1:])]
+        assert marks["step"] == marks["apply"]
+        before = sequence_dim(x, parse_estimator(spec))
+        lines = out.read_text().splitlines()
+        blank = lines.index("")
+        assert [line.split(",")[1] for line in lines[1:blank]] == [
+            f"{v:.6f}" for v in before.chunk_values]
+        assert lines[blank + 2].split(",")[0] == f"{before.tail_min:.6f}"
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("surgery", "--in", str(tmp_path / "nope.bits"),

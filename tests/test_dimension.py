@@ -20,8 +20,8 @@ from dimsurgery.bitseq import (
 )
 from dimsurgery.dimension import (
     MIN_TAIL_CHUNK,
-    ChunkSchedule,
     chunk_boundary,
+    chunk_count,
     chunk_dims,
     default_tail_start,
     planned_distance,
@@ -114,12 +114,12 @@ class TestChunkSchedule:
         with pytest.raises(ValueError):
             chunk_boundary(0)
 
-    def test_schedule_count(self):
-        sched = ChunkSchedule.for_length(14)
-        assert sched.count == 3
-        assert sched.span(3) == (5, 14)
-        sched = ChunkSchedule.for_length(15)
-        assert sched.count == 3  # chunk 4 needs bits up to 30
+    def test_chunk_count(self):
+        assert chunk_count(14) == 3
+        assert (chunk_boundary(3), chunk_boundary(4)) == (5, 14)
+        assert chunk_count(15) == 3  # chunk 4 needs bits up to 30
+        with pytest.raises(ValueError, match="length must be positive"):
+            chunk_count(0)
 
 
 class TestEstimators:

@@ -50,6 +50,8 @@ class TestPlans:
         assert plan.entries[79].delta_j == pytest.approx(0.5 + eps[79] + 1 / 80, abs=1e-12)
         assert [e.eps_j for e in plan.entries] == eps
         assert all(e.t_j == 1.0 for e in plan.entries)
+        # a single chunk value plans: no tail floor over two values is read
+        assert [e.delta_j for e in plan_randomize([1.0]).entries] == [1.0]
 
     def test_randomize_planned_aggregate(self):
         s = [0.5] * 200
@@ -97,8 +99,8 @@ class TestPlans:
         plan = plan_raise(s_seq, s, t)
         assert plan.strategy == RAISE_CASE2
         line = chord_line(s, t)
-        for e in plan.entries:
-            assert e.t_j >= line(e.s_j) - 1e-9
+        for e, s_j in zip(plan.entries, s_seq):
+            assert e.t_j >= line(s_j) - 1e-9
 
     def test_raise_planned_distance_budget(self):
         # the arithmetic invariant is checked inside plan_raise; a
@@ -151,8 +153,7 @@ class TestPlans:
             else:
                 t_j = min(1.0, math.ceil(line(s_j) * j - 1e-9) / j)
                 d_j = entropy_inv(t_j) - entropy_inv(s_j) + e_j
-            assert (e.s_j, e.t_j, e.delta_j, e.eps_j) == (
-                s_j, t_j, min(1.0, max(0.0, d_j)), e_j), j
+            assert (e.t_j, e.delta_j, e.eps_j) == (t_j, min(1.0, max(0.0, d_j)), e_j), j
 
     def test_batched_weak_matches_scalar_loop(self):
         s_seq = np.clip(0.5 + np.random.default_rng(6).normal(0, 0.1, 600), 0, 1).tolist()
@@ -161,7 +162,7 @@ class TestPlans:
         assert eps[-1] < eps[0]                 # the schedule halves inside the horizon
         for e, s_j in zip(plan.entries, s_seq):
             t_j = min(1.0, math.ceil(raise_profile(s_j, e.eps_j) * e.j - 1e-9) / e.j)
-            assert (e.s_j, e.t_j, e.delta_j) == (s_j, t_j, min(1.0, 2.0 * e.eps_j)), e.j
+            assert (e.t_j, e.delta_j) == (t_j, min(1.0, 2.0 * e.eps_j)), e.j
 
 
 class TestRaiseChunk:
@@ -394,7 +395,7 @@ class TestLinearQuantizer:
 class TestApplyPlan:
     def test_empty_plan_identity(self):
         x = gen_coin(100, 0)
-        plan = SurgeryPlan(strategy=RANDOMIZE, s=0.0, t=1.0, seed=0, entries=[])
+        plan = SurgeryPlan(strategy=RANDOMIZE, seed=0, entries=[])
         y, report = apply_plan(x, plan, BernoulliOracle())
         assert y == x and report.distance == 0.0
 
@@ -477,8 +478,8 @@ class TestApplyPlan:
     @pytest.mark.parametrize("est", [BlockEntropy(8), Compressor("zlib")],
                              ids=["block8", "zlib"])
     def test_single_pass_matches_reference(self, strategy, est):
-        # the report reuses one input pass and the t_achieved values; both
-        # must equal fresh sequence_dim passes exactly (zlib also reads the
+        # dim_after aggregates the t_achieved values; it must equal a fresh
+        # sequence_dim pass over the output exactly (zlib also reads the
         # prefix, so t_achieved must see the final one)
         count = 40
         used = chunk_boundary(count + 1)
@@ -493,15 +494,13 @@ class TestApplyPlan:
         else:
             plan = plan_lower(count, 0.5, block_len=10, seed=1)
         y, report = apply_plan(x, plan, est)
-        assert report.dim_before == sequence_dim(x[:used], est).tail_min
         assert report.dim_after == sequence_dim(y[:used], est).tail_min
-        assert [o.s_j for o in report.outcomes] == chunk_dims(x[:used], est).tolist()
 
     @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
     def test_raise_estimates_are_not_repeated(self, monkeypatch, searcher):
-        # after the input pass, every estimate is made inside raise_chunk, and
-        # t_achieved is the value it returned; greedy estimates no candidate
-        # (the one it returns included) twice
+        # apply_plan makes no estimate of its input: every estimate is made
+        # inside raise_chunk, and t_achieved is the value it returned; greedy
+        # estimates no candidate (the one it returns included) twice
         import dimsurgery.surgery as surgery
 
         count = 40
@@ -525,7 +524,7 @@ class TestApplyPlan:
 
         monkeypatch.setattr(surgery, "raise_chunk", spy_raise_chunk)
         _, report = apply_plan(x, plan, SpyEstimator(), searcher=searcher)
-        assert len(spans) == count and spans[0][0] == count    # one input pass
+        assert len(spans) == count and spans[0][0] == 0
         assert [end for _, end, _, _ in spans] == [s for s, _, _, _ in spans[1:]] + [len(calls)]
         assert [o.t_achieved for o in report.outcomes] == [v for _, _, _, v in spans]
         for start, end, returned, _ in spans:
@@ -560,15 +559,15 @@ class TestApplyPlan:
         s_sur = tail_average_floor(s_seq)
         # tiny chunks cannot reach their targets (frequency granularity);
         # fold their shortfall into the absorbing constant like b does
-        shortfall = sum(max(0.0, o.t_planned - o.t_achieved) * o.j ** 2
-                        for o in report.outcomes if o.j < 10)
+        shortfall = sum(max(0.0, e.t_j - o.t_achieved) * o.j ** 2
+                        for e, o in zip(plan.entries, report.outcomes) if o.j < 10)
         b_eff = b + shortfall
         prefix = 0.0
-        for out in report.outcomes:
+        for entry, out in zip(plan.entries, report.outcomes):
             if out.j >= 10:
                 # frequency granularity caps odd-length chunks just below 1
                 cap = float(entropy((out.j ** 2 // 2) / out.j ** 2))
-                assert out.t_achieved >= min(out.t_planned, cap) - 1e-12
+                assert out.t_achieved >= min(entry.t_j, cap) - 1e-12
             prefix += out.t_achieved * out.j ** 2
             assert prefix - c * out.j ** 2 > s_sur * chunk_boundary(out.j) - b_eff
         # distance stays inside the planned 2*eps budget per chunk
