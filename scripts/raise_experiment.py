@@ -16,7 +16,7 @@ from dimsurgery.bitseq import gen_bernoulli
 from dimsurgery.dimension import chunk_dims
 from dimsurgery.entropy import entropy_inv
 from dimsurgery.estimators import BernoulliOracle
-from dimsurgery.surgery import apply_plan, plan_raise, plan_randomize
+from dimsurgery.surgery import apply_plan, plan_raise
 
 
 def main() -> int:
@@ -34,9 +34,8 @@ def main() -> int:
             for seed in range(n_seeds):
                 x = gen_bernoulli(p, n_bits, seed=seed)
                 s_seq = chunk_dims(x, est)
-                plan = (plan_randomize(s_seq, seed=seed) if t == 1.0
-                        else plan_raise(s_seq, s, t, seed=seed))
-                _, rep = apply_plan(x, plan, est)
+                plan = plan_raise(s_seq, s, t)      # plan_randomize at t = 1
+                _, rep = apply_plan(x, plan, est, seed=seed)
                 dists.append(rep.distance)
                 dims.append(rep.dim_after)
             d, dim = float(np.mean(dists)), float(np.mean(dims))

@@ -19,6 +19,8 @@ import csv
 import inspect
 import math
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -97,17 +99,16 @@ def cmd_curves(args) -> int:
     grid = [min(1.0, i * args.grid) for i in range(steps + 1)]
     if grid[-1] != 1.0:
         grid.append(1.0)
-    s, t = np.array([(a, b) for a in grid for b in grid if b >= a]).T
-    bc = bound_curves(s, t)
-    lines = ["s,t,naive,raise,lower,case"]
-    for row in zip(s, t, bc.naive, bc.raise_, bc.lower, _case_labels(s, t)):
-        lines.append(",".join([*map(_fmt, row[:5]), row[5]]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    pairs = ((a, b) for a in grid for b in grid if b >= a)
+    with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write("s,t,naive,raise,lower,case\n")
+        # fixed-size blocks bound memory; one s-row per bound_curves call
+        # would pay entropy_inv's per-call cost 1/grid times
+        while block := list(islice(pairs, 2048)):
+            s, t = np.array(block).T
+            bc = bound_curves(s, t)
+            fh.writelines(",".join([*map(_fmt, row[:5]), row[5]]) + "\n" for row in
+                          zip(s, t, bc.naive, bc.raise_, bc.lower, _case_labels(s, t)))
     return EXIT_OK
 
 
@@ -163,7 +164,8 @@ def _verify_cover(args, check) -> None:
 
 
 def _verify_convexity(args, check) -> None:
-    deltas = [args.delta] if args.delta else [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
+    deltas = ([args.delta] if args.delta is not None
+              else [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45])
     for delta in deltas:
         rep = verify_convexity_lemma(delta, grid_step=args.grid)
         check(rep.sign_pattern_ok, f"convexity delta={delta} "
@@ -254,66 +256,48 @@ def cmd_verify(args) -> int:
 # surgery
 # ---------------------------------------------------------------------------
 
-def _surgery_bound(args, plan, dim_before: float) -> float:
-    if args.strategy == "randomize":
-        return 0.5 - float(entropy_inv(dim_before))
-    if args.strategy == "raise":
-        return float(entropy_inv(args.t) - entropy_inv(args.s))
-    if args.strategy == "lower":
-        return float(entropy_inv(1.0 - args.s))
-    return planned_distance(plan.deltas())
-
-
-def _run_surgery_once(args, seed: int, out_path: str | None, y_path: str | None) -> None:
+def cmd_surgery(args) -> int:
     x = BitSequence.from_file(args.infile)
     est = parse_estimator(args.estimator)
     if chunk_count(len(x)) < 2:
         raise ValueError("input too short for even two chunks")
     before = sequence_dim(x, est)               # the one pass over the input
+    s_seq, dim_before = before.chunk_values, before.tail_min
     if args.strategy == "randomize":
-        plan = plan_randomize(before.chunk_values, seed=seed)
+        plan = plan_randomize(s_seq)
+        bound = 0.5 - float(entropy_inv(dim_before))
     elif args.strategy == "weak":
-        plan = plan_weak_srandom(before.chunk_values, c=args.c, seed=seed)
+        plan = plan_weak_srandom(s_seq, c=args.c)
+        bound = planned_distance(plan.deltas())
     elif args.strategy == "raise":
-        plan = plan_raise(before.chunk_values, args.s, args.t, seed=seed)
+        plan = plan_raise(s_seq, args.s, args.t)
+        bound = float(entropy_inv(args.t) - entropy_inv(args.s))
     else:                                       # lower
-        plan = plan_lower(len(before.chunk_values), args.s, seed=seed)
+        plan = plan_lower(len(s_seq), args.s)
+        bound = float(entropy_inv(1.0 - args.s))
 
-    y, report = apply_plan(x, plan, est, searcher=args.searcher)
-    bound = _surgery_bound(args, plan, before.tail_min)
-    lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
-    for s_j, entry, oc in zip(before.chunk_values, plan.entries, report.outcomes):
-        lines.append(",".join([
-            str(oc.j), _fmt(s_j), _fmt(entry.delta_j),
-            _fmt(oc.delta_achieved), _fmt(entry.t_j), _fmt(oc.t_achieved)]))
-    lines.append("")
-    lines.append("dim_before,dim_after,distance,bound,slack")
-    lines.append(",".join([
-        _fmt(before.tail_min), _fmt(report.dim_after), _fmt(report.distance),
-        _fmt(bound), _fmt(bound - report.distance)]))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"seed={seed} dim_before={_fmt(before.tail_min)} "
-          f"dim_after={_fmt(report.dim_after)} distance={_fmt(report.distance)} "
-          f"bound={_fmt(bound)}")
-    if report.distance > bound + args.tolerance:
-        print(f"WARN measured distance exceeds the bound by more than "
-              f"--tolerance {args.tolerance}")
-    if y_path:
-        y.to_file(y_path)
-
-
-def cmd_surgery(args) -> int:
-    seeds = [args.seed] if not args.seeds else [int(v) for v in args.seeds.split(",")]
-    many = len(seeds) > 1                       # then one CSV and one y file per seed
-    for seed in seeds:
-        out_path = f"{args.out}.seed{seed}.csv" if args.out and many else args.out
-        y_path = f"{args.save_y}.seed{seed}.bits" if args.save_y and many else args.save_y
-        _run_surgery_once(args, seed, out_path, y_path)
+    many = len(args.seed) > 1                   # then one CSV and one y file per seed
+    for seed in args.seed:
+        y, report = apply_plan(x, plan, est, args.searcher, seed)
+        lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
+        for s_j, entry, oc in zip(s_seq, plan.entries, report.outcomes):
+            lines.append(",".join([
+                str(oc.j), _fmt(s_j), _fmt(entry.delta_j),
+                _fmt(oc.delta_achieved), _fmt(entry.t_j), _fmt(oc.t_achieved)]))
+        lines += ["", "dim_before,dim_after,distance,bound,slack", ",".join([
+            _fmt(dim_before), _fmt(report.dim_after), _fmt(report.distance),
+            _fmt(bound), _fmt(bound - report.distance)])]
+        out_path = f"{args.out}.seed{seed}.csv" if many else args.out
+        with open(out_path, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write("\n".join(lines) + "\n")
+        print(f"seed={seed} dim_before={_fmt(dim_before)} "
+              f"dim_after={_fmt(report.dim_after)} distance={_fmt(report.distance)} "
+              f"bound={_fmt(bound)}")
+        if report.distance > bound + args.tolerance:
+            print(f"WARN measured distance exceeds the bound by more than "
+                  f"--tolerance {args.tolerance}")
+        if args.save_y:
+            y.to_file(f"{args.save_y}.seed{seed}.bits" if many else args.save_y)
     return EXIT_OK
 
 
@@ -354,6 +338,17 @@ def _checked_float(accept, rule: str):
 _unit_float = _checked_float(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _nonneg_float = _checked_float(lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
 _positive_float = _checked_float(lambda v: 0.0 < v < math.inf, "be finite and > 0")
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    """An argparse type: a comma list of distinct integers >= 0."""
+    try:
+        seeds = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed list: {text!r}") from None
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"must be distinct integers >= 0, got {text}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", default="bernoulli")
     p.add_argument("--searcher", default="greedy",
                    choices=["greedy", "random_fill"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", default=None,
-                   help="comma list; multiple seeds write one CSV per seed")
+    p.add_argument("--seed", type=_seed_list, default=(0,),
+                   help="one seed or a comma list; several write one CSV per seed")
     p.add_argument("--out", default=None)
     p.add_argument("--save-y", dest="save_y", default=None,
                    help="also write the modified sequence here")

@@ -300,6 +300,15 @@ def _expand_once(reached: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _within(n: int, words: np.ndarray, radius: int) -> np.ndarray:
+    """Bool table over {0,1}^n: mark the words, grow by one bit flip `radius` times."""
+    reached = np.zeros(1 << n, dtype=bool)
+    reached[words] = True
+    for _ in range(radius):
+        reached = _expand_once(reached, n)
+    return reached
+
+
 def harper_far_count(n: int, words_a, eps: float) -> int:
     """Exact number of words at normalized distance > eps from the set A.
 
@@ -308,15 +317,11 @@ def harper_far_count(n: int, words_a, eps: float) -> int:
     """
     if n > MAX_FAR_COUNT_N:
         raise ValueError(f"far count capped at n={MAX_FAR_COUNT_N}")
-    words = np.asarray(list(words_a), dtype=np.int64)
+    words = _word_array(words_a)
     if words.size == 0:
         raise ValueError("A must be nonempty")
     radius = int(math.floor(eps * n + 1e-9))
-    reached = np.zeros(1 << n, dtype=bool)
-    reached[words] = True
-    for _ in range(radius):
-        reached = _expand_once(reached, n)
-    return int((1 << n) - np.count_nonzero(reached))
+    return int((1 << n) - np.count_nonzero(_within(n, words, radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +353,9 @@ def ball_offsets(n: int, r: int) -> np.ndarray:
 
 def coverage_table(book: Codebook) -> np.ndarray:
     """Bool table over the whole space: within `radius` of some codeword."""
-    n = book.n
-    if n > MAX_EXHAUSTIVE_N:
+    if book.n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive coverage capped at n={MAX_EXHAUSTIVE_N}")
-    reached = np.zeros(1 << n, dtype=bool)
-    reached[np.asarray(book.words, dtype=np.int64)] = True
-    for _ in range(book.radius):
-        reached = _expand_once(reached, n)
-    return reached
+    return _within(book.n, _word_array(book.words), book.radius)
 
 
 def delsarte_piret_bound(n: int, r: int) -> float:

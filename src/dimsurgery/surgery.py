@@ -76,7 +76,6 @@ class PlanEntry:
 @dataclass
 class SurgeryPlan:
     strategy: str
-    seed: int
     entries: list[PlanEntry]
     # lower plans: the block quantizer of every width their chunks use, and
     # the block length of those chunk layouts; apply_plan quantizes onto them
@@ -113,15 +112,15 @@ def _entries(js, t_arr, delta_arr, eps) -> list[PlanEntry]:
                                         eps.tolist())]
 
 
-def plan_randomize(s_seq, seed: int = 0) -> SurgeryPlan:
+def plan_randomize(s_seq) -> SurgeryPlan:
     """Full-randomize plan: t_j = 1, delta_j = 1/2 + eps_j - g(s_j) + 1/j."""
     s_arr, eps, js = _chunk_arrays(s_seq)
     delta = 0.5 + eps - entropy_inv(s_arr) + 1.0 / js
     entries = _entries(js, np.ones_like(s_arr), np.clip(delta, 0.0, 1.0), eps)
-    return SurgeryPlan(strategy=RANDOMIZE, seed=seed, entries=entries)
+    return SurgeryPlan(strategy=RANDOMIZE, entries=entries)
 
 
-def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
+def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
     """Buffered raise: eps from the slack schedule, delta_j = 2 eps_j,
     t_j = M(s_j, eps_j) rounded up to granularity 1/j.
 
@@ -137,10 +136,10 @@ def plan_weak_srandom(s_seq, c: float, seed: int = 0) -> SurgeryPlan:
     if not np.all(buffer_margin(t_arr, c, s_sur, b) > 0):
         raise PlanInvariantError("rounded targets broke the buffer inequality")
     entries = _entries(js, t_arr, np.minimum(1.0, 2.0 * eps), eps)
-    return SurgeryPlan(strategy=WEAK_SRANDOM, seed=seed, entries=entries)
+    return SurgeryPlan(strategy=WEAK_SRANDOM, entries=entries)
 
 
-def plan_raise(s_seq, s: float, t: float, seed: int = 0) -> SurgeryPlan:
+def plan_raise(s_seq, s: float, t: float) -> SurgeryPlan:
     """Raise-to-t plan for a sequence of chunk dims with tail floor >= s.
 
     Strategy picked by case_select: Case 1 uses the flat budget
@@ -154,7 +153,7 @@ def plan_raise(s_seq, s: float, t: float, seed: int = 0) -> SurgeryPlan:
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
     if t == 1.0:
-        return plan_randomize(s_seq, seed)
+        return plan_randomize(s_seq)
     s_arr, eps, js = _chunk_arrays(s_seq)
     delta = entropy_inv(t) - entropy_inv(s)
     if case_select(s, t) == CASE1:
@@ -177,7 +176,7 @@ def plan_raise(s_seq, s: float, t: float, seed: int = 0) -> SurgeryPlan:
     if planned > budget + 1e-12:
         raise PlanInvariantError(
             f"planned aggregate distance {planned:.6f} exceeds bound budget {budget:.6f}")
-    return SurgeryPlan(strategy=strategy, seed=seed, entries=entries)
+    return SurgeryPlan(strategy=strategy, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +237,7 @@ def lower_chunk(chunk, codebooks: dict[int, LinearCode], block_len: int):
     return out, index_bits
 
 
-def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None,
-               seed: int = 0) -> SurgeryPlan:
+def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None) -> SurgeryPlan:
     """Lower-to-s plan: one quantizer_codebook per block width the chunk
     layouts use, kept in the plan; per-chunk budget = worst block
     covering-radius ratio.  block_len defaults to default_block_len(s).
@@ -255,7 +253,7 @@ def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None,
     entries = [PlanEntry(j=j, t_j=target_s, eps_j=0.0,
                          delta_j=max(codebooks[w].radius / w for w, _ in layout))
                for j, layout in enumerate(layouts, start=1)]
-    return SurgeryPlan(strategy=LOWER, seed=seed, entries=entries,
+    return SurgeryPlan(strategy=LOWER, entries=entries,
                        codebooks=codebooks, block_len=block_len)
 
 
@@ -280,21 +278,21 @@ def _flips_toward_half(bits: np.ndarray):
 
 
 def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
-                seed: int | tuple = 0, target: float | None = None):
-    """Search for a nearby chunk with a higher estimate.
+                seed: int | tuple = 0, *, target: float):
+    """Search for a nearby chunk whose estimate reaches `target`.
 
     Returns (y_chunk, est.estimate(y_chunk, context)), the value the search
     already measured.  Hard constraint: output differs from the input on at
     most floor(radius * len) bits.  The estimate never decreases (the
-    original is returned if no candidate improves on it).  With `target`
-    set, searchers stop as soon as the estimate reaches it, keeping the
-    distance spent minimal rather than exhausting the budget.  There are
-    two searchers; any other name raises ValueError:
+    original is returned if no candidate improves on it).  Searchers stop
+    as soon as the estimate reaches the target, keeping the distance spent
+    minimal rather than exhausting the budget.  There are two searchers;
+    any other name raises ValueError:
 
     greedy        flip minority-value bits toward 1/2 frequency (binary
-                  search on the flip count when a target is given)
+                  search on the flip count)
     random_fill   overwrite a random budget-sized subset with coin bits,
-                  redrawing until the estimate is non-decreasing
+                  up to 16 draws until the target
     """
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius}")
@@ -303,7 +301,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     bits = as_bits(chunk)
     budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
-    if budget == 0 or (target is not None and base >= target):
+    if budget == 0 or base >= target:
         return bits.copy(), base
     rng = np.random.default_rng(seed)
 
@@ -320,7 +318,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
             return out, est.estimate(out, context)
 
         best, best_val = candidate(k_max)
-        if target is not None and best_val >= target:
+        if best_val >= target:
             lo, hi = 0, k_max
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -339,7 +337,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
         val = est.estimate(out, context)
         if val > best_val:
             best, best_val = out, val
-        if best_val >= (target if target is not None else base):
+        if best_val >= target:
             break
     return best, best_val
 
@@ -363,13 +361,15 @@ class SurgeryReport:
     codebook_rate: float | None = None   # lower runs: index bits per sequence bit
 
 
-def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
+def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY, seed: int = 0):
     """Apply a surgery plan chunk by chunk, left to right.
 
     The input is not estimated: the plan was built from the caller's
-    measurement of it.  Per chunk, one call modifies it within the plan's
-    budget: raise_chunk searches against the constructed prefix and returns
-    its estimate, which is t_achieved; lower_chunk quantizes onto the plan's
+    measurement of it.  `searcher` and `seed` say how the search runs, the
+    plan what it must achieve, so one plan serves every seed.  Per chunk,
+    one call modifies it within the plan's budget: raise_chunk searches
+    against the constructed prefix (seeded by (seed, j)) and returns its
+    estimate, which is t_achieved; lower_chunk quantizes onto the plan's
     block codebooks, and t_achieved is estimated once.  The per-chunk
     achieved distance is asserted against the budget on exact bit counts.
     dim_after aggregates the t_achieved values: each was estimated once its
@@ -399,7 +399,7 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY):
             t_achieved = est.estimate(y_chunk, y[:lo])
         else:
             y_chunk, t_achieved = raise_chunk(x_chunk, y[:lo], entry.delta_j, est,
-                                              searcher=searcher, seed=(plan.seed, j),
+                                              searcher=searcher, seed=(seed, j),
                                               target=entry.t_j)
         mismatches = int(np.count_nonzero(x_chunk != y_chunk))
         budget_bits = int(math.floor(entry.delta_j * x_chunk.size + 1e-9))

@@ -143,8 +143,8 @@ def test_criterion_6_raise_to_random_tightness():
             for seed in range(20):
                 x = gen_bernoulli(p, N_BITS_RAISE, seed=1000 * seed + int(100 * s))
                 s_seq = chunk_dims(x, est)
-                plan = plan_randomize(s_seq, seed=seed)
-                _, report = apply_plan(x, plan, est)
+                plan = plan_randomize(s_seq)
+                _, report = apply_plan(x, plan, est, seed=seed)
                 assert report.dim_after >= 0.98, (s, seed, report.dim_after)
                 assert abs(report.distance - want) <= 0.03, (s, seed, report.distance)
     t.check()
@@ -162,7 +162,7 @@ def test_criterion_7_raise_s_to_t():
             for seed in range(20):
                 x = gen_bernoulli(p, N_BITS_RAISE, seed=7000 + 100 * seed + int(10 * t))
                 s_seq = chunk_dims(x, est)
-                plan = plan_raise(s_seq, s, t, seed=seed)  # arithmetic invariant inside
+                plan = plan_raise(s_seq, s, t)  # arithmetic invariant inside
                 # plan-level invariant, re-checked explicitly
                 deltas = plan.deltas()
                 js = np.arange(1, len(deltas) + 1, dtype=np.float64)
@@ -170,7 +170,7 @@ def test_criterion_7_raise_s_to_t():
                 ts = max(10, len(deltas) // 2)
                 eps_max = max(e.eps_j for e in plan.entries)
                 assert series[ts - 2:].max() <= want + eps_max + 1.0 / ts + 1e-12
-                _, report = apply_plan(x, plan, est)
+                _, report = apply_plan(x, plan, est, seed=seed)
                 assert report.dim_after >= t - 0.03, (s, t, seed, report.dim_after)
                 assert abs(report.distance - want) <= 0.05, (s, t, seed, report.distance)
     t_budget.check()
@@ -186,7 +186,7 @@ def test_criterion_8_lower():
             for seed in range(5):
                 x = gen_coin(n_bits, seed=800 + seed)
                 count = chunk_count(n_bits)
-                plan = plan_lower(count, s, seed=seed)
+                plan = plan_lower(count, s)
                 _, report = apply_plan(x, plan, BernoulliOracle())
                 assert report.distance <= bound + 0.03, (s, seed, report.distance)
                 assert report.codebook_rate <= s + 0.05, (s, seed, report.codebook_rate)

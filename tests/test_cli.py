@@ -1,9 +1,11 @@
 """End-to-end CLI tests: commands, exit codes, CSV determinism."""
 
+import argparse
 import csv
 import hashlib
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimsurgery.bitseq import BitSequence
-from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _seed_list, main
 from dimsurgery.dimension import (
     chunk_boundary,
     chunk_count,
@@ -103,6 +105,18 @@ class TestCurves:
         assert (f"argument --grid: must be finite and > 0, got {value}"
                 in capsys.readouterr().err)
 
+    def test_rows_stream_to_the_file(self, tmp_path):
+        # 31 626 rows at this step; only a block of them is held in memory
+        out = tmp_path / "curves.csv"
+        tracemalloc.start()
+        try:
+            assert run("curves", "--grid", "0.004", "--out", str(out)) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        assert len(out.read_text().splitlines()) == 1 + 251 * 252 // 2
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("curves", "--grid", "0.2", "--out", str(a))
@@ -119,6 +133,13 @@ class TestVerify:
         assert run("verify", "convexity", "--delta", "0.1") == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS convexity" in out
+
+    @pytest.mark.parametrize("delta", ["0", "-0.0"])
+    def test_convexity_delta_zero_is_usage_error(self, capsys, delta):
+        # a zero --delta is a value to check, not a request for the defaults
+        assert run("verify", "convexity", "--delta", delta) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "delta must lie in (0, 1/2)" in err
 
     def test_concavity(self):
         assert run("verify", "concavity", "--grid", "0.005") == EXIT_OK
@@ -298,18 +319,23 @@ class TestSurgery:
         assert BitSequence.from_file(y) == BitSequence.from_file(src)
 
     def test_seed_fanout(self, tmp_path):
+        # each seed's CSV is the one a single-seed run writes
         src = self._gen(tmp_path)
         out = tmp_path / "multi.csv"
         assert run("surgery", "--in", str(src), "--strategy", "randomize",
-                   "--seeds", "1,2", "--out", str(out)) == EXIT_OK
-        assert (tmp_path / "multi.csv.seed1.csv").exists()
-        assert (tmp_path / "multi.csv.seed2.csv").exists()
+                   "--seed", "1,2", "--out", str(out)) == EXIT_OK
+        assert not out.exists()
+        for seed in ("1", "2"):
+            single = tmp_path / f"single{seed}.csv"
+            assert run("surgery", "--in", str(src), "--strategy", "randomize",
+                       "--seed", seed, "--out", str(single)) == EXIT_OK
+            assert (tmp_path / f"multi.csv.seed{seed}.csv").read_bytes() == single.read_bytes()
 
     def test_seed_fanout_saves_one_y_per_seed(self, tmp_path):
         # each seed's y file is the one a single-seed run writes
         src = self._gen(tmp_path, n=20_000)
         assert run("surgery", "--in", str(src), "--strategy", "randomize",
-                   "--seeds", "1,2", "--out", str(tmp_path / "r.csv"),
+                   "--seed", "1,2", "--out", str(tmp_path / "r.csv"),
                    "--save-y", str(tmp_path / "y.bits")) == EXIT_OK
         assert not (tmp_path / "y.bits").exists()
         for seed in ("1", "2"):
@@ -319,6 +345,64 @@ class TestSurgery:
             fanned = BitSequence.from_file(tmp_path / f"y.bits.seed{seed}.bits")
             assert fanned == BitSequence.from_file(single)
         assert BitSequence.from_file(tmp_path / "y.bits.seed1.bits") != fanned
+
+    def test_seeds_share_one_measurement_and_plan(self, tmp_path, monkeypatch):
+        # a plan holds no seed: the input is read, each of its chunks
+        # estimated once and the plan built once; then one apply_plan per
+        # seed, each with that same plan
+        import dimsurgery.cli as cli
+
+        src = self._gen(tmp_path, n=20_000)
+        calls = {"read": 0, "plan": 0, "outside_apply": 0}
+        plans, inside = [], []
+
+        class SpyEstimator:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def estimate(self, chunk, context=None):
+                calls["outside_apply"] += not inside
+                return self.inner.estimate(chunk, context)
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def spy_apply(x, plan, *rest):
+            plans.append(plan)
+            inside.append(True)
+            try:
+                return real_apply(x, plan, *rest)
+            finally:
+                inside.pop()
+
+        real_apply = cli.apply_plan
+        monkeypatch.setattr(cli, "parse_estimator",
+                            lambda text: SpyEstimator(parse_estimator(text)))
+        monkeypatch.setattr(cli.BitSequence, "from_file",
+                            counted("read", cli.BitSequence.from_file))
+        monkeypatch.setattr(cli, "plan_raise", counted("plan", cli.plan_raise))
+        monkeypatch.setattr(cli, "apply_plan", spy_apply)
+        assert run("surgery", "--in", str(src), "--strategy", "raise", "--s", "0.5",
+                   "--t", "0.8", "--seed", "1,2,3", "--out", str(tmp_path / "r.csv")) == EXIT_OK
+        assert calls == {"read": 1, "plan": 1, "outside_apply": chunk_count(20_000)}
+        assert len(plans) == 3 and all(plan is plans[0] for plan in plans)
+
+    @pytest.mark.parametrize("argv", [["--seed", "1,,2"], ["--seed", "-1"], ["--seed", "1,1"],
+                                      ["--seed", "x"], ["--seeds", "1,2"]],
+                             ids=["empty", "negative", "repeated", "word", "seeds"])
+    @pytest.mark.parametrize("strategy", ["raise", "lower"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, strategy, argv):
+        # rejected by the parser, before the (missing) input is read
+        with pytest.raises(SystemExit) as exc:
+            run("surgery", "--in", str(tmp_path / "none.bits"), "--strategy", strategy,
+                *argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments: --seeds" if argv[0] == "--seeds"
+                else "argument --seed:") in err
 
     @pytest.mark.parametrize("strategy", ["randomize", "weak", "raise", "lower"])
     @pytest.mark.parametrize("flag, value", [("s", "1.5"), ("s", "-0.2"), ("t", "1.01"),
@@ -565,7 +649,7 @@ _CONFIG_FLAGS = [
     (["verify", "concavity", "--grid", "0.25"], "trials", int),
     (["verify", "concavity", "--grid", "0.25"], "delta", float),
     (["verify", "concavity", "--grid", "0.25"], "horizon", int),
-    (["surgery", "--strategy", "raise"], "seed", int),
+    (["surgery", "--strategy", "raise"], "seed", _seed_list),
     (["surgery", "--strategy", "raise"], "t", float),
     (["surgery", "--strategy", "raise"], "searcher", ("greedy", "random_fill")),
 ]
@@ -576,7 +660,7 @@ def _valid(kind, value: str) -> bool:
         return value in kind
     try:
         kind(value)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         return False
     return True
 

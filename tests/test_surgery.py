@@ -1,5 +1,6 @@
 """Tests for surgery plans, chunk search, plan application, and tight pairs."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -168,13 +169,14 @@ class TestPlans:
 class TestRaiseChunk:
     def test_radius_zero_identity(self):
         bits = gen_coin(100, 1).bits
-        out, _ = raise_chunk(bits, None, 0.0, BernoulliOracle(), GREEDY, seed=0)
+        out, _ = raise_chunk(bits, None, 0.0, BernoulliOracle(), GREEDY, seed=0, target=1.0)
         assert np.array_equal(out, bits)
 
     def test_all_zero_greedy_exact_entropy(self):
         bits = np.zeros(100, dtype=np.uint8)
         for r in (0.1, 0.3, 0.5):
-            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), GREEDY, seed=0)
+            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), GREEDY, seed=0,
+                                 target=1.0)
             flips = int(out.sum())
             assert flips == int(r * 100)
             assert BernoulliOracle().estimate(out) == pytest.approx(
@@ -184,7 +186,8 @@ class TestRaiseChunk:
         bits = np.zeros(173, dtype=np.uint8)
         for searcher in (GREEDY, RANDOM_FILL):
             for r in (0.05, 0.217, 0.5):
-                out, _ = raise_chunk(bits, None, r, BernoulliOracle(), searcher, seed=7)
+                out, _ = raise_chunk(bits, None, r, BernoulliOracle(), searcher, seed=7,
+                                     target=1.0)
                 assert int(np.count_nonzero(out != bits)) <= math.floor(r * 173)
 
     def test_target_stops_early(self):
@@ -203,14 +206,14 @@ class TestRaiseChunk:
         for trial in range(5):
             bits = (rng.random(60) < 0.2).astype(np.uint8)
             before = est.estimate(bits)
-            out, _ = raise_chunk(bits, None, 0.2, est, searcher, seed=trial)
+            out, _ = raise_chunk(bits, None, 0.2, est, searcher, seed=trial, target=1.0)
             assert est.estimate(out) >= before - 1e-12
 
     def test_fair_coin_stays_high(self):
         est = BernoulliOracle()
         for seed in range(5):
             bits = gen_coin(10_000, seed).bits
-            out, _ = raise_chunk(bits, None, 0.1, est, GREEDY, seed=seed)
+            out, _ = raise_chunk(bits, None, 0.1, est, GREEDY, seed=seed, target=1.0)
             assert abs(est.estimate(out) - 1.0) <= 0.02
 
     @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
@@ -218,7 +221,7 @@ class TestRaiseChunk:
         est = BernoulliOracle()
         for seed in range(3):
             bits = gen_coin(10_000, seed).bits
-            out, _ = raise_chunk(bits, None, 0.1, est, searcher, seed=seed)
+            out, _ = raise_chunk(bits, None, 0.1, est, searcher, seed=seed, target=1.0)
             assert abs(est.estimate(out) - 1.0) <= 0.05
 
     @pytest.mark.parametrize("searcher", ["steepest", "annealing"])
@@ -226,12 +229,13 @@ class TestRaiseChunk:
         bits = gen_bernoulli(0.2, 500, 4).bits
         for radius in (0.3, 0.0):   # also when there is no budget to search
             with pytest.raises(ValueError, match="unknown searcher"):
-                raise_chunk(bits, None, radius, BernoulliOracle(), searcher, seed=0)
+                raise_chunk(bits, None, radius, BernoulliOracle(), searcher, seed=0,
+                            target=1.0)
 
     def test_deterministic(self):
         bits = gen_bernoulli(0.2, 500, 4).bits
-        a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11)
-        b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11)
+        a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11, target=1.0)
+        b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11, target=1.0)
         assert np.array_equal(a, b)
 
 
@@ -395,7 +399,7 @@ class TestLinearQuantizer:
 class TestApplyPlan:
     def test_empty_plan_identity(self):
         x = gen_coin(100, 0)
-        plan = SurgeryPlan(strategy=RANDOMIZE, seed=0, entries=[])
+        plan = SurgeryPlan(strategy=RANDOMIZE, entries=[])
         y, report = apply_plan(x, plan, BernoulliOracle())
         assert y == x and report.distance == 0.0
 
@@ -408,8 +412,8 @@ class TestApplyPlan:
         n_chunks = 40
         x = gen_bernoulli(0.11, chunk_boundary(n_chunks + 1), 3)
         est = BernoulliOracle()
-        plan = plan_randomize(chunk_dims(x, est), seed=5)
-        y, report = apply_plan(x, plan, est)
+        plan = plan_randomize(chunk_dims(x, est))
+        y, report = apply_plan(x, plan, est, seed=5)
         for entry, out in zip(plan.entries, report.outcomes):
             assert out.delta_achieved <= entry.delta_j + 1e-15
 
@@ -419,8 +423,8 @@ class TestApplyPlan:
         s = 0.5
         x = gen_bernoulli(float(entropy_inv(s)), chunk_boundary(n_chunks + 1), 7)
         est = BernoulliOracle()
-        plan = plan_randomize(chunk_dims(x, est), seed=2)
-        y, report = apply_plan(x, plan, est)
+        plan = plan_randomize(chunk_dims(x, est))
+        y, report = apply_plan(x, plan, est, seed=2)
         assert report.dim_after >= 0.97
         want = 0.5 - entropy_inv(s)
         assert abs(report.distance - want) <= 0.05
@@ -428,7 +432,7 @@ class TestApplyPlan:
     def test_lower_plan_on_coin(self):
         n_chunks = 40
         x = gen_coin(chunk_boundary(n_chunks + 1), 11)
-        plan = plan_lower(n_chunks, 0.5, seed=1)
+        plan = plan_lower(n_chunks, 0.5)
         y, report = apply_plan(x, plan, BernoulliOracle())
         assert report.codebook_rate is not None
         assert report.codebook_rate <= 0.58
@@ -449,7 +453,7 @@ class TestApplyPlan:
 
         monkeypatch.setattr(surgery, "quantizer_codebook", spy)
         count, block_len = 30, 12
-        plan = plan_lower(count, 0.5, block_len=block_len, seed=1)
+        plan = plan_lower(count, 0.5, block_len=block_len)
         chunk_widths = []
         for j in range(1, count + 1):
             full, rest = divmod(j * j, block_len)
@@ -466,13 +470,19 @@ class TestApplyPlan:
         assert calls == [] and len(report.outcomes) == count
 
     def test_plan_is_the_whole_contract(self):
-        # nothing but the plan says how to apply it: no codebook source,
-        # block length or tail start can be passed alongside
+        # nothing but the plan says what to achieve: no codebook source,
+        # block length or tail start can be passed alongside.  The searcher
+        # and seed only say how the search runs, so no plan holds a seed
         assert list(inspect.signature(apply_plan).parameters) == [
-            "x", "plan", "est", "searcher"]
-        assert "tail_start" not in inspect.signature(plan_raise).parameters
+            "x", "plan", "est", "searcher", "seed"]
+        assert list(inspect.signature(plan_randomize).parameters) == ["s_seq"]
+        assert list(inspect.signature(plan_weak_srandom).parameters) == ["s_seq", "c"]
+        assert list(inspect.signature(plan_raise).parameters) == ["s_seq", "s", "t"]
         assert list(inspect.signature(plan_lower).parameters) == [
-            "n_chunks", "target_s", "block_len", "seed"]
+            "n_chunks", "target_s", "block_len"]
+        assert "seed" not in {f.name for f in dataclasses.fields(SurgeryPlan)}
+        target = inspect.signature(raise_chunk).parameters["target"]
+        assert target.default is inspect.Parameter.empty
 
     @pytest.mark.parametrize("strategy", [RANDOMIZE, "raise", WEAK_SRANDOM, LOWER])
     @pytest.mark.parametrize("est", [BlockEntropy(8), Compressor("zlib")],
@@ -486,14 +496,14 @@ class TestApplyPlan:
         x = gen_bernoulli(float(entropy_inv(0.5)), used + 37, 3)
         s_seq = chunk_dims(x, est)
         if strategy == RANDOMIZE:
-            plan = plan_randomize(s_seq, seed=1)
+            plan = plan_randomize(s_seq)
         elif strategy == "raise":
-            plan = plan_raise(s_seq, 0.5, 0.8, seed=1)
+            plan = plan_raise(s_seq, 0.5, 0.8)
         elif strategy == WEAK_SRANDOM:
-            plan = plan_weak_srandom(s_seq, c=10.0, seed=1)
+            plan = plan_weak_srandom(s_seq, c=10.0)
         else:
-            plan = plan_lower(count, 0.5, block_len=10, seed=1)
-        y, report = apply_plan(x, plan, est)
+            plan = plan_lower(count, 0.5, block_len=10)
+        y, report = apply_plan(x, plan, est, seed=1)
         assert report.dim_after == sequence_dim(y[:used], est).tail_min
 
     @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
@@ -505,7 +515,7 @@ class TestApplyPlan:
 
         count = 40
         x = gen_bernoulli(float(entropy_inv(0.5)), chunk_boundary(count + 1), 3)
-        plan = plan_raise(chunk_dims(x, BernoulliOracle()), 0.5, 0.8, seed=1)
+        plan = plan_raise(chunk_dims(x, BernoulliOracle()), 0.5, 0.8)
         calls = []
 
         class SpyEstimator(BernoulliOracle):
@@ -523,7 +533,7 @@ class TestApplyPlan:
             return y_chunk, value
 
         monkeypatch.setattr(surgery, "raise_chunk", spy_raise_chunk)
-        _, report = apply_plan(x, plan, SpyEstimator(), searcher=searcher)
+        _, report = apply_plan(x, plan, SpyEstimator(), searcher, 1)
         assert len(spans) == count and spans[0][0] == 0
         assert [end for _, end, _, _ in spans] == [s for s, _, _, _ in spans[1:]] + [len(calls)]
         assert [o.t_achieved for o in report.outcomes] == [v for _, _, _, v in spans]
@@ -537,10 +547,11 @@ class TestApplyPlan:
         n_chunks = 30
         x = gen_bernoulli(0.2, chunk_boundary(n_chunks + 1), 9)
         est = BernoulliOracle()
-        plan = plan_randomize([0.7] * n_chunks, seed=21)
-        y1, _ = apply_plan(x, plan, est)
-        y2, _ = apply_plan(x, plan, est)
+        plan = plan_randomize([0.7] * n_chunks)
+        y1, _ = apply_plan(x, plan, est, seed=21)
+        y2, _ = apply_plan(x, plan, est, seed=21)
         assert y1 == y2
+        assert apply_plan(x, plan, est, seed=22)[0] != y1     # the seed picks the bits
 
     def test_weak_srandom_end_to_end(self):
         # the applied output must keep the buffered complexity property:
@@ -551,8 +562,8 @@ class TestApplyPlan:
         x = gen_bernoulli(float(entropy_inv(s)), chunk_boundary(n_chunks + 1), 13)
         est = BernoulliOracle()
         s_seq = chunk_dims(x, est)
-        plan = plan_weak_srandom(s_seq, c=c, seed=4)
-        y, report = apply_plan(x, plan, est)
+        plan = plan_weak_srandom(s_seq, c=c)
+        y, report = apply_plan(x, plan, est, seed=4)
         from dimsurgery.entropy import buffer_schedule, tail_average_floor
 
         _, b = buffer_schedule(c, s_seq)
