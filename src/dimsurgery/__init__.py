@@ -39,7 +39,6 @@ from .hamming import (
     best_subcode,
     greedy_cover,
     harper_far_count,
-    opposite_sphere_distance,
     sphere_for_size,
     verify_harper,
 )

@@ -6,9 +6,9 @@ finitely-checkable lemmas, and run surgery experiments to CSV.
     dimsurgery verify   harper --n 8 --trials 10000
     dimsurgery surgery  --in x.bits --strategy raise --s 0.5 --t 0.8 --out run.csv
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error (or an input the
-strategy cannot plan for, or a verify run that checks nothing), 3 I/O error
-(a malformed bit or config file too).
+Exit codes: 0 ok, 1 verification failure, 2 usage error (or a config key
+that names no flag, an input the strategy cannot plan for, or a verify run
+that checks nothing), 3 I/O error (a malformed bit or config file too).
 Every command is deterministic given (config, seed); CSV uses '.' decimals.
 """
 
@@ -424,8 +424,16 @@ def main(argv=None) -> int:
             print(f"dimsurgery: config {args.config}: {exc}", file=sys.stderr)
             return EXIT_IO
         # key=value becomes --key=value right after the command: argparse
-        # converts and checks it as the flag, and flags given in argv win
+        # converts and checks it as the flag, and flags given in argv win.
+        # One file may serve several commands, so only a key that names no
+        # flag of any command is an error.
         commands = next(a.choices for a in parser._actions if a.dest == "command")
+        unknown = [key for key in cfg if not any(
+            f"--{key}" in cmd._option_string_actions for cmd in commands.values())]
+        if unknown:
+            print(f"dimsurgery: config {args.config}: key {unknown[0]!r} names no flag",
+                  file=sys.stderr)
+            return EXIT_USAGE
         flags = commands[args.command]._option_string_actions
         at = _command_index(argv) + 1
         argv[at:at] = [f"--{key}={value}" for key, value in cfg.items() if f"--{key}" in flags]

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import os
 import tempfile
 import tracemalloc
@@ -193,6 +194,31 @@ class TestVerify:
 
         monkeypatch.setitem(cli._VERIFY_TARGETS, "concavity", broken)
         assert run("verify", "concavity") == EXIT_VERIFY_FAIL
+
+    def test_cover_shortfall_is_a_fail_row(self, monkeypatch, capsys):
+        # a cover that misses words reaches the target's own check: FAIL
+        # rows and exit 1, not a traceback from inside greedy_cover
+        from dimsurgery import hamming
+        engine = hamming.greedy_max_coverage
+
+        def short(n, r, picks=None, candidates=None):
+            words = engine(n, r, picks, candidates)
+            return words[:-1] if picks is None else words
+
+        monkeypatch.setattr(hamming, "greedy_max_coverage", short)
+        assert run("verify", "cover", "--n", "6") == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert "FAIL cover n=6" in captured.out and captured.err == ""
+
+    def test_buffer_shortfall_is_a_fail_row(self, monkeypatch, capsys):
+        # a doubled uplift gap halves the slack too early; the target's own
+        # margin check reports it (a gap past 2 would never halve at all)
+        entropy_module = importlib.import_module("dimsurgery.entropy")
+        gap = entropy_module.uplift_gap
+        monkeypatch.setattr(entropy_module, "uplift_gap", lambda eps: 2.0 * gap(eps))
+        assert run("verify", "buffer", "--horizon", "2000", "--c", "10") == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert "FAIL buffer family=constant" in captured.out and captured.err == ""
 
     @pytest.mark.parametrize("argv, worker, message", [
         (["cover", "--n", "23"], "greedy_cover", "--n must be <= 22, got 23"),
@@ -560,6 +586,25 @@ class TestConfigAndCodes:
         run("--config", str(cfg), "gen", "--kind", "coin", "--n", "99",
             "--out", str(out))
         assert len(BitSequence.from_file(out)) == 99
+
+    @pytest.mark.parametrize("text, key", [("sed=3\n", "sed"), ("n=5\nseeds=1,2\n", "seeds")],
+                             ids=["typo", "deleted-flag"])
+    def test_config_key_of_no_command_is_usage_error(self, tmp_path, capsys, text, key):
+        # reported before any work: no output file, one stderr line
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.bits"
+        assert run("--config", str(cfg), "gen", "--kind", "coin", "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"dimsurgery: config {cfg}: key {key!r} names no flag\n"
+
+    def test_config_key_of_another_command_passes(self, tmp_path, capsys):
+        # n= is a flag of gen and verify, not of curves: one file serves all
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=5\n")
+        assert run("--config", str(cfg), "curves", "--grid", "0.5") == EXIT_OK
+        assert capsys.readouterr().out.startswith("s,t,naive,raise,lower,case\n")
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert run("--config", str(tmp_path / "none.cfg"), "curves") == EXIT_IO

@@ -21,7 +21,6 @@ from dimsurgery.hamming import (
     ZERO,
     ball_volume,
     best_subcode,
-    colex_combinations,
     colex_rank,
     colex_unrank,
     delsarte_piret_bound,
@@ -30,8 +29,8 @@ from dimsurgery.hamming import (
     greedy_cover,
     greedy_max_coverage,
     harper_far_count,
-    opposite_sphere_distance,
     opposite_sphere_distance_bits,
+    popcount_table,
     sphere_for_size,
     sphere_words,
     verify_harper,
@@ -94,16 +93,26 @@ class TestVolumeEntropyBounds:
             check_volume_entropy_bounds(10, 0.5)
 
 
+def _colex(n: int, k: int) -> list:
+    """The k-subsets of range(n) in colex order: sorted by the reversed tuple."""
+    return sorted(itertools.combinations(range(n), k), key=lambda t: t[::-1])
+
+
+def _layer_subsets(n: int, k: int) -> list:
+    """The weight-k words of n bits in increasing order, as ascending bit tuples."""
+    return [tuple(i for i in range(n) if w >> i & 1)
+            for w in np.flatnonzero(popcount_table(n) == k).tolist()]
+
+
 class TestColex:
     def test_order_matches_reversed_tuple_sort(self):
-        n, k = 7, 3
-        got = list(colex_combinations(n, k))
-        want = sorted(itertools.combinations(range(n), k), key=lambda t: t[::-1])
-        assert got == want
+        # colex order on a fixed weight is increasing word order
+        for n, k in [(7, 3), (6, 2), (5, 5), (8, 1), (4, 0)]:
+            assert _layer_subsets(n, k) == _colex(n, k)
 
     def test_rank_is_position(self):
         for n, k in [(6, 2), (7, 3), (5, 5)]:
-            for pos, s in enumerate(colex_combinations(n, k)):
+            for pos, s in enumerate(_layer_subsets(n, k)):
                 assert colex_rank(s) == pos
 
     @given(st.integers(min_value=2, max_value=2000), st.data())
@@ -158,6 +167,15 @@ class TestSphereForSize:
                 assert d.size == size
                 assert len(sphere_words(d)) == size
 
+    def test_partial_layer_is_colex_prefix(self):
+        n = 7
+        for k in range(n):
+            full = ball_volume(n, k)
+            for part in range(1, math.comb(n, k + 1)):
+                words = sphere_words(sphere_for_size(n, full + part, ZERO))
+                want = [sum(1 << i for i in t) for t in _colex(n, k + 1)[:part]]
+                assert words[full:].tolist() == want, (k, part)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sphere_for_size(4, 0, ZERO)
@@ -167,15 +185,29 @@ class TestSphereForSize:
 
 class TestOppositeSphereDistance:
     def test_nested_balls(self):
-        assert opposite_sphere_distance(10, ball_volume(10, 2), ball_volume(10, 3)) == 0.5
+        assert opposite_sphere_distance_bits(10, ball_volume(10, 2), ball_volume(10, 3)) == 5
 
     def test_whole_space_touches(self):
-        assert opposite_sphere_distance(8, 2 ** 8, 5) == 0.0
+        assert opposite_sphere_distance_bits(8, 2 ** 8, 5) == 0
 
     def test_half_and_half(self):
         for n in (4, 6, 8):
-            d = opposite_sphere_distance(n, 2 ** (n - 1), 2 ** (n - 1))
-            assert d in (0.0, 1.0 / n)
+            assert opposite_sphere_distance_bits(n, 2 ** (n - 1), 2 ** (n - 1)) in (0, 1)
+
+    def test_disjoint_rank_prefix_min_oracle(self):
+        # for each colex a-subset S, the least colex rank of a b-subset
+        # disjoint from S, then the running minimum over the a-subsets
+        for n in range(1, 10):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    got = hamming._disjoint_rank_prefix_min(n, a, b)
+                    if a + b > n:
+                        assert got is None
+                        continue
+                    b_subsets = _colex(n, b)
+                    least = [next(r for r, t in enumerate(b_subsets) if not set(t) & set(s))
+                             for s in _colex(n, a)]
+                    assert got.tolist() == list(itertools.accumulate(least, min)), (n, a, b)
 
     def test_brute_force_cross_check(self):
         # the load-bearing oracle: materialize both spheres, compare exactly
