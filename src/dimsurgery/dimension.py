@@ -135,11 +135,10 @@ def sequence_distance(x, y) -> DistanceSeries:
     if bx.size != by.size:
         raise ValueError(f"length mismatch: {bx.size} vs {by.size}")
     count = chunk_count(bx.size)
-    mism = bx != by
-    # per-chunk count_nonzero: np.add.reduceat(mism, ..., dtype=np.int64)
-    # would first cast every bit to an int64, 8 bytes per bit
-    counts = np.array([np.count_nonzero(mism[chunk_boundary(j):chunk_boundary(j + 1)])
-                       for j in range(1, count + 1)], dtype=np.int64)
+    # chunk by chunk: a whole-sequence bx != by would hold a byte per bit
+    ends = [chunk_boundary(j) for j in range(1, count + 2)]
+    counts = np.array([np.count_nonzero(bx[lo:hi] != by[lo:hi])
+                       for lo, hi in zip(ends, ends[1:])], dtype=np.int64)
     js = np.arange(1, count + 1, dtype=np.int64)
     deltas = counts / (js.astype(np.float64) ** 2)
     series = np.cumsum(counts) / chunk_boundary(js + 1).astype(np.float64)

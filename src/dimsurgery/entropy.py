@@ -56,25 +56,38 @@ _SKIP_TOL = 1e-13
 
 def _require_unit(value, name: str) -> None:
     # One pass: NaN fails both comparisons, and np.all of nothing is True.
-    arr = np.asarray(value, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if isinstance(value, float):                # np.float64 included
+        ok = 0.0 <= value <= 1.0
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = np.all((arr >= 0.0) & (arr <= 1.0))
+    if not ok:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _entropy_raw(p: np.ndarray) -> np.ndarray:
-    # log1p keeps (1-p)*log2(1-p) accurate for small p; the where() guards
-    # produce exact zeros at the endpoints without NaN intermediates; there
-    # 0.0 - (...) gives +0.0 where -(...) would give -0.0.
-    a = np.where(p > 0.0, p, 1.0)
+def _entropy_raw(p):
+    # log1p keeps (1-p)*log2(1-p) accurate for small p; the guards produce
+    # exact zeros at the endpoints without NaN intermediates; there
+    # 0.0 - (...) gives +0.0 where -(...) would give -0.0.  A float takes
+    # its guards by comparison, an array by where(); both run numpy's logs.
+    if isinstance(p, float):
+        a, b = (p if p > 0.0 else 1.0), (p if p < 1.0 else 0.0)
+    else:
+        a, b = np.where(p > 0.0, p, 1.0), np.where(p < 1.0, p, 0.0)
     left = a * (np.log(a) / LN2)
-    b = np.where(p < 1.0, p, 0.0)
     right = (1.0 - b) * (np.log1p(-b) / LN2)
     return 0.0 - (left + right)
 
 
 def entropy(p):
-    """Binary entropy H(p) = -p log2 p - (1-p) log2(1-p), with H(0)=H(1)=0."""
+    """Binary entropy H(p) = -p log2 p - (1-p) log2(1-p), with H(0)=H(1)=0.
+
+    A float (np.float64 included) skips the array path and returns a float
+    equal to the array path's element bit for bit.
+    """
     _require_unit(p, "p")
+    if isinstance(p, float):
+        return float(_entropy_raw(p))
     arr = np.asarray(p, dtype=float)
     out = _entropy_raw(arr)
     return float(out) if arr.ndim == 0 else out

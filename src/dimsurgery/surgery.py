@@ -290,7 +290,9 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     any other name raises ValueError:
 
     greedy        flip minority-value bits toward 1/2 frequency (binary
-                  search on the flip count)
+                  search on the flip count); every probe moves one working
+                  buffer by flipping only the bits between the last flip
+                  count and the next, and is estimated once
     random_fill   overwrite a random budget-sized subset with coin bits,
                   up to 16 draws until the target
     """
@@ -309,25 +311,25 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
         pool, need = _flips_toward_half(bits)
         k_max = min(budget, need)
         order = rng.permutation(pool)
+        work, at = bits.copy(), 0               # bits with order[:at] flipped
 
-        def candidate(k: int):                  # (chunk, its estimate)
-            if k == 0:
-                return bits.copy(), base
-            out = bits.copy()
-            out[order[:k]] ^= 1
-            return out, est.estimate(out, context)
+        def probe(k: int, measure: bool = True) -> float:
+            # move work to candidate k by flipping only the bits that differ
+            nonlocal at
+            work[order[min(at, k):max(at, k)]] ^= 1
+            at = k
+            return est.estimate(work, context) if measure and k else base
 
-        best, best_val = candidate(k_max)
-        if best_val >= target:
-            lo, hi = 0, k_max
-            while lo < hi:
-                mid = (lo + hi) // 2
-                out, val = candidate(mid)
-                if val >= target:
-                    hi, best, best_val = mid, out, val
-                else:
-                    lo = mid + 1
-        return (best, best_val) if best_val >= base else (bits.copy(), base)
+        lo, hi, best_val = 0, k_max, probe(k_max)
+        while lo < hi and best_val >= target:   # hi: the best candidate
+            mid = (lo + hi) // 2
+            val = probe(mid)
+            if val >= target:
+                hi, best_val = mid, val
+            else:
+                lo = mid + 1
+        probe(hi, measure=False)
+        return (work, best_val) if best_val >= base else (bits.copy(), base)
 
     best, best_val = bits.copy(), base          # RANDOM_FILL
     for _ in range(_RANDOM_FILL_ATTEMPTS):

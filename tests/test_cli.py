@@ -775,14 +775,20 @@ class TestOutputPins:
             "9bb384b2a74e365ab1e752e503c4b85f3b1bf8ae9fe61f43d7674dcd01cb9c63",
         "raise_case2":
             "4ac765a530cde05ee8e33bd10f3e3495ef439c82f1c9f8e3608caea06b6e4ed5",
+        "raise_case2_y":
+            "b1a222aad28a34ebf85e8d88f9ae92ae74714270a587187e9f9ed247cb22893f",
         "raise_zlib":
             "8d15804f699fa5da485492c5870169ec0601a1c78f49c29a2230dd76cecfcd02",
+        "raise_zlib_y":
+            "15ddac6cc5732c94ea22ad3156a91342856335fb03c837724d364fd6fe33ddea",
         "raise_lzma":
             "1ae449593a4143185627869882597dceb1fa169bd28bb293f1770dd420572eb1",
         "raise_bz2":
             "14de635a7847d7ee5895914932f9a50579e13a8e2f270cca726310bdd96a28fe",
         "raise_block8":
             "32f824c5501e38c2d7a270f77d7543fda1374d55150d1a748d2dcee479550546",
+        "raise_block8_y":
+            "fe5ee479bb4d01e7c590bc2391237252284106929478acb2e0573d9cebd98840",
         "lower":
             "c6f6e17a96a219030309532ff9162328a25775115893ab2e9f6bbecdf1108eb1",
         "lower_y":    # the --save-y payload

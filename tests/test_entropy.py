@@ -6,6 +6,7 @@ finder (scipy.optimize.brentq on the entropy formula) and frozen here.
 
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,46 @@ class TestEntropy:
         vec = entropy(ps)
         for p, v in zip(ps, vec):
             assert v == pytest.approx(entropy(float(p)), abs=1e-15)
+
+
+class TestEntropyScalarPath:
+    """A float skips the array path; its H equals the array element bit for
+    bit, sign of zero included."""
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+    def test_floats_match_array_elements(self):
+        # the densities c/j^2 of chunks j are what the Bernoulli estimate takes
+        small = [c / j ** 2 for j in range(1, 60) for c in range(j * j + 1)]
+        large = [c / j ** 2 for j in (100, 143, 200, 310) for c in range(j * j + 1)]
+        randoms = np.random.default_rng(16).random(100_000).tolist()
+        specials = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+        ps = small + specials + large + randoms
+        scalar = [entropy(p) for p in ps]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(self._bits(scalar), self._bits(entropy(np.array(ps))))
+        # one-element arrays cost ~30 us a call: small and specials only
+        few = len(small) + len(specials)
+        single = [entropy(np.array([p]))[0] for p in ps[:few]]
+        assert np.array_equal(self._bits(scalar[:few]), self._bits(single))
+
+    def test_float64_returns_float(self):
+        ps = [0.0, -0.0, 0.11, 0.5, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+        values = [entropy(np.float64(p)) for p in ps]
+        assert all(type(v) is float for v in values)
+        assert np.array_equal(self._bits(values), self._bits(entropy(np.array(ps))))
+
+    @pytest.mark.parametrize("bad", [-5e-324, -0.1, 1.0 + 2.0 ** -52, 1.5,
+                                     float("nan"), float("inf"), float("-inf")])
+    def test_out_of_range_message(self, bad):
+        for value in (bad, np.float64(bad)):
+            message = "p must lie in [0, 1], got "
+            with pytest.raises(ValueError, match=re.escape(message + repr(value))):
+                entropy(value)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                entropy(np.array([0.5, value]))
 
 
 class TestEntropyInv:

@@ -1,6 +1,7 @@
 """Tests for surgery plans, chunk search, plan application, and tight pairs."""
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import math
@@ -237,6 +238,110 @@ class TestRaiseChunk:
         a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11, target=1.0)
         b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11, target=1.0)
         assert np.array_equal(a, b)
+
+
+def _greedy_candidates(bits, radius, seed):
+    """The greedy search's flip order and k_max, as raise_chunk draws them."""
+    ones, size = int(np.count_nonzero(bits)), bits.size
+    if 2 * ones < size:
+        pool, need = np.flatnonzero(bits == 0), size // 2 - ones
+    elif 2 * ones > size:
+        pool, need = np.flatnonzero(bits == 1), ones - (size + 1) // 2
+    else:
+        pool, need = np.empty(0, dtype=np.int64), 0
+    budget = int(math.floor(radius * size + 1e-9))
+    return np.random.default_rng(seed).permutation(pool), min(budget, need)
+
+
+def _greedy_oracle(bits, context, radius, est, seed, target):
+    """Copy-per-probe greedy search: candidate k is a fresh copy of the chunk
+    with order[:k] flipped, estimated when it is made."""
+    budget = int(math.floor(radius * bits.size + 1e-9))
+    base = est.estimate(bits, context)
+    if budget == 0 or base >= target:
+        return bits.copy(), base
+    order, k_max = _greedy_candidates(bits, radius, seed)
+
+    def candidate(k):
+        if k == 0:
+            return bits.copy(), base
+        out = bits.copy()
+        out[order[:k]] ^= 1
+        return out, est.estimate(out, context)
+
+    best, best_val = candidate(k_max)
+    if best_val >= target:
+        lo, hi = 0, k_max
+        while lo < hi:
+            mid = (lo + hi) // 2
+            out, val = candidate(mid)
+            if val >= target:
+                hi, best, best_val = mid, out, val
+            else:
+                lo = mid + 1
+    return (best, best_val) if best_val >= base else (bits.copy(), base)
+
+
+class _Recorder:
+    """Passes estimates through and records the bytes of every chunk estimated."""
+
+    def __init__(self, est):
+        self.est, self.seen = est, []
+
+    def estimate(self, chunk, context=None):
+        self.seen.append(np.asarray(chunk).tobytes())
+        return self.est.estimate(chunk, context)
+
+
+class TestGreedyOracle:
+    """raise_chunk's greedy search against the copy-per-probe search: the same
+    chunk, value and sequence of estimated candidates."""
+
+    SEED = 5
+    CONTEXT = gen_coin(3000, 2).bits
+
+    @staticmethod
+    def _chunk(minority):
+        # 900 bits (chunk 30) with about 1 in 10 bits of the minority value
+        bits = gen_bernoulli(0.1, 900, 8).bits
+        return bits if minority == "ones" else bits ^ 1
+
+    def _run(self, search, bits, radius, make_est, target):
+        rec = _Recorder(make_est())
+        out, val = search(bits, self.CONTEXT, radius, rec, seed=self.SEED, target=target)
+        return out.tobytes(), val, rec.seen
+
+    def _value_at(self, bits, radius, make_est, k):
+        order, _ = _greedy_candidates(bits, radius, self.SEED)
+        out = bits.copy()
+        out[order[:k]] ^= 1
+        return make_est().estimate(out, self.CONTEXT)
+
+    @pytest.mark.parametrize("minority", ["ones", "zeros"])
+    @pytest.mark.parametrize("spec", ["bernoulli", "block:8", "zlib"])
+    @pytest.mark.parametrize("case", ["budget0", "met", "unreachable", "k1", "kmax",
+                                      "half"])
+    def test_matches_copy_per_probe(self, spec, minority, case):
+        make_est = {"bernoulli": BernoulliOracle, "block:8": lambda: BlockEntropy(8),
+                    "zlib": lambda: Compressor("zlib")}[spec]
+        bits = self._chunk(minority)
+        # budget floor(0.9) = 0; 45 flips; 270 flips; 540 flips, past the
+        # about 360 that bring the chunk to half ones
+        radius = {"budget0": 0.001, "kmax": 0.05, "half": 0.6}.get(case, 0.3)
+        _, k_max = _greedy_candidates(bits, radius, self.SEED)
+        target = {"budget0": 1.0, "met": 0.0, "unreachable": 1.5, "half": 1.0,
+                  "k1": self._value_at(bits, radius, make_est, 1),
+                  "kmax": self._value_at(bits, radius, make_est, k_max)}[case]
+        got = self._run(functools.partial(raise_chunk, searcher=GREEDY), bits, radius,
+                        make_est, target)
+        want = self._run(_greedy_oracle, bits, radius, make_est, target)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert got[2] == want[2]
+        if spec == "bernoulli":     # H of the flip count: the first hit is known
+            flips = int(np.count_nonzero(np.frombuffer(got[0], np.uint8) != bits))
+            expected = {"budget0": 0, "met": 0, "k1": 1, "kmax": k_max}
+            assert flips == expected.get(case, k_max)
+            assert k_max > 1 or case == "budget0"
 
 
 class TestLowerChunk:
