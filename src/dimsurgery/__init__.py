@@ -26,7 +26,6 @@ from .entropy import (
     entropy_deriv,
     entropy_inv,
     raise_profile,
-    tangent_line,
     uplift_gap,
     verify_concavity_lemma,
     verify_convexity_lemma,
@@ -47,7 +46,6 @@ from .surgery import (
     SurgeryPlan,
     SurgeryReport,
     apply_plan,
-    build_tight_pair,
     lower_chunk,
     plan_lower,
     plan_raise,

@@ -297,27 +297,6 @@ def case_select(s, t):
     return str(out) if out.ndim == 0 else out
 
 
-def tangent_line(s: float, delta: float) -> LineFn:
-    """Tangent line to r(x) = raise_profile(x, delta) at x = s.
-
-    Slope g'(s)/g'(t) with t = M(s, delta).  Requires g(s) + delta < 1/2
-    (otherwise r is flat at 1 near s and has no informative tangent).
-    """
-    _require_unit(s, "s")
-    _require_unit(delta, "delta")
-    g_s = entropy_inv(s)
-    if g_s + delta >= 0.5:
-        raise ValueError(f"raise profile saturates at (s={s}, delta={delta}); no tangent")
-    value = raise_profile(s, delta)
-    if delta == 0.0:
-        slope = 1.0
-    elif s == 0.0:
-        slope = 0.0
-    else:
-        slope = entropy_deriv(g_s + delta) / entropy_deriv(g_s)
-    return LineFn(slope=slope, intercept=value - slope * s)
-
-
 def chord_line(s: float, t: float) -> LineFn:
     """The line through (s, t) and (1, 1): x -> (1-t)/(1-s) x + (t-s)/(1-s)."""
     _require_unit(s, "s")

@@ -45,8 +45,6 @@ from .entropy import (
 from .hamming import (
     MAX_SYNDROME_BITS,
     LinearCode,
-    ball_offsets,
-    ball_volume,
     systematic_code,
 )
 
@@ -57,7 +55,6 @@ RAISE_CASE2 = "raise_case2"
 LOWER = "lower"
 
 EPS_MIN = 1e-3
-TIGHT_PAIR_BLOCK_LEN = 20
 QUANTIZER_RATE_SLACK = 0.045  # extra code rate (bits per bit) for block quantizers
 
 
@@ -289,10 +286,15 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     minimal rather than exhausting the budget.  There are two searchers;
     any other name raises ValueError:
 
-    greedy        flip minority-value bits toward 1/2 frequency (binary
-                  search on the flip count); every probe moves one working
-                  buffer by flipping only the bits between the last flip
-                  count and the next, and is estimated once
+    greedy        flip majority-value bits, moving the frequency of ones
+                  toward 1/2: binary search on the flip count k over the
+                  prefixes order[:k] of a uniformly random ordered sample
+                  of k_max = min(budget, flips to 1/2) majority positions,
+                  drawn without replacement (a partial Fisher-Yates
+                  shuffle, not a shuffle of the whole pool); every probe
+                  moves one working buffer by flipping only the bits
+                  between the last flip count and the next, and is
+                  estimated once
     random_fill   overwrite a random budget-sized subset with coin bits,
                   up to 16 draws until the target
     """
@@ -310,7 +312,7 @@ def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
     if searcher == GREEDY:
         pool, need = _flips_toward_half(bits)
         k_max = min(budget, need)
-        order = rng.permutation(pool)
+        order = pool[rng.choice(pool.size, size=k_max, replace=False)]
         work, at = bits.copy(), 0               # bits with order[:at] flipped
 
         def probe(k: int, measure: bool = True) -> float:
@@ -419,73 +421,3 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY, seed: int = 0)
         codebook_rate=(index_bits_total / used if plan.strategy == LOWER else None))
     return BitSequence(y), report
 
-
-# ---------------------------------------------------------------------------
-# Tight pair construction.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TightPairReport:
-    s: float
-    t: float
-    block_len: int
-    subcode_size: int
-    draw_radius: int
-    x_rate: float               # log2 |D| / L
-    y_rate: float               # log2(|D| * V(L, r_draw)) / L
-    distance: float             # measured tail max
-    expected_distance: float    # mean ball weight / L
-
-
-def build_tight_pair(s: float, t: float, chunks: int, seed: int):
-    """Construct (X, Y) with X on a rate-s linear code, Y = X + a random ball
-    offset, realizing distance about g(t - s) with Y-rate about t.
-
-    Per block of L = TIGHT_PAIR_BLOCK_LEN bits: X takes the codeword
-    m | (p << k) of a uniform message m < 2^k in systematic_code(L, k),
-    k = round(sL), where the parity p is the xor of columns[i] over the set
-    bits i of m (syndrome 0 under [A | I]).  Y adds a uniform offset from
-    the smallest ball whose index rate tops up the Y description to
-    (t - 0.03) L bits.  The finite-block log-size allowance lands on the
-    draw radius, so the measured distance sits within the fat-block
-    tolerance of g(t - s) rather than strictly below it.
-    """
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    L = TIGHT_PAIR_BLOCK_LEN
-    code = systematic_code(L, round(s * L))
-    k = code.k
-    m = 1 << k
-    want_bits = (t - 0.03) * L
-    r_draw = 0
-    while r_draw < L and math.log2(m * ball_volume(L, r_draw)) < want_bits:
-        r_draw += 1
-    offsets = ball_offsets(L, r_draw)
-    pop = np.bitwise_count(offsets.astype(np.int64))
-    expected_distance = float(pop.mean()) / L
-
-    rng = np.random.default_rng(seed)
-    total = chunk_boundary(chunks + 1)
-    xb = np.zeros(total, dtype=np.uint8)
-    yb = np.zeros(total, dtype=np.uint8)
-    for j in range(1, chunks + 1):
-        lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
-        count = (hi - lo) // L
-        draws = np.array([(rng.integers(0, m), rng.integers(0, len(offsets)))
-                          for _ in range(count)], dtype=np.int64).reshape(count, 2)
-        msgs = draws[:, 0]
-        parity = np.bitwise_xor.reduce(_word_to_bits(msgs, k) * code.columns[:k], axis=1)
-        words = msgs | (parity << k)
-        span = slice(lo, lo + count * L)
-        xb[span] = _word_to_bits(words, L).ravel()
-        yb[span] = _word_to_bits(words ^ offsets[draws[:, 1]], L).ravel()
-        # remainder bits (< L) are copied zeros on both sides: zero distance,
-        # zero rate, and a vanishing share of every tail chunk
-    x, y = BitSequence(xb), BitSequence(yb)
-    dist = sequence_distance(x, y).tail_max if chunks >= 2 else 0.0
-    report = TightPairReport(
-        s=s, t=t, block_len=L, subcode_size=m, draw_radius=r_draw,
-        x_rate=k / L,
-        y_rate=math.log2(m * ball_volume(L, r_draw)) / L,
-        distance=dist, expected_distance=expected_distance)
-    return x, y, report

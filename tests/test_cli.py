@@ -769,26 +769,32 @@ class TestOutputPins:
             "d273915f8e7d8b5270fd6462786079e94a9e904a8dedc128d1e3a5e5a75a60b9",
         "randomize":
             "78b699b59f50135104ff0fceed8e083e98b847b24c39187839eb85b2ba3a41eb",
+        "randomize_y":
+            "f8743fd53f25f5f472445fd8e61d8beee4a287bc10f98f291f98386b617d6ac2",
         "weak":
             "71333e44886c716c69dbb638d5c4100af8d4266b054f2692ff964c39168b07d9",
+        "weak_y":     # at 60000 bits and c = 5 every weak budget and target is 1
+            "f8743fd53f25f5f472445fd8e61d8beee4a287bc10f98f291f98386b617d6ac2",
         "raise_case1":
             "9bb384b2a74e365ab1e752e503c4b85f3b1bf8ae9fe61f43d7674dcd01cb9c63",
+        "raise_case1_y":
+            "e37102365f661c38f5cb796a195c8681678f21fc36799481931980c195d25c95",
         "raise_case2":
             "4ac765a530cde05ee8e33bd10f3e3495ef439c82f1c9f8e3608caea06b6e4ed5",
         "raise_case2_y":
-            "b1a222aad28a34ebf85e8d88f9ae92ae74714270a587187e9f9ed247cb22893f",
+            "447665cd9c7c0dadfaffe61763bcc1f300c9c21ab75e78a64e74e4fd7c8a1829",
         "raise_zlib":
-            "8d15804f699fa5da485492c5870169ec0601a1c78f49c29a2230dd76cecfcd02",
+            "29a76e17b50a84a9fa81ae35eed8642ff42097db87bd8515d4dc71d8d13c438d",
         "raise_zlib_y":
-            "15ddac6cc5732c94ea22ad3156a91342856335fb03c837724d364fd6fe33ddea",
+            "054e956199c7a58f01e88d9c5340140ce3a627a337bb18afe1b030e815af0b5d",
         "raise_lzma":
-            "1ae449593a4143185627869882597dceb1fa169bd28bb293f1770dd420572eb1",
+            "3e54cc6b97a95e717a9fdff0e2edca89d864d476af316fe22402d6a55fc01b94",
         "raise_bz2":
-            "14de635a7847d7ee5895914932f9a50579e13a8e2f270cca726310bdd96a28fe",
+            "09a32fbad8580ffc99893f847166c17ccf6a6c86a9219e9457ee42893bd17ef9",
         "raise_block8":
-            "32f824c5501e38c2d7a270f77d7543fda1374d55150d1a748d2dcee479550546",
+            "7d045a67fdd8cc3e43350d71f310a157f59a5d8040a867bf267bd40c26275426",
         "raise_block8_y":
-            "fe5ee479bb4d01e7c590bc2391237252284106929478acb2e0573d9cebd98840",
+            "a89492ced242176edee40acf66f73109a892b14ac9b7f20be98695e6bab5063a",
         "lower":
             "c6f6e17a96a219030309532ff9162328a25775115893ab2e9f6bbecdf1108eb1",
         "lower_y":    # the --save-y payload

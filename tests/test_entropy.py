@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dimsurgery.entropy import (
     CASE1,
     CASE2,
+    LineFn,
     ScheduleError,
     bound_curves,
     buffer_margin,
@@ -28,7 +29,6 @@ from dimsurgery.entropy import (
     entropy_inv,
     raise_profile,
     tail_average_floor,
-    tangent_line,
     uplift_gap,
     verify_concavity_lemma,
     verify_convexity_lemma,
@@ -416,6 +416,27 @@ class TestCaseSelect:
             assert type(one) is str and one == cases[i], (a, b)
 
 
+def tangent_line(s: float, delta: float) -> LineFn:
+    """Tangent line to r(x) = raise_profile(x, delta) at x = s.
+
+    Slope g'(s)/g'(t) with t = M(s, delta).  Requires g(s) + delta < 1/2
+    (otherwise r is flat at 1 near s and has no informative tangent).
+    """
+    entropy_module._require_unit(s, "s")
+    entropy_module._require_unit(delta, "delta")
+    g_s = entropy_inv(s)
+    if g_s + delta >= 0.5:
+        raise ValueError(f"raise profile saturates at (s={s}, delta={delta}); no tangent")
+    value = raise_profile(s, delta)
+    if delta == 0.0:
+        slope = 1.0
+    elif s == 0.0:
+        slope = 0.0
+    else:
+        slope = entropy_deriv(g_s + delta) / entropy_deriv(g_s)
+    return LineFn(slope=slope, intercept=value - slope * s)
+
+
 class TestLines:
     def test_tangent_delta_zero(self):
         line = tangent_line(0.3, 0.0)
@@ -501,8 +522,6 @@ class TestDropProfile:
         assert np.all(d2 <= 1e-9)                  # concave
 
     def test_domain(self):
-        from dimsurgery.entropy import LineFn
-
         with pytest.raises(ValueError):
             drop_profile(0.9, LineFn(slope=2.0, intercept=0.5))
 
@@ -567,8 +586,6 @@ class TestConcavityVerification:
     def test_identity_slope_flat(self):
         # a = 1 gives p identically 0
         xs = np.linspace(0.01, 0.99, 99)
-        from dimsurgery.entropy import LineFn
-
         p = np.asarray(drop_profile(xs, LineFn(1.0, 0.0)))
         assert np.max(np.abs(p)) <= 1e-15
 

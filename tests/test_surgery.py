@@ -1,4 +1,5 @@
-"""Tests for surgery plans, chunk search, plan application, and tight pairs."""
+"""Tests for surgery plans, chunk search and plan application, and a test-side
+tight-pair construction that checks dim X <= dim Y + H(d) is nearly tight."""
 
 import dataclasses
 import functools
@@ -9,15 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from dimsurgery.bitseq import gen_bernoulli, gen_coin
+from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin
 from dimsurgery.dimension import (
     chunk_boundary,
     chunk_dims,
     sequence_dim,
+    sequence_distance,
 )
 from dimsurgery.entropy import chord_line, entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
-from dimsurgery.hamming import _expand_once, systematic_code
+from dimsurgery.hamming import _expand_once, ball_offsets, ball_volume, systematic_code
 from dimsurgery.surgery import (
     GREEDY,
     LOWER,
@@ -28,8 +30,8 @@ from dimsurgery.surgery import (
     RANDOMIZE,
     WEAK_SRANDOM,
     SurgeryPlan,
+    _word_to_bits,
     apply_plan,
-    build_tight_pair,
     default_block_len,
     default_eps_seq,
     lower_chunk,
@@ -241,7 +243,8 @@ class TestRaiseChunk:
 
 
 def _greedy_candidates(bits, radius, seed):
-    """The greedy search's flip order and k_max, as raise_chunk draws them."""
+    """The greedy search's flip order and k_max, as raise_chunk draws them:
+    k_max pool positions sampled in order without replacement."""
     ones, size = int(np.count_nonzero(bits)), bits.size
     if 2 * ones < size:
         pool, need = np.flatnonzero(bits == 0), size // 2 - ones
@@ -249,8 +252,9 @@ def _greedy_candidates(bits, radius, seed):
         pool, need = np.flatnonzero(bits == 1), ones - (size + 1) // 2
     else:
         pool, need = np.empty(0, dtype=np.int64), 0
-    budget = int(math.floor(radius * size + 1e-9))
-    return np.random.default_rng(seed).permutation(pool), min(budget, need)
+    k_max = min(int(math.floor(radius * size + 1e-9)), need)
+    rng = np.random.default_rng(seed)
+    return pool[rng.choice(pool.size, size=k_max, replace=False)], k_max
 
 
 def _greedy_oracle(bits, context, radius, est, seed, target):
@@ -342,6 +346,63 @@ class TestGreedyOracle:
             expected = {"budget0": 0, "met": 0, "k1": 1, "kmax": k_max}
             assert flips == expected.get(case, k_max)
             assert k_max > 1 or case == "budget0"
+
+
+class TestGreedyOrder:
+    """The law of the greedy flip order, read off raise_chunk over fixed seeds:
+    a 10-bit chunk with 2 ones has a pool of its 8 zeros and needs 3 flips
+    to reach half ones.  With the bernoulli estimate, a target of H(3/10)
+    is first met at one flip, H(4/10) at two, and 1.5 never."""
+
+    BITS = np.array([0, 0, 1, 0, 0, 0, 0, 1, 0, 0], dtype=np.uint8)
+    POOL = np.flatnonzero(BITS == 0)
+    SEEDS = range(2000)
+    CHI2_999_7DF = 24.32        # 0.999 quantile of chi-square with 7 degrees of freedom
+
+    def _flipped(self, chunk):
+        return np.flatnonzero(np.asarray(chunk) != self.BITS)
+
+    def _search(self, seed, flips_to_target, radius=0.3):
+        rec = _Recorder(BernoulliOracle())
+        target = 1.5 if flips_to_target is None else float(entropy((2 + flips_to_target) / 10))
+        out, _ = raise_chunk(self.BITS, None, radius, rec, GREEDY, seed=seed, target=target)
+        return out, [np.frombuffer(c, np.uint8) for c in rec.seen]
+
+    def test_first_flip_is_uniform_over_pool(self):
+        counts = dict.fromkeys(self.POOL.tolist(), 0)
+        for seed in self.SEEDS:
+            out, _ = self._search(seed, 1)
+            (first,) = self._flipped(out)
+            counts[int(first)] += 1     # KeyError if it is not a pool position
+        expected = len(self.SEEDS) / len(counts)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < self.CHI2_999_7DF, counts
+
+    def test_every_ordered_pair_of_first_two_flips_occurs(self):
+        pairs = set()
+        for seed in self.SEEDS:
+            out, seen = self._search(seed, 2)
+            # estimated: the chunk, k_max = 3, k = 1 (below the target), k = 2
+            assert [len(self._flipped(c)) for c in seen] == [0, 3, 1, 2]
+            (first,) = self._flipped(seen[2])
+            second = set(self._flipped(out).tolist()) - {int(first)}
+            assert len(second) == 1
+            pairs.add((int(first), second.pop()))
+        pool = self.POOL.tolist()
+        assert pairs == {(a, b) for a in pool for b in pool if a != b}
+
+    def test_no_position_flips_twice(self):
+        for seed in self.SEEDS:
+            _, seen = self._search(seed, None)
+            # the k_max probe holds order[:3]: three distinct pool positions
+            flipped = self._flipped(seen[1])
+            assert len(flipped) == 3 and set(flipped.tolist()) <= set(self.POOL.tolist())
+
+    def test_flips_exactly_need_when_budget_covers_it(self):
+        for seed in self.SEEDS:
+            out, _ = self._search(seed, None, radius=0.5)     # budget 5, need 3
+            assert len(self._flipped(out)) == 3
+            assert int(np.count_nonzero(out)) == 5
 
 
 class TestLowerChunk:
@@ -689,6 +750,77 @@ class TestApplyPlan:
         # distance stays inside the planned 2*eps budget per chunk
         for entry, out in zip(plan.entries, report.outcomes):
             assert out.delta_achieved <= entry.delta_j + 1e-15
+
+
+TIGHT_PAIR_BLOCK_LEN = 20
+
+
+@dataclasses.dataclass
+class TightPairReport:
+    s: float
+    t: float
+    block_len: int
+    subcode_size: int
+    draw_radius: int
+    x_rate: float               # log2 |D| / L
+    y_rate: float               # log2(|D| * V(L, r_draw)) / L
+    distance: float             # measured tail max
+    expected_distance: float    # mean ball weight / L
+
+
+def build_tight_pair(s: float, t: float, chunks: int, seed: int):
+    """Construct (X, Y) with X on a rate-s linear code, Y = X + a random ball
+    offset, realizing distance about g(t - s) with Y-rate about t.
+
+    It shows that dim X <= dim Y + H(d) is nearly tight for code-like X.
+    Per block of L = TIGHT_PAIR_BLOCK_LEN bits: X takes the codeword
+    m | (p << k) of a uniform message m < 2^k in systematic_code(L, k),
+    k = round(sL), where the parity p is the xor of columns[i] over the set
+    bits i of m (syndrome 0 under [A | I]).  Y adds a uniform offset from
+    the smallest ball whose index rate tops up the Y description to
+    (t - 0.03) L bits.  The finite-block log-size allowance lands on the
+    draw radius, so the measured distance sits within the fat-block
+    tolerance of g(t - s) rather than strictly below it.
+    """
+    if not 0.0 <= s < t <= 1.0:
+        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
+    L = TIGHT_PAIR_BLOCK_LEN
+    code = systematic_code(L, round(s * L))
+    k = code.k
+    m = 1 << k
+    want_bits = (t - 0.03) * L
+    r_draw = 0
+    while r_draw < L and math.log2(m * ball_volume(L, r_draw)) < want_bits:
+        r_draw += 1
+    offsets = ball_offsets(L, r_draw)
+    pop = np.bitwise_count(offsets.astype(np.int64))
+    expected_distance = float(pop.mean()) / L
+
+    rng = np.random.default_rng(seed)
+    total = chunk_boundary(chunks + 1)
+    xb = np.zeros(total, dtype=np.uint8)
+    yb = np.zeros(total, dtype=np.uint8)
+    for j in range(1, chunks + 1):
+        lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
+        count = (hi - lo) // L
+        draws = np.array([(rng.integers(0, m), rng.integers(0, len(offsets)))
+                          for _ in range(count)], dtype=np.int64).reshape(count, 2)
+        msgs = draws[:, 0]
+        parity = np.bitwise_xor.reduce(_word_to_bits(msgs, k) * code.columns[:k], axis=1)
+        words = msgs | (parity << k)
+        span = slice(lo, lo + count * L)
+        xb[span] = _word_to_bits(words, L).ravel()
+        yb[span] = _word_to_bits(words ^ offsets[draws[:, 1]], L).ravel()
+        # remainder bits (< L) are copied zeros on both sides: zero distance,
+        # zero rate, and a vanishing share of every tail chunk
+    x, y = BitSequence(xb), BitSequence(yb)
+    dist = sequence_distance(x, y).tail_max if chunks >= 2 else 0.0
+    report = TightPairReport(
+        s=s, t=t, block_len=L, subcode_size=m, draw_radius=r_draw,
+        x_rate=k / L,
+        y_rate=math.log2(m * ball_volume(L, r_draw)) / L,
+        distance=dist, expected_distance=expected_distance)
+    return x, y, report
 
 
 class TestBuildTightPair:
