@@ -190,7 +190,7 @@ def _min_distance_bits(words_a, words_b) -> int:
         raise ValueError("sets must be nonempty")
     if a.size * b.size > MAX_PAIRWISE_PRODUCT:
         raise ValueError("pairwise product exceeds the desk-scale guard")
-    best = np.iinfo(np.int64).max
+    best = 64  # no two int64 words differ in more bits
     step = max(1, (1 << 22) // max(1, b.size))
     for i in range(0, a.size, step):
         block = a[i:i + step, None] ^ b[None, :]

@@ -775,6 +775,10 @@ class TestOutputPins:
             "71333e44886c716c69dbb638d5c4100af8d4266b054f2692ff964c39168b07d9",
         "weak_y":     # at 60000 bits and c = 5 every weak budget and target is 1
             "f8743fd53f25f5f472445fd8e61d8beee4a287bc10f98f291f98386b617d6ac2",
+        "weak_tail":  # at c = 0.1 the budgets halve from chunk 6 on
+            "5ce67efb2442e740428d154af7db6d27993ef1e76889f32088be54a93b1aa36c",
+        "weak_tail_y":
+            "45c6df0462e32dd1c8cbd2a7324c011eccedf72c0ad03a523a320bd3f272dcba",
         "raise_case1":
             "9bb384b2a74e365ab1e752e503c4b85f3b1bf8ae9fe61f43d7674dcd01cb9c63",
         "raise_case1_y":
@@ -808,6 +812,7 @@ class TestOutputPins:
     SURGERY = {
         "randomize": ("randomize", "0.11", []),
         "weak": ("weak", "0.11", ["--c", "5"]),
+        "weak_tail": ("weak", "0.11", ["--c", "0.1"]),
         "raise_case1": ("raise", "0.013", ["--s", "0.1", "--t", "0.3"]),
         "raise_case2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8"]),
         "raise_zlib": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
@@ -834,6 +839,11 @@ class TestOutputPins:
     def test_verify_buffer(self, capsys):
         assert run("verify", "buffer", "--horizon", "2000") == EXIT_OK
         self._check("verify_buffer", capsys.readouterr().out.encode())
+
+    def test_weak_tail_differs_from_randomize(self):
+        # the weak_tail run pins a weak search of its own: with budgets below
+        # 1 it flips other bits than randomize on the same input and seed
+        assert self.PINS["weak_tail_y"] != self.PINS["randomize_y"]
 
     @pytest.mark.parametrize("name", sorted(SURGERY))
     def test_surgery_csv(self, tmp_path, name):

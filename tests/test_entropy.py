@@ -177,6 +177,12 @@ class TestEntropyInv:
             x = entropy_inv(y)
             assert type(x) is float
             assert x == entropy_inv(np.array([y]))[0] == batch[i], y
+        # bisection's hard cases: y = h(m) at midpoints m and its neighbours
+        rng = np.random.default_rng(35)
+        ys = rng.permutation(_adversarial_points(rng))[:3000]
+        for y, want in zip(ys.tolist(), _bits(entropy_inv(ys))):
+            for value in (y, np.float64(y), np.array(y)):
+                assert _bits(entropy_inv(value)) == want, y
 
     def test_superadditivity_grid(self):
         # entropy_inv(t) - entropy_inv(s) >= entropy_inv(t - s), 1e3 x 1e3 grid
@@ -253,7 +259,8 @@ class TestEntropyInvBits:
             assert _bits(got) == _bits(reference_inv(y)), y
         assert type(entropy_inv(np.float64(0.5))) is float
         grid = ys.reshape(60, 100)
-        for y in (grid, grid.T, grid[:, :1], ys[:0], ys[:1]):
+        for y in (grid, grid.T, grid[:, :1], ys[:0], ys[:1], ys[::3], ys[::-1],
+                  grid[::-2, 5:], np.asfortranarray(grid)):
             got = entropy_inv(y)
             assert got.shape == y.shape
             assert np.array_equal(_bits(got), _bits(reference_inv(y)))
@@ -292,6 +299,56 @@ class TestEntropyInvBits:
         ys = np.random.default_rng(23).uniform(0.05, 0.95, 20_000)
         entropy_inv(ys)
         assert sum(rejected) <= 0.2 * len(ys)
+
+
+class TestEntropyInvKernel:
+    """The array kernel reads its input only, and its blocks, small-size
+    paths and seed search give the reference bisection's bits."""
+
+    @staticmethod
+    def _points(seed, size):
+        rng = np.random.default_rng(seed)
+        return rng.permutation(_adversarial_points(rng))[:size]
+
+    @staticmethod
+    def _assert_reference(ys):
+        got = entropy_inv(ys)
+        assert got.shape == np.shape(ys)
+        bad = np.flatnonzero(_bits(got) != _bits(reference_inv(ys)))
+        assert len(bad) == 0, np.ravel(ys)[bad[:5]]
+
+    def test_input_is_never_written(self):
+        ys = self._points(30, 40_000)
+        kept = ys.copy()
+        self._assert_reference(ys)
+        assert np.array_equal(_bits(ys), _bits(kept))
+        ys.flags.writeable = False
+        self._assert_reference(ys)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges(self, offset):
+        block = entropy_module._BLOCK
+        self._assert_reference(self._points(32, 2 * block + offset))
+        self._assert_reference(self._points(33, block + offset))
+
+    @pytest.mark.parametrize("size", [1, 2, 15, 16, 17, 100])
+    def test_small_sizes(self, size):
+        # under 16 points every bisection runs in floats; at any size a rest
+        # of a few points bisects in floats
+        ys = self._points(34, 60 * size).reshape(60, size)
+        for row in ys:
+            self._assert_reference(row)
+
+    def test_seed_search_is_searchsorted(self):
+        table = entropy_module._seed_table()[0][:-1]    # the last entry is +inf
+        rng = np.random.default_rng(36)
+        edges = 1.0 - (np.arange(8193) / 8192.0) ** 2    # where buckets change
+        for ys in (_adversarial_points(rng), rng.uniform(0.0, 1.0, 500_000),
+                   table, np.nextafter(table, 0.0), np.nextafter(table, 2.0),
+                   edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)):
+            ys = np.clip(ys, 0.0, 1.0)
+            lo = entropy_module._seed(ys)[0] * 2.0 ** (entropy_module._SEED_LEVEL + 1)
+            assert np.array_equal(lo, np.searchsorted(table, ys, "left"))
 
 
 class TestEntropyDeriv:
