@@ -21,7 +21,6 @@ from .entropy import (
     buffer_schedule,
     case_select,
     chord_line,
-    drop_profile,
     entropy,
     entropy_deriv,
     entropy_inv,

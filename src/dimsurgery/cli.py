@@ -278,7 +278,7 @@ def cmd_surgery(args) -> int:
 
     many = len(args.seed) > 1                   # then one CSV and one y file per seed
     for seed in args.seed:
-        y, report = apply_plan(x, plan, est, args.searcher, seed)
+        y, report = apply_plan(x, plan, est, seed)
         lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
         for s_j, entry, oc in zip(s_seq, plan.entries, report.outcomes):
             lines.append(",".join([
@@ -392,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_unit_float, default=1.0)
     p.add_argument("--c", type=_nonneg_float, default=10.0)
     p.add_argument("--estimator", default="bernoulli")
-    p.add_argument("--searcher", default="greedy",
-                   choices=["greedy", "random_fill"])
     p.add_argument("--seed", type=_seed_list, default=(0,),
                    help="one seed or a comma list; several write one CSV per seed")
     p.add_argument("--out", default=None)

@@ -4,10 +4,10 @@ line constructions for the two raise strategies, and numeric verification of
 the convexity/concavity facts those strategies rest on.
 
 All inputs named like probabilities/dimensions live in [0, 1].  entropy,
-entropy_inv, raise_profile, bound_curves, case_select and drop_profile work
-elementwise on numpy arrays and return Python scalars for scalar input; a
-scalar result equals the matching element of the array result bit for bit,
-so callers that loop over chunks or grid points make one array call instead.
+entropy_inv, raise_profile, bound_curves and case_select work elementwise on
+numpy arrays and return Python scalars for scalar input; a scalar result
+equals the matching element of the array result bit for bit, so callers that
+loop over chunks or grid points make one array call instead.
 
 entropy_inv is defined as a 55-step bisection of [0, 1/2] on the predicate
 h(mid) < y, h the float formula for H.  A float, or a bisection of under 16
@@ -338,15 +338,6 @@ def chord_line(s: float, t: float) -> LineFn:
     if s >= 1.0:
         raise ValueError("chord line undefined at s = 1")
     return LineFn(slope=(1.0 - t) / (1.0 - s), intercept=(t - s) / (1.0 - s))
-
-
-def drop_profile(x, line: LineFn):
-    """p(x) = g(line(x)) - g(x) with g = entropy_inv; line(x) must stay in [0,1]."""
-    _require_unit(x, "x")
-    y = line(x)
-    _require_unit(y, "line(x)")
-    out = np.asarray(entropy_inv(y)) - np.asarray(entropy_inv(x))
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

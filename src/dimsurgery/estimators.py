@@ -67,7 +67,7 @@ class BlockEntropy:
     back to k = len(chunk).
     """
 
-    def __init__(self, k: int = 8):
+    def __init__(self, k: int):
         if not 1 <= k <= 24:
             raise ValueError(f"k must lie in [1, 24], got {k}")
         self.k = k
@@ -174,8 +174,6 @@ def parse_estimator(spec: str):
         return BernoulliOracle()
     if spec.startswith("block:"):
         return BlockEntropy(int(spec.split(":", 1)[1]))
-    if spec == "block":
-        return BlockEntropy()
     if spec.startswith("compressor:") and spec.split(":", 1)[1] in _BACKENDS:
         return Compressor(spec.split(":", 1)[1])
     raise ValueError(f"unknown estimator spec {spec!r}")

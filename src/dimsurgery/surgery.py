@@ -258,12 +258,6 @@ def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None) -> 
 # Chunk-local search.
 # ---------------------------------------------------------------------------
 
-GREEDY = "greedy"
-RANDOM_FILL = "random_fill"
-
-_RANDOM_FILL_ATTEMPTS = 16
-
-
 def _flips_toward_half(bits: np.ndarray):
     ones = int(np.count_nonzero(bits))
     size = bits.size
@@ -274,76 +268,55 @@ def _flips_toward_half(bits: np.ndarray):
     return np.empty(0, dtype=np.int64), 0
 
 
-def raise_chunk(chunk, context, radius: float, est, searcher: str = GREEDY,
-                seed: int | tuple = 0, *, target: float):
+def raise_chunk(chunk, context, radius: float, est, seed: int | tuple = 0, *,
+                target: float):
     """Search for a nearby chunk whose estimate reaches `target`.
 
     Returns (y_chunk, est.estimate(y_chunk, context)), the value the search
     already measured.  Hard constraint: output differs from the input on at
     most floor(radius * len) bits.  The estimate never decreases (the
-    original is returned if no candidate improves on it).  Searchers stop
+    original is returned if no candidate improves on it).  The search stops
     as soon as the estimate reaches the target, keeping the distance spent
-    minimal rather than exhausting the budget.  There are two searchers;
-    any other name raises ValueError:
+    minimal rather than exhausting the budget.
 
-    greedy        flip majority-value bits, moving the frequency of ones
-                  toward 1/2: binary search on the flip count k over the
-                  prefixes order[:k] of a uniformly random ordered sample
-                  of k_max = min(budget, flips to 1/2) majority positions,
-                  drawn without replacement (a partial Fisher-Yates
-                  shuffle, not a shuffle of the whole pool); every probe
-                  moves one working buffer by flipping only the bits
-                  between the last flip count and the next, and is
-                  estimated once
-    random_fill   overwrite a random budget-sized subset with coin bits,
-                  up to 16 draws until the target
+    It flips majority-value bits, moving the frequency of ones toward 1/2:
+    binary search on the flip count k over the prefixes order[:k] of a
+    uniformly random ordered sample of k_max = min(budget, flips to 1/2)
+    majority positions, drawn without replacement (a partial Fisher-Yates
+    shuffle, not a shuffle of the whole pool).  Every probe moves one
+    working buffer by flipping only the bits between the last flip count
+    and the next, and is estimated once.
     """
     if not 0.0 <= radius <= 1.0:
         raise ValueError(f"radius must lie in [0, 1], got {radius}")
-    if searcher not in (GREEDY, RANDOM_FILL):
-        raise ValueError(f"unknown searcher {searcher!r}")
     bits = as_bits(chunk)
     budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
     if budget == 0 or base >= target:
         return bits.copy(), base
     rng = np.random.default_rng(seed)
+    pool, need = _flips_toward_half(bits)
+    k_max = min(budget, need)
+    order = pool[rng.choice(pool.size, size=k_max, replace=False)]
+    work, at = bits.copy(), 0                   # bits with order[:at] flipped
 
-    if searcher == GREEDY:
-        pool, need = _flips_toward_half(bits)
-        k_max = min(budget, need)
-        order = pool[rng.choice(pool.size, size=k_max, replace=False)]
-        work, at = bits.copy(), 0               # bits with order[:at] flipped
+    def probe(k: int, measure: bool = True) -> float:
+        # move work to candidate k by flipping only the bits that differ
+        nonlocal at
+        work[order[min(at, k):max(at, k)]] ^= 1
+        at = k
+        return est.estimate(work, context) if measure and k else base
 
-        def probe(k: int, measure: bool = True) -> float:
-            # move work to candidate k by flipping only the bits that differ
-            nonlocal at
-            work[order[min(at, k):max(at, k)]] ^= 1
-            at = k
-            return est.estimate(work, context) if measure and k else base
-
-        lo, hi, best_val = 0, k_max, probe(k_max)
-        while lo < hi and best_val >= target:   # hi: the best candidate
-            mid = (lo + hi) // 2
-            val = probe(mid)
-            if val >= target:
-                hi, best_val = mid, val
-            else:
-                lo = mid + 1
-        probe(hi, measure=False)
-        return (work, best_val) if best_val >= base else (bits.copy(), base)
-
-    best, best_val = bits.copy(), base          # RANDOM_FILL
-    for _ in range(_RANDOM_FILL_ATTEMPTS):
-        out = bits.copy()
-        pos = rng.choice(bits.size, size=budget, replace=False)
-        out[pos] = rng.integers(0, 2, size=budget, dtype=np.uint8)
-        val = est.estimate(out, context)
-        if val > best_val:
-            best, best_val = out, val
-        if best_val >= target:
-            break
-    return best, best_val
+    lo, hi, best_val = 0, k_max, probe(k_max)
+    while lo < hi and best_val >= target:       # hi: the best candidate
+        mid = (lo + hi) // 2
+        val = probe(mid)
+        if val >= target:
+            hi, best_val = mid, val
+        else:
+            lo = mid + 1
+    probe(hi, measure=False)
+    return (work, best_val) if best_val >= base else (bits.copy(), base)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +338,12 @@ class SurgeryReport:
     codebook_rate: float | None = None   # lower runs: index bits per sequence bit
 
 
-def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY, seed: int = 0):
+def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
     """Apply a surgery plan chunk by chunk, left to right.
 
     The input is not estimated: the plan was built from the caller's
-    measurement of it.  `searcher` and `seed` say how the search runs, the
-    plan what it must achieve, so one plan serves every seed.  Per chunk,
+    measurement of it.  `seed` says how the search runs, the plan what it
+    must achieve, so one plan serves every seed.  Per chunk,
     one call modifies it within the plan's budget: raise_chunk searches
     against the constructed prefix (seeded by (seed, j)) and returns its
     estimate, which is t_achieved; lower_chunk quantizes onto the plan's
@@ -403,8 +376,7 @@ def apply_plan(x, plan: SurgeryPlan, est, searcher: str = GREEDY, seed: int = 0)
             t_achieved = est.estimate(y_chunk, y[:lo])
         else:
             y_chunk, t_achieved = raise_chunk(x_chunk, y[:lo], entry.delta_j, est,
-                                              searcher=searcher, seed=(seed, j),
-                                              target=entry.t_j)
+                                              seed=(seed, j), target=entry.t_j)
         mismatches = int(np.count_nonzero(x_chunk != y_chunk))
         budget_bits = int(math.floor(entry.delta_j * x_chunk.size + 1e-9))
         if mismatches > budget_bits:

@@ -37,7 +37,7 @@ from dimsurgery.estimators import (
     EstimatorError,
     parse_estimator,
 )
-from dimsurgery.surgery import GREEDY, raise_chunk
+from dimsurgery.surgery import raise_chunk
 
 
 class TestBitSequence:
@@ -168,8 +168,9 @@ class TestEstimators:
         assert parse_estimator("bernoulli").name == "bernoulli"
         assert parse_estimator("block:4").k == 4
         assert parse_estimator("compressor:lzma").backend == "lzma"
-        with pytest.raises(ValueError):
-            parse_estimator("magic")
+        for bad in ("magic", "block"):              # block needs its K: block:8
+            with pytest.raises(ValueError):
+                parse_estimator(bad)
 
     def test_estimate_chunk_dim_dispatch(self):
         # chunk_dims hands each chunk and its prefix to the estimator
@@ -285,7 +286,7 @@ class TestEstimatorKernels:
         rng = np.random.default_rng(5)
         context = (rng.random(30_003) < 0.11).astype(np.uint8)
         chunk = (rng.random(6_000) < 0.05).astype(np.uint8)
-        _, value = raise_chunk(chunk, context, 0.3, est, GREEDY, seed=1, target=0.6)
+        _, value = raise_chunk(chunk, context, 0.3, est, seed=1, target=0.6)
         assert est.evaluations > 2
         assert len(primed) == 1
         assert value >= 0.6

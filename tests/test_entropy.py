@@ -23,7 +23,6 @@ from dimsurgery.entropy import (
     buffer_schedule,
     case_select,
     chord_line,
-    drop_profile,
     entropy,
     entropy_deriv,
     entropy_inv,
@@ -492,6 +491,15 @@ def tangent_line(s: float, delta: float) -> LineFn:
     else:
         slope = entropy_deriv(g_s + delta) / entropy_deriv(g_s)
     return LineFn(slope=slope, intercept=value - slope * s)
+
+
+def drop_profile(x, line: LineFn):
+    """p(x) = g(line(x)) - g(x) with g = entropy_inv; line(x) must stay in [0,1]."""
+    entropy_module._require_unit(x, "x")
+    y = line(x)
+    entropy_module._require_unit(y, "line(x)")
+    out = np.asarray(entropy_inv(y)) - np.asarray(entropy_inv(x))
+    return float(out) if out.ndim == 0 else out
 
 
 class TestLines:

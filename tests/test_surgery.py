@@ -2,7 +2,6 @@
 tight-pair construction that checks dim X <= dim Y + H(d) is nearly tight."""
 
 import dataclasses
-import functools
 import importlib
 import inspect
 import math
@@ -21,12 +20,10 @@ from dimsurgery.entropy import chord_line, entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
 from dimsurgery.hamming import _expand_once, ball_offsets, ball_volume, systematic_code
 from dimsurgery.surgery import (
-    GREEDY,
     LOWER,
     QUANTIZER_RATE_SLACK,
     RAISE_CASE1,
     RAISE_CASE2,
-    RANDOM_FILL,
     RANDOMIZE,
     WEAK_SRANDOM,
     SurgeryPlan,
@@ -172,13 +169,13 @@ class TestPlans:
 class TestRaiseChunk:
     def test_radius_zero_identity(self):
         bits = gen_coin(100, 1).bits
-        out, _ = raise_chunk(bits, None, 0.0, BernoulliOracle(), GREEDY, seed=0, target=1.0)
+        out, _ = raise_chunk(bits, None, 0.0, BernoulliOracle(), seed=0, target=1.0)
         assert np.array_equal(out, bits)
 
     def test_all_zero_greedy_exact_entropy(self):
         bits = np.zeros(100, dtype=np.uint8)
         for r in (0.1, 0.3, 0.5):
-            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), GREEDY, seed=0,
+            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), seed=0,
                                  target=1.0)
             flips = int(out.sum())
             assert flips == int(r * 100)
@@ -187,59 +184,41 @@ class TestRaiseChunk:
 
     def test_budget_is_hard(self):
         bits = np.zeros(173, dtype=np.uint8)
-        for searcher in (GREEDY, RANDOM_FILL):
-            for r in (0.05, 0.217, 0.5):
-                out, _ = raise_chunk(bits, None, r, BernoulliOracle(), searcher, seed=7,
-                                     target=1.0)
-                assert int(np.count_nonzero(out != bits)) <= math.floor(r * 173)
+        for r in (0.05, 0.217, 0.5):
+            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), seed=7, target=1.0)
+            assert int(np.count_nonzero(out != bits)) <= math.floor(r * 173)
 
     def test_target_stops_early(self):
         bits = np.zeros(400, dtype=np.uint8)
-        out, _ = raise_chunk(bits, None, 0.5, BernoulliOracle(), GREEDY, seed=0,
+        out, _ = raise_chunk(bits, None, 0.5, BernoulliOracle(), seed=0,
                              target=0.5)
         # H(x) = 0.5 at x ~ 0.11; greedy should stop near 44 flips, not 200
         flips = int(out.sum())
         assert flips < 60
         assert BernoulliOracle().estimate(out) >= 0.5
 
-    @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
-    def test_monotone_improvement(self, searcher):
+    def test_monotone_improvement(self):
         est = BernoulliOracle()
         rng = np.random.default_rng(3)
         for trial in range(5):
             bits = (rng.random(60) < 0.2).astype(np.uint8)
             before = est.estimate(bits)
-            out, _ = raise_chunk(bits, None, 0.2, est, searcher, seed=trial, target=1.0)
+            out, _ = raise_chunk(bits, None, 0.2, est, seed=trial, target=1.0)
             assert est.estimate(out) >= before - 1e-12
 
     def test_fair_coin_stays_high(self):
         est = BernoulliOracle()
         for seed in range(5):
             bits = gen_coin(10_000, seed).bits
-            out, _ = raise_chunk(bits, None, 0.1, est, GREEDY, seed=seed, target=1.0)
+            out, _ = raise_chunk(bits, None, 0.1, est, seed=seed, target=1.0)
             assert abs(est.estimate(out) - 1.0) <= 0.02
-
-    @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
-    def test_fair_coin_any_searcher(self, searcher):
-        est = BernoulliOracle()
-        for seed in range(3):
-            bits = gen_coin(10_000, seed).bits
-            out, _ = raise_chunk(bits, None, 0.1, est, searcher, seed=seed, target=1.0)
-            assert abs(est.estimate(out) - 1.0) <= 0.05
-
-    @pytest.mark.parametrize("searcher", ["steepest", "annealing"])
-    def test_unknown_searcher_rejected(self, searcher):
-        bits = gen_bernoulli(0.2, 500, 4).bits
-        for radius in (0.3, 0.0):   # also when there is no budget to search
-            with pytest.raises(ValueError, match="unknown searcher"):
-                raise_chunk(bits, None, radius, BernoulliOracle(), searcher, seed=0,
-                            target=1.0)
 
     def test_deterministic(self):
         bits = gen_bernoulli(0.2, 500, 4).bits
-        a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11, target=1.0)
-        b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), RANDOM_FILL, seed=11, target=1.0)
+        a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), seed=11, target=1.0)
+        b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), seed=11, target=1.0)
         assert np.array_equal(a, b)
+        assert np.count_nonzero(a != bits) > 0      # the search moved the chunk
 
 
 def _greedy_candidates(bits, radius, seed):
@@ -336,7 +315,7 @@ class TestGreedyOracle:
         target = {"budget0": 1.0, "met": 0.0, "unreachable": 1.5, "half": 1.0,
                   "k1": self._value_at(bits, radius, make_est, 1),
                   "kmax": self._value_at(bits, radius, make_est, k_max)}[case]
-        got = self._run(functools.partial(raise_chunk, searcher=GREEDY), bits, radius,
+        got = self._run(raise_chunk, bits, radius,
                         make_est, target)
         want = self._run(_greedy_oracle, bits, radius, make_est, target)
         assert got[0] == want[0] and got[1] == want[1]
@@ -365,7 +344,7 @@ class TestGreedyOrder:
     def _search(self, seed, flips_to_target, radius=0.3):
         rec = _Recorder(BernoulliOracle())
         target = 1.5 if flips_to_target is None else float(entropy((2 + flips_to_target) / 10))
-        out, _ = raise_chunk(self.BITS, None, radius, rec, GREEDY, seed=seed, target=target)
+        out, _ = raise_chunk(self.BITS, None, radius, rec, seed=seed, target=target)
         return out, [np.frombuffer(c, np.uint8) for c in rec.seen]
 
     def test_first_flip_is_uniform_over_pool(self):
@@ -637,10 +616,11 @@ class TestApplyPlan:
 
     def test_plan_is_the_whole_contract(self):
         # nothing but the plan says what to achieve: no codebook source,
-        # block length or tail start can be passed alongside.  The searcher
-        # and seed only say how the search runs, so no plan holds a seed
+        # block length or tail start can be passed alongside.  The seed only
+        # says how the search runs, so no plan holds one; there is one search
         assert list(inspect.signature(apply_plan).parameters) == [
-            "x", "plan", "est", "searcher", "seed"]
+            "x", "plan", "est", "seed"]
+        assert "searcher" not in inspect.signature(raise_chunk).parameters
         assert list(inspect.signature(plan_randomize).parameters) == ["s_seq"]
         assert list(inspect.signature(plan_weak_srandom).parameters) == ["s_seq", "c"]
         assert list(inspect.signature(plan_raise).parameters) == ["s_seq", "s", "t"]
@@ -672,11 +652,10 @@ class TestApplyPlan:
         y, report = apply_plan(x, plan, est, seed=1)
         assert report.dim_after == sequence_dim(y[:used], est).tail_min
 
-    @pytest.mark.parametrize("searcher", [GREEDY, RANDOM_FILL])
-    def test_raise_estimates_are_not_repeated(self, monkeypatch, searcher):
+    def test_raise_estimates_are_not_repeated(self, monkeypatch):
         # apply_plan makes no estimate of its input: every estimate is made
-        # inside raise_chunk, and t_achieved is the value it returned; greedy
-        # estimates no candidate (the one it returns included) twice
+        # inside raise_chunk, and t_achieved is the value it returned; the
+        # search estimates no candidate (the one it returns included) twice
         import dimsurgery.surgery as surgery
 
         count = 40
@@ -699,15 +678,14 @@ class TestApplyPlan:
             return y_chunk, value
 
         monkeypatch.setattr(surgery, "raise_chunk", spy_raise_chunk)
-        _, report = apply_plan(x, plan, SpyEstimator(), searcher, 1)
+        _, report = apply_plan(x, plan, SpyEstimator(), 1)
         assert len(spans) == count and spans[0][0] == 0
         assert [end for _, end, _, _ in spans] == [s for s, _, _, _ in spans[1:]] + [len(calls)]
         assert [o.t_achieved for o in report.outcomes] == [v for _, _, _, v in spans]
         for start, end, returned, _ in spans:
-            if searcher == GREEDY:
-                inside = calls[start:end]
-                assert len(inside) == len(set(inside))
-            assert returned in calls[start:end]
+            inside = calls[start:end]
+            assert len(inside) == len(set(inside))
+            assert returned in inside
 
     def test_deterministic_given_seed(self):
         n_chunks = 30
