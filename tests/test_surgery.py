@@ -213,6 +213,15 @@ class TestRaiseChunk:
             out, _ = raise_chunk(bits, None, 0.1, est, seed=seed, target=1.0)
             assert abs(est.estimate(out) - 1.0) <= 0.02
 
+    # greedy is the one search raise_chunk has
+    @pytest.mark.parametrize("searcher", ["greedy"])
+    def test_fair_coin_any_searcher(self, searcher):
+        est = BernoulliOracle()
+        for seed in range(3):
+            bits = gen_coin(10_000, seed).bits
+            out, _ = raise_chunk(bits, None, 0.1, est, seed=seed, target=1.0)
+            assert abs(est.estimate(out) - 1.0) <= 0.05
+
     def test_deterministic(self):
         bits = gen_bernoulli(0.2, 500, 4).bits
         a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), seed=11, target=1.0)
