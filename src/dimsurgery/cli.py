@@ -50,7 +50,7 @@ from .hamming import (
     harper_far_count,
     verify_harper,
 )
-from .duplication import duplication_decode, duplication_encode
+from .duplication import DuplicationDescription, duplication_decode, duplication_encode
 from .surgery import (
     PlanInvariantError,
     apply_plan,
@@ -206,15 +206,19 @@ def _verify_duplication(args, check) -> None:
         x = BitSequence(y.bits.copy())
         flips = rng.choice(n, size=int(radius * n), replace=False)
         x.bits[flips] ^= 1
-        desc = duplication_encode(x, y)
-        if duplication_decode(desc) != y:
+        wire = duplication_encode(x, y).to_bits()
+        try:
+            ok = duplication_decode(DuplicationDescription.from_bits(wire, n)) == y
+        except ValueError:                  # a wire the parser rejects
+            ok = False
+        if not ok:
             failed = True
             check(False, f"duplication round-trip n={n}")
             continue
-        worst = max(worst, desc.total_length_bits)
-        if desc.total_length_bits > bound:
+        worst = max(worst, wire.size)
+        if wire.size > bound:
             failed = True
-            check(False, f"duplication length {desc.total_length_bits} > {bound:.1f}")
+            check(False, f"duplication length {wire.size} > {bound:.1f}")
     if not failed:
         check(True, f"duplication n={n} trials={args.trials} "
               f"worst_len={worst} bound={bound:.1f}")
@@ -280,10 +284,11 @@ def cmd_surgery(args) -> int:
     for seed in args.seed:
         y, report = apply_plan(x, plan, est, seed)
         lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
-        for s_j, entry, oc in zip(s_seq, plan.entries, report.outcomes):
+        for s_j, entry, d_j, t_j in zip(s_seq, plan.entries, report.delta_achieved,
+                                        report.t_achieved):
             lines.append(",".join([
-                str(oc.j), _fmt(s_j), _fmt(entry.delta_j),
-                _fmt(oc.delta_achieved), _fmt(entry.t_j), _fmt(oc.t_achieved)]))
+                str(entry.j), _fmt(s_j), _fmt(entry.delta_j),
+                _fmt(d_j), _fmt(entry.t_j), _fmt(t_j)]))
         lines += ["", "dim_before,dim_after,distance,bound,slack", ",".join([
             _fmt(dim_before), _fmt(report.dim_after), _fmt(report.distance),
             _fmt(bound), _fmt(bound - report.distance)])]

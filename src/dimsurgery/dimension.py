@@ -8,7 +8,8 @@ aggregator mirrors it with per-chunk Hamming densities and a tail maximum.
 This module owns the chunk layout: chunk_boundary is the one n_j,
 chunk_count the one number of complete chunks, weighted_series the one
 quadratic weighting and default_tail_start the one tail window every
-extremum reads.  Chunks are measured only by chunk_dims.
+extremum reads.  Chunks are estimated only by chunk_dims, compared only by
+sequence_distance.
 """
 
 from __future__ import annotations
@@ -76,20 +77,18 @@ def chunk_dims(x, est) -> np.ndarray:
 
 @dataclass
 class DimSeries:
-    """Weighted running averages A_j = (1/n_j) sum_{i<j} s_i i^2 with tail stats."""
+    """tail_min of the weighted averages A_j = (1/n_j) sum_{i<j} s_i i^2."""
 
-    final: float
     tail_min: float
-    series: np.ndarray            # A_j for j = 2 .. count+1
     chunk_values: np.ndarray      # s_i for i = 1 .. count
 
 
 @dataclass
 class DistanceSeries:
-    final: float
+    """tail_max of the prefix Hamming densities at the chunk boundaries."""
+
     tail_max: float
-    series: np.ndarray            # weighted averages at j = 2 .. count+1
-    chunk_values: np.ndarray      # per-chunk normalized Hamming distances
+    counts: np.ndarray            # int64 changed bits of chunk i = 1 .. count
 
 
 def weighted_series(values) -> np.ndarray:
@@ -103,13 +102,8 @@ def dim_series(values) -> DimSeries:
     """Aggregate per-chunk dimension values; tail_min is the finite liminf
     surrogate (min over the tail boundaries)."""
     values = np.asarray(values, dtype=np.float64)
-    series = weighted_series(values)
-    return DimSeries(
-        final=float(series[-1]),
-        tail_min=float(_tail(series).min()),
-        series=series,
-        chunk_values=values,
-    )
+    return DimSeries(tail_min=float(_tail(weighted_series(values)).min()),
+                     chunk_values=values)
 
 
 def planned_distance(deltas) -> float:
@@ -126,10 +120,10 @@ def sequence_dim(x, est) -> DimSeries:
 def sequence_distance(x, y) -> DistanceSeries:
     """Chunk-aggregated normalized distance between two equal-length sequences.
 
-    `series` is the integer running mismatch count over n_{j+1}, so it equals
-    the plain prefix Hamming density at every chunk boundary bit for bit;
-    re-weighting the float per-chunk densities would not be exact.  tail_max
-    is the finite limsup surrogate.
+    The running mismatch count over n_{j+1} is integer arithmetic, so it
+    equals the plain prefix Hamming density at every chunk boundary bit for
+    bit; re-weighting float per-chunk densities would not be exact.
+    tail_max, the finite limsup surrogate, is its maximum over the tail.
     """
     bx, by = as_bits(x), as_bits(y)
     if bx.size != by.size:
@@ -140,11 +134,5 @@ def sequence_distance(x, y) -> DistanceSeries:
     counts = np.array([np.count_nonzero(bx[lo:hi] != by[lo:hi])
                        for lo, hi in zip(ends, ends[1:])], dtype=np.int64)
     js = np.arange(1, count + 1, dtype=np.int64)
-    deltas = counts / (js.astype(np.float64) ** 2)
     series = np.cumsum(counts) / chunk_boundary(js + 1).astype(np.float64)
-    return DistanceSeries(
-        final=float(series[-1]),
-        tail_max=float(_tail(series).max()),
-        series=series,
-        chunk_values=deltas,
-    )
+    return DistanceSeries(tail_max=float(_tail(series).max()), counts=counts)

@@ -29,15 +29,15 @@ def _header_bits(equal: int) -> int:
 
 
 def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)],
-                    dtype=np.uint8)
+    """`value` as `width` big-endian bits; OverflowError if it needs more."""
+    if value.bit_length() > width:
+        raise OverflowError(f"{value} does not fit in {width} bits")
+    raw = np.frombuffer(value.to_bytes((width + 7) // 8, "big"), np.uint8)
+    return np.unpackbits(raw)[(-width) % 8:]
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> ((-bits.size) % 8)
 
 
 @dataclass
@@ -45,24 +45,20 @@ class DuplicationDescription:
     x_bits: BitSequence
     mismatch_bits: np.ndarray        # Y(2i) for each pair with X(2i) != X(2i+1)
     subset_code: tuple[int, int]     # (cardinality, colex rank) over equal pairs
-    total_length_bits: int
 
     def to_bits(self) -> np.ndarray:
-        """Serialize to a flat bit array of exactly total_length_bits bits:
-        X verbatim, the per-pair bits, the cardinality header, the rank."""
+        """Serialize to a flat bit array: X verbatim, the per-pair bits, the
+        cardinality header, the rank.  Its size is the description's length."""
         k, rank = self.subset_code
         x_even, x_odd = _pair_views(self.x_bits.bits)
         equal = int(np.count_nonzero(x_even == x_odd))
         rank_bits = (math.comb(equal, k) - 1).bit_length()
-        out = np.concatenate([
+        return np.concatenate([
             self.x_bits.bits,
             np.asarray(self.mismatch_bits, dtype=np.uint8),
             _int_to_bits(k, _header_bits(equal)),
             _int_to_bits(rank, rank_bits),
         ])
-        if out.size != self.total_length_bits:
-            raise ValueError("description is inconsistent with its length field")
-        return out
 
     @classmethod
     def from_bits(cls, bits: np.ndarray, n: int) -> "DuplicationDescription":
@@ -86,7 +82,7 @@ class DuplicationDescription:
             raise ValueError("malformed description: wrong length")
         rank = _bits_to_int(bits[pos:pos + rank_bits])
         return cls(x_bits=BitSequence(x.copy()), mismatch_bits=mismatch.copy(),
-                   subset_code=(k, rank), total_length_bits=int(bits.size))
+                   subset_code=(k, rank))
 
 
 def _pair_views(bits: np.ndarray):
@@ -108,16 +104,10 @@ def duplication_encode(x, y) -> DuplicationDescription:
     mismatch_bits = y_even[unequal].copy()
     equal_pos = np.flatnonzero(~unequal)
     wrong = np.flatnonzero(y_even[equal_pos] != x_even[equal_pos])
-    k = int(wrong.size)
-    rank = colex_rank(wrong.tolist())
-    equal = int(equal_pos.size)
-    rank_bits = (math.comb(equal, k) - 1).bit_length()
-    total = bx.size + int(mismatch_bits.size) + _header_bits(equal) + rank_bits
     return DuplicationDescription(
         x_bits=BitSequence(bx.copy()),
         mismatch_bits=mismatch_bits,
-        subset_code=(k, rank),
-        total_length_bits=total,
+        subset_code=(int(wrong.size), colex_rank(wrong.tolist())),
     )
 
 

@@ -355,7 +355,6 @@ class ConvexityReport:
     """Outcome of a grid check of a convex-then-concave (or concave) shape claim."""
 
     inflection: float | None
-    grid_step: float
     sign_pattern_ok: bool
     worst_violation: float
 
@@ -427,7 +426,6 @@ def verify_convexity_lemma(delta: float, grid_step: float = 1e-3,
 
     return ConvexityReport(
         inflection=inflection,
-        grid_step=grid_step,
         sign_pattern_ok=single_change and f_dd_ok and d2_ok,
         worst_violation=worst,
     )
@@ -494,7 +492,6 @@ def verify_concavity_lemma(grid_step: float = 2e-3, tol: float = _D2_TOL,
 
     return ConvexityReport(
         inflection=None,
-        grid_step=grid_step,
         sign_pattern_ok=ok and h_ok and center_ok and deriv_ok,
         worst_violation=worst,
     )
@@ -544,7 +541,7 @@ def tail_average_floor(s_seq) -> float:
     A_j = (1/n_j) sum_{i<j} s_i i^2, clamped to [0, 1]: the boundaries the
     buffer inequality reads, not the shared tail window of dimension.py.
     """
-    s_arr = np.asarray(list(s_seq), dtype=float)
+    s_arr = np.asarray(s_seq, dtype=float)
     horizon = len(s_arr)
     if horizon < 2:
         raise ValueError("need at least two chunk values")
@@ -578,7 +575,7 @@ def buffer_schedule(c: float, s_seq):
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
-    s_arr = np.asarray(list(s_seq), dtype=float)
+    s_arr = np.asarray(s_seq, dtype=float)
     _require_unit(s_arr, "s_seq")
     horizon = len(s_arr)
 

@@ -92,10 +92,6 @@ class SphereDescriptor:
     inner_radius: int           # k: the full ball has radius k (in bits)
     partial_layer: int          # how many weight-(k+1) words are included
 
-    @property
-    def size(self):
-        return ball_volume(self.n, self.inner_radius) + self.partial_layer
-
 
 def sphere_for_size(n: int, size, center: str = ZERO) -> SphereDescriptor:
     """The canonical sphere of exactly `size` words centred at 0^n or 1^n."""
@@ -206,8 +202,6 @@ def _min_distance_bits(words_a, words_b) -> int:
 
 @dataclass
 class HarperReport:
-    n: int
-    trials: int
     checked: int = 0
     failures: list = field(default_factory=list)
     tightest_gap: int | None = None
@@ -231,7 +225,7 @@ def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
     if n > MAX_HARPER_N:
         raise ValueError(f"exhaustive verification capped at n={MAX_HARPER_N}")
     rng = np.random.default_rng(seed)
-    report = HarperReport(n=n, trials=trials)
+    report = HarperReport()
     space = 1 << n
 
     def check(words_a, words_b):

@@ -99,7 +99,7 @@ def _round_up_to_grid(value: np.ndarray, js: np.ndarray) -> np.ndarray:
 
 def _chunk_arrays(s_seq):
     """s_j, eps_j (default_eps_seq) and j = 1..count as arrays."""
-    s_arr = np.array([float(v) for v in s_seq])
+    s_arr = np.asarray(s_seq, dtype=float)
     return s_arr, np.array(default_eps_seq(len(s_arr))), np.arange(1, len(s_arr) + 1)
 
 
@@ -124,7 +124,7 @@ def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
     Re-checks the buffer inequality (buffer_margin) on the rounded targets
     before returning.
     """
-    s_arr = np.array([float(v) for v in s_seq])
+    s_arr = np.asarray(s_seq, dtype=float)
     js = np.arange(1, len(s_arr) + 1)
     eps_list, b = buffer_schedule(c, s_arr)
     eps = np.array(eps_list)
@@ -324,15 +324,9 @@ def raise_chunk(chunk, context, radius: float, est, seed: int | tuple = 0, *,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ChunkOutcome:
-    j: int
-    delta_achieved: float
-    t_achieved: float
-
-
-@dataclass
 class SurgeryReport:
-    outcomes: list[ChunkOutcome]
+    delta_achieved: np.ndarray           # per chunk, in plan order
+    t_achieved: np.ndarray
     dim_after: float
     distance: float
     codebook_rate: float | None = None   # lower runs: index bits per sequence bit
@@ -347,49 +341,48 @@ def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
     one call modifies it within the plan's budget: raise_chunk searches
     against the constructed prefix (seeded by (seed, j)) and returns its
     estimate, which is t_achieved; lower_chunk quantizes onto the plan's
-    block codebooks, and t_achieved is estimated once.  The per-chunk
-    achieved distance is asserted against the budget on exact bit counts.
-    dim_after aggregates the t_achieved values: each was estimated once its
-    prefix was final, so it equals what a sequence_dim pass over the output
-    would measure.  The report holds only achieved values; the planned ones
-    stay in the plan.
+    block codebooks, and t_achieved is estimated once.  One sequence_distance
+    pass counts each chunk's changed bits once: the counts are asserted
+    against the budgets floor(delta_j j^2), and give delta_achieved and the
+    distance.  dim_after aggregates t_achieved: each was estimated once its
+    prefix was final, so it equals a sequence_dim pass over the output.
+    The report holds only achieved values; the planned ones stay in the plan.
     """
     bx = as_bits(x)
     count = len(plan.entries)
     if count == 0:
         return BitSequence(bx.copy()), SurgeryReport(
-            outcomes=[], dim_after=float("nan"), distance=0.0)
+            delta_achieved=np.empty(0), t_achieved=np.empty(0),
+            dim_after=float("nan"), distance=0.0)
     used = chunk_boundary(count + 1)
     if used > bx.size:
         raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
 
     y = bx.copy()
-    outcomes = []
+    t_achieved = np.empty(count)
     index_bits_total = 0.0
-    for entry in plan.entries:
+    for i, entry in enumerate(plan.entries):
         j = entry.j
         lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
-        x_chunk = bx[lo:hi]
         if plan.strategy == LOWER:
-            y_chunk, index_bits = lower_chunk(x_chunk, plan.codebooks, plan.block_len)
+            y_chunk, index_bits = lower_chunk(bx[lo:hi], plan.codebooks, plan.block_len)
             index_bits_total += index_bits
-            t_achieved = est.estimate(y_chunk, y[:lo])
+            t_achieved[i] = est.estimate(y_chunk, y[:lo])
         else:
-            y_chunk, t_achieved = raise_chunk(x_chunk, y[:lo], entry.delta_j, est,
-                                              seed=(seed, j), target=entry.t_j)
-        mismatches = int(np.count_nonzero(x_chunk != y_chunk))
-        budget_bits = int(math.floor(entry.delta_j * x_chunk.size + 1e-9))
-        if mismatches > budget_bits:
-            raise RuntimeError(
-                f"chunk {j}: achieved {mismatches} flips over budget {budget_bits}")
+            y_chunk, t_achieved[i] = raise_chunk(bx[lo:hi], y[:lo], entry.delta_j, est,
+                                                 seed=(seed, j), target=entry.t_j)
         y[lo:hi] = y_chunk
-        outcomes.append(ChunkOutcome(
-            j=j, delta_achieved=mismatches / x_chunk.size, t_achieved=t_achieved))
 
-    dim_after = dim_series([o.t_achieved for o in outcomes]).tail_min
-    distance = sequence_distance(bx[:used], y[:used]).tail_max
+    changed = sequence_distance(bx[:used], y[:used])
+    sizes = np.arange(1, count + 1, dtype=np.int64) ** 2
+    budgets = np.floor(plan.deltas() * sizes + 1e-9).astype(np.int64)
+    over = np.flatnonzero(changed.counts > budgets)
+    if over.size:
+        i = over[0]
+        raise RuntimeError(
+            f"chunk {i + 1}: achieved {changed.counts[i]} flips over budget {budgets[i]}")
     report = SurgeryReport(
-        outcomes=outcomes, dim_after=dim_after, distance=distance,
+        delta_achieved=changed.counts / sizes, t_achieved=t_achieved,
+        dim_after=dim_series(t_achieved).tail_min, distance=changed.tail_max,
         codebook_rate=(index_bits_total / used if plan.strategy == LOWER else None))
     return BitSequence(y), report
-

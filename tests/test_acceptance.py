@@ -208,7 +208,8 @@ def test_criterion_9_duplication_coder():
             x.bits[flips] ^= 1
             desc = duplication_encode(x, y)
             assert duplication_decode(desc) == y, trial
-            assert desc.total_length_bits <= bound, (trial, desc.total_length_bits)
+            length = desc.to_bits().size
+            assert length <= bound, (trial, length)
     t.check()
     print(f"\nPASS criterion 9: 1000 instances at n=1e4, exact round trip, "
           f"length <= {bound:.0f} bits ({t.elapsed:.1f}s)")

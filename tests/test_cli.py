@@ -220,6 +220,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL buffer family=constant" in captured.out and captured.err == ""
 
+    @pytest.mark.parametrize("corrupt", [lambda wire: wire[:-1], lambda wire: wire ^ 1],
+                             ids=["truncated", "complemented"])
+    def test_bad_wire_is_a_fail_row(self, monkeypatch, capsys, corrupt):
+        # verify duplication checks the serialized bits: a wire that the
+        # parser rejects, or that decodes to another Y, is a FAIL row and
+        # exit 1, not a usage error raised out of from_bits
+        from dimsurgery.duplication import DuplicationDescription
+        to_bits = DuplicationDescription.to_bits
+        monkeypatch.setattr(DuplicationDescription, "to_bits",
+                            lambda self: corrupt(to_bits(self)))
+        assert run("verify", "duplication", "--n", "200", "--trials", "2") == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == "FAIL duplication round-trip n=200\n" * 2
+        assert captured.err == ""
+
     @pytest.mark.parametrize("argv, worker, message", [
         (["cover", "--n", "23"], "greedy_cover", "--n must be <= 22, got 23"),
         (["harper", "--n", "15"], "verify_harper", "--n must be <= 14, got 15"),

@@ -27,6 +27,7 @@ from dimsurgery.dimension import (
     planned_distance,
     sequence_dim,
     sequence_distance,
+    weighted_series,
 )
 from dimsurgery.entropy import entropy
 from dimsurgery.estimators import (
@@ -301,9 +302,9 @@ class TestSequenceDim:
                 return 0.625
 
         res = sequence_dim(gen_coin(3000, 0), Const())
-        assert res.final == pytest.approx(0.625, abs=1e-12)
+        assert np.array_equal(res.chunk_values, np.full(chunk_count(3000), 0.625))
         assert res.tail_min == pytest.approx(0.625, abs=1e-12)
-        assert np.allclose(res.series, 0.625)
+        assert np.allclose(weighted_series(res.chunk_values), 0.625)
 
     def test_parity_alternating_averages_to_half(self):
         class Parity:
@@ -322,7 +323,7 @@ class TestSequenceDim:
         j = 100
         even_sum = sum(i * i for i in range(2, j, 2))
         want = even_sum / chunk_boundary(j + 1) * (j + 1 == 101 and 1 or 1)
-        got = res.series[-1]
+        got = weighted_series(res.chunk_values)[-1]
         assert got == pytest.approx(sum(i * i for i in range(2, 101, 2)) / chunk_boundary(101), abs=1e-12)
         assert abs(got - 0.5) <= 3.0 / 100
 
@@ -349,21 +350,23 @@ class TestSequenceDim:
         # 30 bits hold 4 chunks, fewer than MIN_TAIL_CHUNK: the tail window
         # shrinks to start at boundary j = 4, so A_4 and A_5 are read
         res = sequence_dim(gen_coin(30, 0), BernoulliOracle())
-        assert len(res.series) == 4
-        assert res.tail_min == res.series[2:].min()
+        series = weighted_series(res.chunk_values)
+        assert len(series) == 4
+        assert res.tail_min == series[2:].min()
 
 
 class TestSequenceDistance:
     def test_identical(self):
         x = gen_coin(5000, 3)
         res = sequence_distance(x, x)
-        assert res.final == 0.0 and res.tail_max == 0.0
+        assert not res.counts.any() and res.tail_max == 0.0
 
     def test_complement(self):
         x = gen_coin(5000, 3)
         y = BitSequence(1 - x.bits)
         res = sequence_distance(x, y)
-        assert res.final == 1.0 and res.tail_max == 1.0
+        js = np.arange(1, chunk_count(5000) + 1)
+        assert np.array_equal(res.counts, js ** 2) and res.tail_max == 1.0
 
     def test_first_bit_of_each_chunk(self):
         n_bits = chunk_boundary(61)
@@ -373,20 +376,25 @@ class TestSequenceDistance:
             pos = chunk_boundary(j)
             y.bits[pos] ^= 1
         res = sequence_distance(x, y)
-        # delta_i = 1/i^2, so the weighted average is (j-1)/n_j -> 0
-        assert res.chunk_values[3] == pytest.approx(1 / 16)
-        assert res.series[-1] == pytest.approx(60 / chunk_boundary(61), abs=1e-12)
+        # delta_i = 1/i^2, so the prefix density is (j-1)/n_j -> 0
+        assert res.counts.dtype == np.int64 and res.counts.tolist() == [1] * 60
+        # the density falls, so the tail's first boundary, n_30, holds the max
+        assert res.tail_max == 29 / chunk_boundary(30)
         assert res.tail_max < 0.01
 
     def test_prefix_identity_exact(self):
         x = gen_coin(30_000, 7)
         y = gen_bernoulli(0.4, 30_000, 8)
         res = sequence_distance(x, y)
-        # at every chunk boundary n_{j+1} the series is the plain prefix density
+        # tail_max is the largest plain prefix density over the tail
+        # boundaries n_{j+1}, bit for bit, and counts are the chunks' mismatches
         mism = x.bits != y.bits
-        n_next = [chunk_boundary(j + 1) for j in range(1, len(res.series) + 1)]
-        prefix = np.array([np.count_nonzero(mism[:b]) / b for b in n_next])
-        assert np.array_equal(res.series, prefix)
+        count = chunk_count(30_000)
+        ends = [chunk_boundary(j) for j in range(1, count + 2)]
+        assert res.counts.tolist() == [int(np.count_nonzero(mism[lo:hi]))
+                                       for lo, hi in zip(ends, ends[1:])]
+        prefix = [np.count_nonzero(mism[:b]) / b for b in ends[1:]]
+        assert res.tail_max == max(prefix[default_tail_start(count) - 2:])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -407,9 +415,9 @@ class TestSequenceDistance:
         y = gen_bernoulli(0.4, n_bits, 8)
         res = sequence_distance(x, y)
         if tail_start is not None:
-            assert default_tail_start(len(res.chunk_values)) == tail_start
-        assert planned_distance(res.chunk_values) == pytest.approx(
-            res.tail_max, rel=1e-12)
+            assert default_tail_start(len(res.counts)) == tail_start
+        deltas = res.counts / np.arange(1, len(res.counts) + 1) ** 2
+        assert planned_distance(deltas) == pytest.approx(res.tail_max, rel=1e-12)
 
 
 class TestDimBoundProxy:

@@ -1,6 +1,7 @@
 """Round-trip and length tests for the join-sequence duplication coder."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from dimsurgery.bitseq import BitSequence, gen_join_dup
 from dimsurgery.duplication import (
     SUBSET_HEADER_BITS,
+    DuplicationDescription,
+    _bits_to_int,
+    _int_to_bits,
     duplication_decode,
     duplication_encode,
 )
@@ -32,7 +36,7 @@ class TestEncode:
         desc = duplication_encode(y, y)
         assert desc.mismatch_bits.size == 0
         assert desc.subset_code == (0, 0)
-        assert desc.total_length_bits == 1000 + SUBSET_HEADER_BITS
+        assert desc.to_bits().size == 1000 + SUBSET_HEADER_BITS
 
     def test_every_pair_mismatched(self):
         # X differs from Y on the first bit of every pair: part 2 carries
@@ -43,7 +47,7 @@ class TestEncode:
         desc = duplication_encode(x, y)
         assert desc.mismatch_bits.size == 300
         assert desc.subset_code == (0, 0)
-        assert desc.total_length_bits == 600 + 300 + SUBSET_HEADER_BITS
+        assert desc.to_bits().size == 600 + 300 + SUBSET_HEADER_BITS
 
     def test_length_formula_matches_parts(self):
         x, y = make_pair(2000, 150, seed=4)
@@ -54,7 +58,7 @@ class TestEncode:
         k, rank = desc.subset_code
         rank_bits = (math.comb(equal, k) - 1).bit_length()
         assert desc.mismatch_bits.size == unequal
-        assert desc.total_length_bits == 2000 + unequal + SUBSET_HEADER_BITS + rank_bits
+        assert desc.to_bits().size == 2000 + unequal + SUBSET_HEADER_BITS + rank_bits
 
     def test_rejects_non_join(self):
         x = BitSequence(np.zeros(10, np.uint8))
@@ -93,18 +97,45 @@ class TestDecode:
             duplication_decode(desc)
 
 
-class TestBitSerialization:
-    def test_bit_count_matches_length_field(self):
-        x, y = make_pair(800, 70, seed=11)
-        desc = duplication_encode(x, y)
-        wire = desc.to_bits()
-        assert wire.size == desc.total_length_bits
+def _int_to_bits_loop(value, width):
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
+
+def _bits_to_int_loop(bits):
+    out = 0
+    for b in bits:
+        out = (out << 1) | int(b)
+    return out
+
+
+class TestIntBits:
+    """The array helpers against the per-bit loops they replaced."""
+
+    @pytest.mark.parametrize("width", [*range(71), 4097])
+    def test_matches_bit_loops(self, width):
+        rng = random.Random(width)
+        values = {0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(20))}
+        if width:
+            values |= {1, 1 << (width - 1)}
+        for value in sorted(values):
+            bits = _int_to_bits(value, width)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, _int_to_bits_loop(value, width))
+            assert _bits_to_int(bits) == value
+        noise = np.random.default_rng(width).integers(0, 2, size=width, dtype=np.uint8)
+        assert _bits_to_int(noise) == _bits_to_int_loop(noise)
+
+    @pytest.mark.parametrize("value, width", [
+        (1 << 16, 16), (1 << 12, 12), ((1 << 70) + 5, 70), (1, 0), (-1, 8)])
+    def test_value_wider_than_field(self, value, width):
+        with pytest.raises(OverflowError):
+            _int_to_bits(value, width)
+
+
+class TestBitSerialization:
     @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=40)
     def test_wire_round_trip(self, half_n, seed):
-        from dimsurgery.duplication import DuplicationDescription
-
         n = 2 * half_n
         rng = np.random.default_rng(seed)
         x, y = make_pair(n, int(rng.integers(0, n + 1)), seed)
@@ -112,12 +143,19 @@ class TestBitSerialization:
         wire = desc.to_bits()
         back = DuplicationDescription.from_bits(wire, n)
         assert duplication_decode(back) == y
-        assert back.total_length_bits == desc.total_length_bits
+        assert np.array_equal(back.to_bits(), wire)
+
+    def test_large_pair_round_trip(self):
+        # 1e5 bits at the coder's radius: serialize, parse and decode back
+        n = 100_000
+        x, y = make_pair(n, int(float(entropy_inv(0.5)) * n), seed=12)
+        wire = duplication_encode(x, y).to_bits()
+        back = DuplicationDescription.from_bits(wire, n)
+        assert duplication_decode(back) == y
+        assert np.array_equal(back.to_bits(), wire)
 
     def test_wide_cardinality_header_round_trip(self):
         # k = 2^16 wrong equal pairs no longer fits a 16-bit header
-        from dimsurgery.duplication import DuplicationDescription
-
         n = 140_000
         xb = np.zeros(n, dtype=np.uint8)
         xb[:2 * 65_536] = 1
@@ -129,8 +167,6 @@ class TestBitSerialization:
         assert duplication_decode(back) == y
 
     def test_truncated_wire_rejected(self):
-        from dimsurgery.duplication import DuplicationDescription
-
         x, y = make_pair(100, 10, seed=3)
         wire = duplication_encode(x, y).to_bits()
         with pytest.raises(ValueError):
@@ -150,5 +186,5 @@ class TestLengthBound:
             pos = rng.choice(n, size=int(radius * n), replace=False)
             x.bits[pos] ^= 1
             desc = duplication_encode(x, y)
-            assert desc.total_length_bits <= bound
+            assert desc.to_bits().size <= bound
             assert duplication_decode(desc) == y

@@ -568,8 +568,8 @@ class TestApplyPlan:
         est = BernoulliOracle()
         plan = plan_randomize(chunk_dims(x, est))
         y, report = apply_plan(x, plan, est, seed=5)
-        for entry, out in zip(plan.entries, report.outcomes):
-            assert out.delta_achieved <= entry.delta_j + 1e-15
+        for entry, delta in zip(plan.entries, report.delta_achieved):
+            assert delta <= entry.delta_j + 1e-15
 
     def test_randomize_bernoulli_tightness_small(self):
         # miniature version of the headline randomize experiment
@@ -591,8 +591,8 @@ class TestApplyPlan:
         assert report.codebook_rate is not None
         assert report.codebook_rate <= 0.58
         assert report.distance <= entropy_inv(0.5) + 0.05
-        for entry, out in zip(plan.entries, report.outcomes):
-            assert out.delta_achieved <= entry.delta_j + 1e-15
+        for entry, delta in zip(plan.entries, report.delta_achieved):
+            assert delta <= entry.delta_j + 1e-15
 
     def test_lower_plan_carries_its_codebooks(self, monkeypatch):
         # plan_lower builds one quantizer per block width its chunks use and
@@ -621,7 +621,7 @@ class TestApplyPlan:
         calls.clear()
         x = gen_coin(chunk_boundary(count + 1), 3)
         _, report = apply_plan(x, plan, BernoulliOracle())
-        assert calls == [] and len(report.outcomes) == count
+        assert calls == [] and len(report.t_achieved) == count
 
     def test_plan_is_the_whole_contract(self):
         # nothing but the plan says what to achieve: no codebook source,
@@ -690,11 +690,78 @@ class TestApplyPlan:
         _, report = apply_plan(x, plan, SpyEstimator(), 1)
         assert len(spans) == count and spans[0][0] == 0
         assert [end for _, end, _, _ in spans] == [s for s, _, _, _ in spans[1:]] + [len(calls)]
-        assert [o.t_achieved for o in report.outcomes] == [v for _, _, _, v in spans]
+        assert report.t_achieved.tolist() == [v for _, _, _, v in spans]
         for start, end, returned, _ in spans:
             inside = calls[start:end]
             assert len(inside) == len(set(inside))
             assert returned in inside
+
+    @pytest.mark.parametrize("strategy", ["raise", LOWER])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-budget", "over-budget"])
+    def test_budget_violation_names_the_chunk(self, monkeypatch, strategy, extra):
+        # a chunk step that changes more than floor(delta_j j^2) bits breaks
+        # the hard budget: apply_plan names the chunk; at the budget it passes
+        import dimsurgery.surgery as surgery
+
+        count, j = 30, 5
+        x = gen_bernoulli(float(entropy_inv(0.5)), chunk_boundary(count + 1), 3)
+        est = BernoulliOracle()
+        if strategy == LOWER:
+            plan, step = plan_lower(count, 0.5), "lower_chunk"
+        else:
+            plan, step = plan_raise(chunk_dims(x, est), 0.5, 0.8), "raise_chunk"
+        budget = math.floor(plan.entries[j - 1].delta_j * j * j + 1e-9)
+        assert budget + 1 < j * j
+        real = getattr(surgery, step)
+
+        def flip_on_chunk_j(chunk, *args, **kwargs):
+            y_chunk, value = real(chunk, *args, **kwargs)
+            if chunk.size == j * j:
+                y_chunk = chunk.copy()
+                y_chunk[:budget + extra] ^= 1
+            return y_chunk, value
+
+        monkeypatch.setattr(surgery, step, flip_on_chunk_j)
+        if extra:
+            with pytest.raises(RuntimeError,
+                               match=f"^chunk {j}: achieved {budget + 1} flips over "
+                                     f"budget {budget}$"):
+                apply_plan(x, plan, est, seed=1)
+        else:
+            _, report = apply_plan(x, plan, est, seed=1)
+            assert report.delta_achieved[j - 1] == budget / (j * j)
+
+    @pytest.mark.parametrize("strategy", ["raise", LOWER])
+    def test_one_count_per_chunk(self, monkeypatch, strategy):
+        # one sequence_distance pass counts the changed bits of every chunk;
+        # delta_achieved and the distance are read off it
+        import dimsurgery.surgery as surgery
+
+        count = 40
+        x = gen_bernoulli(float(entropy_inv(0.5)), chunk_boundary(count + 1) + 11, 3)
+        est = BernoulliOracle()
+        if strategy == LOWER:
+            plan = plan_lower(count, 0.5)
+        else:
+            plan = plan_raise(chunk_dims(x, est), 0.5, 0.8)
+        results = []
+
+        def spy(*args):
+            results.append(sequence_distance(*args))
+            return results[-1]
+
+        monkeypatch.setattr(surgery, "sequence_distance", spy)
+        y, report = apply_plan(x, plan, est, seed=2)
+        assert len(results) == 1
+        counts = results[0].counts
+        ends = chunk_boundary(np.arange(1, count + 2)).tolist()
+        assert counts.tolist() == [int(np.count_nonzero(x.bits[lo:hi] != y.bits[lo:hi]))
+                                   for lo, hi in zip(ends, ends[1:])]
+        # delta_achieved is counts / j^2, each a correctly rounded division
+        assert report.delta_achieved.tolist() == [
+            c / (j * j) for j, c in enumerate(counts.tolist(), start=1)]
+        assert report.distance == results[0].tail_max
+        assert len(report.t_achieved) == len(plan.entries) == count
 
     def test_deterministic_given_seed(self):
         n_chunks = 30
@@ -723,20 +790,21 @@ class TestApplyPlan:
         s_sur = tail_average_floor(s_seq)
         # tiny chunks cannot reach their targets (frequency granularity);
         # fold their shortfall into the absorbing constant like b does
-        shortfall = sum(max(0.0, e.t_j - o.t_achieved) * o.j ** 2
-                        for e, o in zip(plan.entries, report.outcomes) if o.j < 10)
+        shortfall = sum(max(0.0, e.t_j - t) * e.j ** 2
+                        for e, t in zip(plan.entries, report.t_achieved) if e.j < 10)
         b_eff = b + shortfall
         prefix = 0.0
-        for entry, out in zip(plan.entries, report.outcomes):
-            if out.j >= 10:
+        for entry, t in zip(plan.entries, report.t_achieved):
+            j = entry.j
+            if j >= 10:
                 # frequency granularity caps odd-length chunks just below 1
-                cap = float(entropy((out.j ** 2 // 2) / out.j ** 2))
-                assert out.t_achieved >= min(entry.t_j, cap) - 1e-12
-            prefix += out.t_achieved * out.j ** 2
-            assert prefix - c * out.j ** 2 > s_sur * chunk_boundary(out.j) - b_eff
+                cap = float(entropy((j ** 2 // 2) / j ** 2))
+                assert t >= min(entry.t_j, cap) - 1e-12
+            prefix += t * j ** 2
+            assert prefix - c * j ** 2 > s_sur * chunk_boundary(j) - b_eff
         # distance stays inside the planned 2*eps budget per chunk
-        for entry, out in zip(plan.entries, report.outcomes):
-            assert out.delta_achieved <= entry.delta_j + 1e-15
+        for entry, delta in zip(plan.entries, report.delta_achieved):
+            assert delta <= entry.delta_j + 1e-15
 
 
 TIGHT_PAIR_BLOCK_LEN = 20
