@@ -15,12 +15,10 @@ from .entropy import (
     CASE2,
     BoundCurves,
     ConvexityReport,
-    LineFn,
     ScheduleError,
     bound_curves,
     buffer_schedule,
     case_select,
-    chord_line,
     entropy,
     entropy_deriv,
     entropy_inv,

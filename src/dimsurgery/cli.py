@@ -4,7 +4,7 @@ finitely-checkable lemmas, and run surgery experiments to CSV.
     dimsurgery gen      --kind coin --n 1000000 --seed 1 --out x.bits
     dimsurgery curves   --grid 0.05 --out curves.csv
     dimsurgery verify   harper --n 8 --trials 10000
-    dimsurgery surgery  --in x.bits --strategy raise --s 0.5 --t 0.8 --out run.csv
+    dimsurgery surgery  --in x.bits --strategy raise --t 0.8 --out run.csv
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (or a config key
 that names no flag, an input the strategy cannot plan for, or a verify run
@@ -267,15 +267,13 @@ def cmd_surgery(args) -> int:
         raise ValueError("input too short for even two chunks")
     before = sequence_dim(x, est)               # the one pass over the input
     s_seq, dim_before = before.chunk_values, before.tail_min
-    if args.strategy == "randomize":
-        plan = plan_randomize(s_seq)
-        bound = 0.5 - float(entropy_inv(dim_before))
+    if args.strategy in ("randomize", "raise"):  # planned from the measured s_j
+        t = 1.0 if args.strategy == "randomize" else args.t
+        plan = plan_randomize(s_seq) if args.strategy == "randomize" else plan_raise(s_seq, t)
+        bound = max(0.0, float(entropy_inv(t) - entropy_inv(dim_before)))
     elif args.strategy == "weak":
         plan = plan_weak_srandom(s_seq, c=args.c)
         bound = planned_distance(plan.deltas())
-    elif args.strategy == "raise":
-        plan = plan_raise(s_seq, args.s, args.t)
-        bound = float(entropy_inv(args.t) - entropy_inv(args.s))
     else:                                       # lower
         plan = plan_lower(len(s_seq), args.s)
         bound = float(entropy_inv(1.0 - args.s))
@@ -393,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--strategy", required=True,
                    choices=["randomize", "weak", "raise", "lower"])
-    p.add_argument("--s", type=_unit_float, default=0.5)
-    p.add_argument("--t", type=_unit_float, default=1.0)
+    p.add_argument("--s", type=_unit_float, default=0.5, help="lower's target dimension")
+    p.add_argument("--t", type=_unit_float, default=1.0, help="raise's target dimension")
     p.add_argument("--c", type=_nonneg_float, default=10.0)
     p.add_argument("--estimator", default="bernoulli")
     p.add_argument("--seed", type=_seed_list, default=(0,),

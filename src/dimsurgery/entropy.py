@@ -1,7 +1,7 @@
 """Binary entropy calculus: H, its [0,1/2] inverse branch, the raise profile
 M(s, eps) = H(min(1/2, H^{-1}(s) + eps)), bound curves between dimensions,
-line constructions for the two raise strategies, and numeric verification of
-the convexity/concavity facts those strategies rest on.
+the paper's case selection, and numeric verification of the
+convexity/concavity facts its two raise constructions rest on.
 
 All inputs named like probabilities/dimensions live in [0, 1].  entropy,
 entropy_inv, raise_profile, bound_curves and case_select work elementwise on
@@ -284,19 +284,6 @@ def bound_curves(s, t) -> BoundCurves:
     )
 
 
-@dataclass(frozen=True)
-class LineFn:
-    """Affine function x -> slope*x + intercept."""
-
-    slope: float
-    intercept: float
-
-    def __call__(self, x):
-        if np.ndim(x):
-            return self.slope * np.asarray(x, dtype=float) + self.intercept
-        return self.slope * float(x) + self.intercept
-
-
 CASE1 = "case1"
 CASE2 = "case2"
 
@@ -313,7 +300,7 @@ _CASE_TIE_TOL = 1e-9
 
 
 def case_select(s, t):
-    """Pick the raise strategy for the pair s < t (both strictly inside [0,1)).
+    """Pick the paper's raise construction for the pair s < t (both in [0, 1)).
 
     Returns CASE1 iff (1-s)g'(s) <= (1-t)g'(t) with g = entropy_inv.  Both
     strategies are valid under a non-strict inequality, so near-ties (within
@@ -331,17 +318,8 @@ def case_select(s, t):
     return str(out) if out.ndim == 0 else out
 
 
-def chord_line(s: float, t: float) -> LineFn:
-    """The line through (s, t) and (1, 1): x -> (1-t)/(1-s) x + (t-s)/(1-s)."""
-    _require_unit(s, "s")
-    _require_unit(t, "t")
-    if s >= 1.0:
-        raise ValueError("chord line undefined at s = 1")
-    return LineFn(slope=(1.0 - t) / (1.0 - s), intercept=(t - s) / (1.0 - s))
-
-
 # ---------------------------------------------------------------------------
-# Numeric verification of the shape facts behind the two raise strategies.
+# Numeric verification of the shape facts behind the two raise constructions.
 # ---------------------------------------------------------------------------
 
 # Central second differences use this step; tolerances are on the raw

@@ -1,13 +1,14 @@
 """Per-chunk modification plans and their application.
 
 A plan assigns every chunk a target proxy dimension t_j and a change-density
-budget delta_j, following one of five strategies:
+budget delta_j, following one of four strategies:
 
-  randomize      push every chunk to dimension 1 within 1/2 + eps - g(s_j)
+  raise          water-fill the measured chunk dimensions up to t:
+                 t_j = max(s_j, tau), the least tau whose weighted tail
+                 averages reach t; delta_j = g(t_j) - g(s_j) + eps_j
+  randomize      raise at t = 1
   weak_srandom   buffered raise M(s_j, eps_j) with halving eps from the
                  slack schedule; keeps a complexity buffer above s
-  raise_case1    raise toward t with the flat budget g(t) - g(s)
-  raise_case2    raise along the chord through (s, t) and (1, 1)
   lower          quantize each chunk onto linear block codes of rate ~ s
 
 Application walks chunks left to right, estimating each modified chunk against
@@ -33,11 +34,8 @@ from .dimension import (
     sequence_distance,
 )
 from .entropy import (
-    CASE1,
     buffer_margin,
     buffer_schedule,
-    case_select,
-    chord_line,
     entropy_inv,
     raise_profile,
     tail_average_floor,
@@ -48,13 +46,12 @@ from .hamming import (
     systematic_code,
 )
 
-RANDOMIZE = "randomize"
+RAISE = "raise"
 WEAK_SRANDOM = "weak_srandom"
-RAISE_CASE1 = "raise_case1"
-RAISE_CASE2 = "raise_case2"
 LOWER = "lower"
 
 EPS_MIN = 1e-3
+_WATER_LEVEL_ITERS = 48  # bisection steps for tau: far below the 1/j^2 grid gaps
 QUANTIZER_RATE_SLACK = 0.045  # extra code rate (bits per bit) for block quantizers
 
 
@@ -92,29 +89,15 @@ def default_eps_seq(count: int) -> list[float]:
     return [max(EPS_MIN, 1.0 / math.ceil(math.log2(j + 2))) for j in range(1, count + 1)]
 
 
-def _round_up_to_grid(value: np.ndarray, js: np.ndarray) -> np.ndarray:
+def _round_up_to_grid(value, js: np.ndarray) -> np.ndarray:
     """Round each value up to the nearest fraction k/j, clamped into [0, 1]."""
     return np.minimum(1.0, np.ceil(value * js - 1e-9) / js)
-
-
-def _chunk_arrays(s_seq):
-    """s_j, eps_j (default_eps_seq) and j = 1..count as arrays."""
-    s_arr = np.asarray(s_seq, dtype=float)
-    return s_arr, np.array(default_eps_seq(len(s_arr))), np.arange(1, len(s_arr) + 1)
 
 
 def _entries(js, t_arr, delta_arr, eps) -> list[PlanEntry]:
     return [PlanEntry(j=j, t_j=t_j, delta_j=d_j, eps_j=e_j)
             for j, t_j, d_j, e_j in zip(js.tolist(), t_arr.tolist(), delta_arr.tolist(),
                                         eps.tolist())]
-
-
-def plan_randomize(s_seq) -> SurgeryPlan:
-    """Full-randomize plan: t_j = 1, delta_j = 1/2 + eps_j - g(s_j) + 1/j."""
-    s_arr, eps, js = _chunk_arrays(s_seq)
-    delta = 0.5 + eps - entropy_inv(s_arr) + 1.0 / js
-    entries = _entries(js, np.ones_like(s_arr), np.clip(delta, 0.0, 1.0), eps)
-    return SurgeryPlan(strategy=RANDOMIZE, entries=entries)
 
 
 def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
@@ -136,44 +119,48 @@ def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
     return SurgeryPlan(strategy=WEAK_SRANDOM, entries=entries)
 
 
-def plan_raise(s_seq, s: float, t: float) -> SurgeryPlan:
-    """Raise-to-t plan for a sequence of chunk dims with tail floor >= s.
+def plan_raise(s_seq, t: float) -> SurgeryPlan:
+    """Water-filling raise plan from the measured chunk dims s_j.
 
-    Strategy picked by case_select: Case 1 uses the flat budget
-    delta_i = g(t)-g(s) + eps_i with targets M(s_i, delta); Case 2 follows
-    the chord through (s, t) and (1, 1) with delta_i = g(t_i)-g(s_i)+eps_i.
-    Asserts, arithmetically from the plan alone: the Case-2 chord invariant,
-    and planned aggregate distance <= (g(t)-g(s)) + max eps + 1/j0, both
-    read over the tail window (from j0 = default_tail_start(count)) that
-    apply_plan measures the distance on.
+    t_j = max(s_j, tau rounded up to 1/j), tau the least value in [0, 1]
+    (bisection) whose targets keep dim_series(t_j).tail_min >= t, and
+    delta_j = clip(g(t_j) - g(s_j) + eps_j, 0, 1): with g = entropy_inv
+    convex, one water level is the cheapest way to a weighted average t.
+    Asserts, from the plan alone, planned distance (over apply_plan's tail
+    window, from j0 = default_tail_start) <= max(0, g(t) - g(s)) + max eps
+    + 1/j0, with s = dim_series(s_seq).tail_min.
     """
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    if t == 1.0:
-        return plan_randomize(s_seq)
-    s_arr, eps, js = _chunk_arrays(s_seq)
-    delta = entropy_inv(t) - entropy_inv(s)
-    if case_select(s, t) == CASE1:
-        strategy = RAISE_CASE1
-        t_arr = _round_up_to_grid(raise_profile(s_arr, delta), js)
-        delta_arr = np.minimum(1.0, delta + eps)
-    else:
-        strategy = RAISE_CASE2
-        line = chord_line(s, t)
-        t_arr = _round_up_to_grid(line(s_arr), js)
-        delta_arr = np.clip(entropy_inv(t_arr) - entropy_inv(s_arr) + eps, 0.0, 1.0)
-        below = np.flatnonzero(t_arr < line(s_arr) - 1e-9)
-        if len(below):
-            i = below[0]
-            raise PlanInvariantError(
-                f"chunk {i + 1}: target {t_arr[i]} fell below the chord {line(s_arr[i])}")
-    entries = _entries(js, t_arr, delta_arr, eps)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    s_arr = np.asarray(s_seq, dtype=float)
+    eps, js = np.array(default_eps_seq(len(s_arr))), np.arange(1, len(s_arr) + 1)
+
+    def targets(tau: float) -> np.ndarray:
+        return np.maximum(s_arr, _round_up_to_grid(tau, js))
+
+    lo, hi = 0.0, 1.0                           # targets(1) are all 1: feasible
+    for _ in range(_WATER_LEVEL_ITERS):
+        mid = 0.5 * (lo + hi)
+        if dim_series(targets(mid)).tail_min >= t:
+            hi = mid
+        else:
+            lo = mid
+    t_arr = targets(hi)
+    delta_arr = np.clip(entropy_inv(t_arr) - entropy_inv(s_arr) + eps, 0.0, 1.0)
     planned = planned_distance(delta_arr)
-    budget = delta + float(eps.max()) + 1.0 / default_tail_start(len(s_arr))
+    gap = max(0.0, float(entropy_inv(t) - entropy_inv(dim_series(s_arr).tail_min)))
+    budget = gap + float(eps.max()) + 1.0 / default_tail_start(len(s_arr))
     if planned > budget + 1e-12:
         raise PlanInvariantError(
             f"planned aggregate distance {planned:.6f} exceeds bound budget {budget:.6f}")
-    return SurgeryPlan(strategy=strategy, entries=entries)
+    return SurgeryPlan(strategy=RAISE, entries=_entries(js, t_arr, delta_arr, eps))
+
+
+def plan_randomize(s_seq) -> SurgeryPlan:
+    """Full-randomize plan: the raise plan at t = 1 (every t_j = 1).  A name
+    of its own because perfbench/tracer.py times it: the raise workload's
+    trace expects a surgery.plan_randomize span."""
+    return plan_raise(s_seq, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup
-from dimsurgery.dimension import chunk_boundary, chunk_count, chunk_dims
+from dimsurgery.dimension import chunk_boundary, chunk_count, chunk_dims, planned_distance
 from dimsurgery.duplication import duplication_decode, duplication_encode
 from dimsurgery.entropy import (
     buffer_schedule,
@@ -152,7 +152,7 @@ def test_criterion_6_raise_to_random_tightness():
           f"|distance-(1/2-Hinv(s))|<=0.03 ({t.elapsed:.1f}s)")
 
 
-def test_criterion_7_raise_s_to_t():
+def test_criterion_7_raise_s_to_t(paper_plan):
     est = BernoulliOracle()
     pairs = [(s, t) for s in (0.25, 0.5, 0.75) for t in (0.6, 0.8) if s < t]
     with Timer(120.0) as t_budget:
@@ -162,9 +162,12 @@ def test_criterion_7_raise_s_to_t():
             for seed in range(20):
                 x = gen_bernoulli(p, N_BITS_RAISE, seed=7000 + 100 * seed + int(10 * t))
                 s_seq = chunk_dims(x, est)
-                plan = plan_raise(s_seq, s, t)  # arithmetic invariant inside
+                plan = plan_raise(s_seq, t)  # arithmetic invariant inside
                 # plan-level invariant, re-checked explicitly
                 deltas = plan.deltas()
+                # water-filling plans no more than the paper's plan from s
+                assert planned_distance(deltas) <= planned_distance(
+                    paper_plan(s_seq, s, t)[1]), (s, t, seed)
                 js = np.arange(1, len(deltas) + 1, dtype=np.float64)
                 series = np.cumsum(deltas * js ** 2) / (js * (js + 1) * (2 * js + 1) / 6.0)
                 ts = max(10, len(deltas) // 2)

@@ -22,7 +22,7 @@ from dimsurgery.dimension import (
     sequence_dim,
     sequence_distance,
 )
-from dimsurgery.entropy import CASE1, CASE2, case_select
+from dimsurgery.entropy import entropy_inv
 from dimsurgery.estimators import Compressor, parse_estimator
 
 
@@ -289,11 +289,21 @@ class TestSurgery:
         assert dim_after >= 0.97
         assert abs(distance - bound) <= 0.05
 
-    def test_degenerate_raise_rejected(self, tmp_path):
-        src = self._gen(tmp_path)
-        code = run("surgery", "--in", str(src), "--strategy", "raise",
-                   "--s", "0.5", "--t", "0.5")
-        assert code == EXIT_USAGE
+    def test_raise_below_dim_before_changes_nothing(self, tmp_path, capsys):
+        # the plan reads the measured dimension, 0.866 here: a target at or
+        # below it has bound 0, and the search leaves every chunk alone
+        src = self._gen(tmp_path, p=0.3, n=4000, seed=1)
+        capsys.readouterr()
+        for t in ("0.5", "0.8"):
+            y = tmp_path / f"y{t}.bits"
+            assert run("surgery", "--in", str(src), "--strategy", "raise", "--t", t,
+                       "--save-y", str(y)) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out.startswith("j,") and "WARN" not in out
+            assert out.splitlines()[-1] == (
+                "seed=0 dim_before=0.866092 dim_after=0.866092 distance=0.000000 "
+                "bound=0.000000")
+            assert BitSequence.from_file(y) == BitSequence.from_file(src)
 
     def test_deterministic_csv(self, tmp_path):
         src = self._gen(tmp_path)
@@ -307,8 +317,7 @@ class TestSurgery:
         src = self._gen(tmp_path, p=0.11, n=120_000)
         out = tmp_path / "raise.csv"
         assert run("surgery", "--in", str(src), "--strategy", "raise",
-                   "--s", "0.5", "--t", "0.8", "--seed", "2",
-                   "--out", str(out)) == EXIT_OK
+                   "--t", "0.8", "--seed", "2", "--out", str(out)) == EXIT_OK
         lines = out.read_text().splitlines()
         summary = lines[lines.index("") + 2].split(",")
         dim_after, distance, bound = float(summary[1]), float(summary[2]), float(summary[3])
@@ -481,13 +490,30 @@ class TestSurgery:
                 in capsys.readouterr().err)
 
     def test_tolerance_sets_the_warning(self, tmp_path, capsys):
-        # distance 0.195074 against bound 0.132976 on this input
-        src = self._gen(tmp_path, p=0.3, n=4000, seed=1)
-        argv = ["surgery", "--in", str(src), "--strategy", "raise", "--s", "0.5", "--t", "0.8",
-                "--out", str(tmp_path / "r.csv")]
-        for tolerance, warns in [("0.05", True), ("0.07", False)]:
+        # block:8 reads this Bernoulli(H^-1(1/2)) input at 0.828: distance
+        # 0.138868 against bound 0.108101
+        src = self._gen(tmp_path, p=float(entropy_inv(0.5)), n=100_000, seed=1)
+        argv = ["surgery", "--in", str(src), "--strategy", "raise", "--t", "0.95",
+                "--estimator", "block:8", "--out", str(tmp_path / "r.csv")]
+        for tolerance, warns in [("0.02", True), ("0.05", False)]:
             assert run(*argv, "--tolerance", tolerance) == EXIT_OK
             assert ("WARN" in capsys.readouterr().out) == warns
+
+    @pytest.mark.parametrize("t, bound", [("0.7", 0.082241), ("0.9", 0.208962)])
+    def test_raise_on_alternating_profile_stays_under_its_bound(
+            self, tmp_path, profile_input, t, bound):
+        # chunks alternate between dimensions 0.8 and 0.2 (dim_before 0.491):
+        # water-filling lands on t and changes fewer bits than g(t) - g(0.491)
+        src, out = tmp_path / "x.bits", tmp_path / "r.csv"
+        profile_input("alternating", 1_000_000, 0).to_file(src)
+        assert run("surgery", "--in", str(src), "--strategy", "raise", "--t", t,
+                   "--out", str(out)) == EXIT_OK
+        lines = out.read_text().splitlines()
+        summary = [float(v) for v in lines[lines.index("") + 2].split(",")]
+        dim_after, distance = summary[1], summary[2]
+        assert summary[3] == bound
+        assert distance < bound
+        assert float(t) <= dim_after <= float(t) + 0.02
 
     @pytest.mark.parametrize("strategy", ["randomize", "weak", "raise", "lower"])
     def test_input_is_estimated_once(self, tmp_path, monkeypatch, strategy):
@@ -661,12 +687,19 @@ class TestConfigAndCodes:
                 "--searcher", searcher)
         assert exc.value.code == EXIT_USAGE
 
-    def test_unplannable_raise_is_usage_error(self, tmp_path, capsys):
-        # on 14 zero bits (3 chunks) the raise plan's planned distance
-        # exceeds its own budget: the input cannot be planned for
+    def test_unplannable_raise_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a plan whose own arithmetic invariant fails is a usage error; the
+        # water-filling plan has met its budget on every input tried, so the
+        # planner is made to fail here
+        import dimsurgery.cli as cli
+
+        def over_budget(s_seq, t):
+            raise cli.PlanInvariantError("planned aggregate distance over budget")
+
+        monkeypatch.setattr(cli, "plan_raise", over_budget)
         src = tmp_path / "x.bits"
-        src.write_bytes(bytes(2))
-        (tmp_path / "x.bits.len").write_text("len=14\n")
+        run("gen", "--kind", "coin", "--n", "2000", "--seed", "1", "--out", str(src))
+        capsys.readouterr()
         assert run("surgery", "--in", str(src), "--strategy", "raise",
                    "--t", "0.8") == EXIT_USAGE
         self._one_error_line(capsys)
@@ -746,7 +779,7 @@ class TestExitCodeProperties:
                 fh.write(payload)
             with open(path + ".len", "wb") as fh:
                 fh.write(sidecar)
-            # --t below 1, or raise would route to plan_randomize
+            # --t below 1, or raise would plan for randomize's t = 1
             code = _exit_code(["surgery", "--in", path, "--strategy", strategy, "--t", "0.8",
                                "--estimator", estimator, "--out", os.path.join(tmp, "r.csv")])
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
@@ -783,7 +816,7 @@ class TestOutputPins:
         "verify_buffer":
             "d273915f8e7d8b5270fd6462786079e94a9e904a8dedc128d1e3a5e5a75a60b9",
         "randomize":
-            "78b699b59f50135104ff0fceed8e083e98b847b24c39187839eb85b2ba3a41eb",
+            "ab7abdc18446abfd5965747631674e1b119ff2c0671b6a3726387549dcc29aa4",
         "randomize_y":
             "f8743fd53f25f5f472445fd8e61d8beee4a287bc10f98f291f98386b617d6ac2",
         "weak":
@@ -794,50 +827,50 @@ class TestOutputPins:
             "5ce67efb2442e740428d154af7db6d27993ef1e76889f32088be54a93b1aa36c",
         "weak_tail_y":
             "45c6df0462e32dd1c8cbd2a7324c011eccedf72c0ad03a523a320bd3f272dcba",
-        "raise_case1":
-            "9bb384b2a74e365ab1e752e503c4b85f3b1bf8ae9fe61f43d7674dcd01cb9c63",
-        "raise_case1_y":
-            "e37102365f661c38f5cb796a195c8681678f21fc36799481931980c195d25c95",
-        "raise_case2":
-            "4ac765a530cde05ee8e33bd10f3e3495ef439c82f1c9f8e3608caea06b6e4ed5",
-        "raise_case2_y":
-            "447665cd9c7c0dadfaffe61763bcc1f300c9c21ab75e78a64e74e4fd7c8a1829",
+        "raise_p0.013":
+            "8d5b1e38ad7172efd001c95c683b72ffa51d898a0245cd2033ad5fad5c06eba8",
+        "raise_p0.013_y":
+            "1d4a51a6cb9aaf08cfa9d035944bb0b318163fa49c3adde28db3136e9b8d8fb5",
+        "raise_p0.11":
+            "b7b27d41aa7138aa61c464a2b80751c3586afde8f937747ba71afc95fbe0c131",
+        "raise_p0.11_y":
+            "1f042842d9acc9e16c36533872541a917543d203561342620f1010de22da914e",
         "raise_zlib":
-            "29a76e17b50a84a9fa81ae35eed8642ff42097db87bd8515d4dc71d8d13c438d",
+            "3dfb41f5a40a9aa07eb2346f5298ab1a7ce6f0c71dc4668870b641a25e398644",
         "raise_zlib_y":
-            "054e956199c7a58f01e88d9c5340140ce3a627a337bb18afe1b030e815af0b5d",
+            "fd597e5368d6d7332d0d378dc8f631f271f3d957520121b2879b412fa588dabb",
         "raise_lzma":
-            "3e54cc6b97a95e717a9fdff0e2edca89d864d476af316fe22402d6a55fc01b94",
+            "a9c353b11ea19b9aa14e33938ecdd654cb1a8701bd77fc561003e203e8b54e09",
         "raise_bz2":
-            "09a32fbad8580ffc99893f847166c17ccf6a6c86a9219e9457ee42893bd17ef9",
+            "32a5df68c1b4fd3ef2311f19c1f34e5d2031bbf7ff3d4e6b950982ea634a2677",
         "raise_block8":
-            "7d045a67fdd8cc3e43350d71f310a157f59a5d8040a867bf267bd40c26275426",
+            "ebbc83698a6fdccd3410a1836874e4f471926250c34893ca67ccef400f58a36c",
         "raise_block8_y":
-            "a89492ced242176edee40acf66f73109a892b14ac9b7f20be98695e6bab5063a",
+            "6b73685205174a9d60e8f6480c1973b54200ac25efb6496f9a92dbf174a5c956",
+        "raise_alternating":
+            "a1435d2ed50efd28d4475feed223dde01f9a988f6289d6dd314341cf9378089c",
+        "raise_alternating_y":
+            "8bcd49550794fc5c112aa979b58cd32a862d98a5e997c57c1bb83276e397a88e",
         "lower":
             "c6f6e17a96a219030309532ff9162328a25775115893ab2e9f6bbecdf1108eb1",
         "lower_y":    # the --save-y payload
             "aad84c02cccc6b60202193b2733234cba22b2e2d20f04b04c5305ff7a5800fbf",
     }
 
-    # (strategy, bernoulli p of the input, extra flags); the two bernoulli
-    # raise pairs sit on either side of case_select.  The flags follow
-    # `--estimator bernoulli`, so an --estimator among them wins: zlib reads
-    # the constructed prefix, which bernoulli ignores.
+    # (strategy, bernoulli p of the input, extra flags); raise reads no --s,
+    # so its runs pass only --t.  The flags follow `--estimator bernoulli`,
+    # so an --estimator among them wins: zlib reads the constructed prefix,
+    # which bernoulli ignores.
     SURGERY = {
         "randomize": ("randomize", "0.11", []),
         "weak": ("weak", "0.11", ["--c", "5"]),
         "weak_tail": ("weak", "0.11", ["--c", "0.1"]),
-        "raise_case1": ("raise", "0.013", ["--s", "0.1", "--t", "0.3"]),
-        "raise_case2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8"]),
-        "raise_zlib": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
-                                         "--estimator", "compressor:zlib"]),
-        "raise_lzma": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
-                                         "--estimator", "compressor:lzma"]),
-        "raise_bz2": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
-                                        "--estimator", "compressor:bz2"]),
-        "raise_block8": ("raise", "0.11", ["--s", "0.5", "--t", "0.8",
-                                           "--estimator", "block:8"]),
+        "raise_p0.013": ("raise", "0.013", ["--t", "0.3"]),
+        "raise_p0.11": ("raise", "0.11", ["--t", "0.8"]),
+        "raise_zlib": ("raise", "0.11", ["--t", "0.8", "--estimator", "compressor:zlib"]),
+        "raise_lzma": ("raise", "0.11", ["--t", "0.8", "--estimator", "compressor:lzma"]),
+        "raise_bz2": ("raise", "0.11", ["--t", "0.8", "--estimator", "compressor:bz2"]),
+        "raise_block8": ("raise", "0.11", ["--t", "0.8", "--estimator", "block:8"]),
         "lower": ("lower", "0.5", ["--s", "0.5"]),
     }
 
@@ -863,9 +896,6 @@ class TestOutputPins:
     @pytest.mark.parametrize("name", sorted(SURGERY))
     def test_surgery_csv(self, tmp_path, name):
         strategy, p, flags = self.SURGERY[name]
-        if strategy == "raise":
-            s, t = float(flags[1]), float(flags[3])
-            assert case_select(s, t) == (CASE1 if name == "raise_case1" else CASE2)
         src = tmp_path / "x.bits"
         run("gen", "--kind", "bernoulli", "--p", p, "--n", "60000", "--seed", "4",
             "--out", str(src))
@@ -876,3 +906,12 @@ class TestOutputPins:
         self._check(name, out.read_bytes())
         if f"{name}_y" in self.PINS:
             self._check(f"{name}_y", y.read_bytes())
+
+    def test_raise_on_alternating_profile(self, tmp_path, profile_input):
+        # a non-stationary input: chunk dimensions alternate 0.8, 0.2, ...
+        src, out, y = tmp_path / "x.bits", tmp_path / "run.csv", tmp_path / "y.bits"
+        profile_input("alternating", 60_000, 4).to_file(src)
+        assert run("surgery", "--in", str(src), "--strategy", "raise", "--t", "0.7",
+                   "--seed", "1", "--out", str(out), "--save-y", str(y)) == EXIT_OK
+        self._check("raise_alternating", out.read_bytes())
+        self._check("raise_alternating_y", y.read_bytes())

@@ -7,6 +7,7 @@ finder (scipy.optimize.brentq on the entropy formula) and frozen here.
 import importlib
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,13 +17,11 @@ from hypothesis import strategies as st
 from dimsurgery.entropy import (
     CASE1,
     CASE2,
-    LineFn,
     ScheduleError,
     bound_curves,
     buffer_margin,
     buffer_schedule,
     case_select,
-    chord_line,
     entropy,
     entropy_deriv,
     entropy_inv,
@@ -470,6 +469,32 @@ class TestCaseSelect:
         for i, (a, b) in enumerate(zip(s.tolist(), t.tolist())):
             one = case_select(a, b)
             assert type(one) is str and one == cases[i], (a, b)
+
+
+@dataclass(frozen=True)
+class LineFn:
+    """Affine function x -> slope*x + intercept."""
+
+    slope: float
+    intercept: float
+
+    def __call__(self, x):
+        if np.ndim(x):
+            return self.slope * np.asarray(x, dtype=float) + self.intercept
+        return self.slope * float(x) + self.intercept
+
+
+def chord_line(s: float, t: float) -> LineFn:
+    """The line through (s, t) and (1, 1): x -> (1-t)/(1-s) x + (t-s)/(1-s).
+
+    Along it the concavity lemma's drop g(a x + 1 - a) - g(x) has slope
+    a = (1-t)/(1-s).
+    """
+    entropy_module._require_unit(s, "s")
+    entropy_module._require_unit(t, "t")
+    if s >= 1.0:
+        raise ValueError("chord line undefined at s = 1")
+    return LineFn(slope=(1.0 - t) / (1.0 - s), intercept=(t - s) / (1.0 - s))
 
 
 def tangent_line(s: float, delta: float) -> LineFn:

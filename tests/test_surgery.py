@@ -13,18 +13,19 @@ from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin
 from dimsurgery.dimension import (
     chunk_boundary,
     chunk_dims,
+    default_tail_start,
+    dim_series,
+    planned_distance,
     sequence_dim,
     sequence_distance,
 )
-from dimsurgery.entropy import chord_line, entropy, entropy_inv, raise_profile
+from dimsurgery.entropy import CASE1, case_select, entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
 from dimsurgery.hamming import _expand_once, ball_offsets, ball_volume, systematic_code
 from dimsurgery.surgery import (
     LOWER,
     QUANTIZER_RATE_SLACK,
-    RAISE_CASE1,
-    RAISE_CASE2,
-    RANDOMIZE,
+    RAISE,
     WEAK_SRANDOM,
     SurgeryPlan,
     _word_to_bits,
@@ -45,14 +46,15 @@ class TestPlans:
     def test_randomize_formulas(self):
         plan = plan_randomize([1.0, 0.0] * 40)
         eps = default_eps_seq(80)
-        # s_j = 1: delta = eps + 1/j (clamped at j=1); s_j = 0: 1/2 + eps + 1/j
-        assert plan.entries[0].delta_j == 1.0
-        assert plan.entries[78].delta_j == pytest.approx(eps[78] + 1 / 79, abs=1e-12)
-        assert plan.entries[79].delta_j == pytest.approx(0.5 + eps[79] + 1 / 80, abs=1e-12)
+        # t_j = 1 and delta_j = 1/2 - g(s_j) + eps_j: eps_j at s_j = 1,
+        # 1/2 + eps_j at s_j = 0, with no extra 1/j
+        assert [e.delta_j for e in plan.entries[::2]] == eps[::2]
+        assert [e.delta_j for e in plan.entries[1::2]] == pytest.approx(
+            [0.5 + e for e in eps[1::2]], abs=1e-12)
         assert [e.eps_j for e in plan.entries] == eps
         assert all(e.t_j == 1.0 for e in plan.entries)
-        # a single chunk value plans: no tail floor over two values is read
-        assert [e.delta_j for e in plan_randomize([1.0]).entries] == [1.0]
+        # a single chunk value plans
+        assert [e.delta_j for e in plan_randomize([1.0]).entries] == [eps[0]]
 
     def test_randomize_planned_aggregate(self):
         s = [0.5] * 200
@@ -81,27 +83,58 @@ class TestPlans:
             plan_weak_srandom([1.0] * 100, c=1.0)
 
     def test_raise_delegates_to_randomize_at_t1(self):
-        plan = plan_raise([0.5] * 50, 0.5, 1.0)
-        assert plan.strategy == RANDOMIZE
+        # randomize is the raise plan at t = 1: one planner serves both
+        s_seq = np.clip(0.5 + np.random.default_rng(3).normal(0, 0.2, 80), 0, 1)
+        plan = plan_randomize(s_seq)
+        assert plan.strategy == RAISE
+        assert plan.entries == plan_raise(s_seq, 1.0).entries
+        assert all(e.t_j == 1.0 for e in plan.entries)
 
     def test_raise_case1_structure(self):
+        # on a stationary input, where the paper takes Case 1, water-filling
+        # is its flat plan up to 1/j rounding: t_j = k/j near t and delta_j
+        # near the flat budget g(t) - g(s) + eps_j
         s, t = 0.05, 0.2
-        plan = plan_raise([0.05] * 60, s, t)
-        assert plan.strategy == RAISE_CASE1
-        delta = entropy_inv(t) - entropy_inv(s)
-        for e in plan.entries:
-            assert e.delta_j == pytest.approx(delta + e.eps_j, abs=1e-12)
-            assert e.t_j >= min(1.0, t - 1e-9)
+        assert case_select(s, t) == CASE1
+        plan = plan_raise([s] * 60, t)
+        assert plan.strategy == RAISE
+        flat = entropy_inv(t) - entropy_inv(s)
+        for e in plan.entries[9:]:
+            assert e.t_j * e.j == pytest.approx(round(e.t_j * e.j), abs=1e-9)
+            assert abs(e.t_j - t) <= 1.0 / e.j
+            assert abs(e.delta_j - (flat + e.eps_j)) <= 1.0 / e.j
+        assert dim_series([e.t_j for e in plan.entries]).tail_min >= t
 
-    def test_raise_case2_chord_invariant(self):
-        s, t = 0.5, 0.8
+    @pytest.mark.parametrize("s, t", [(0.5, 0.8), (0.25, 0.6), (0.05, 0.2), (0.5, 1.0)])
+    def test_raise_costs_no_more_than_the_paper_plan(self, paper_plan, s, t):
+        # on chunk dims at or above a declared s, water-filling plans no more
+        # distance than the paper's Case 1, Case 2 or randomize plan from s
         rng = np.random.default_rng(0)
         s_seq = np.clip(s + rng.uniform(0, 0.4, size=80), 0, 1)
-        plan = plan_raise(s_seq, s, t)
-        assert plan.strategy == RAISE_CASE2
-        line = chord_line(s, t)
-        for e, s_j in zip(plan.entries, s_seq):
-            assert e.t_j >= line(s_j) - 1e-9
+        plan = plan_raise(s_seq, t)
+        assert dim_series([e.t_j for e in plan.entries]).tail_min >= t
+        assert planned_distance(plan.deltas()) <= planned_distance(paper_plan(s_seq, s, t)[1])
+
+    @pytest.mark.parametrize("family", ["alternating", "drifting"])
+    @pytest.mark.parametrize("t", [0.6, 0.7, 0.9, 1.0])
+    def test_raise_on_profiles_costs_no_more_than_the_paper_plan(
+            self, paper_plan, profile_input, family, t):
+        # non-stationary inputs: the paper's plan is given the measured
+        # dimension dim_before, as the CLI's bound is
+        x = profile_input(family, 200_000, 1)
+        s_seq = chunk_dims(x, BernoulliOracle())
+        dim_before = dim_series(s_seq).tail_min
+        assert dim_before < t
+        water = planned_distance(plan_raise(s_seq, t).deltas())
+        assert water <= planned_distance(paper_plan(s_seq, dim_before, t)[1])
+
+    def test_raise_above_t_moves_by_eps_only(self):
+        # chunks already above the water level keep t_j = s_j; an input
+        # whose every chunk clears t is left where it is, apart from eps
+        s_seq = [0.9, 0.7] * 40
+        plan = plan_raise(s_seq, 0.6)
+        assert [e.t_j for e in plan.entries] == s_seq
+        assert [e.delta_j for e in plan.entries] == [e.eps_j for e in plan.entries]
 
     def test_raise_planned_distance_budget(self):
         # the arithmetic invariant is checked inside plan_raise; a
@@ -109,20 +142,25 @@ class TestPlans:
         rng = np.random.default_rng(1)
         for s, t in [(0.25, 0.6), (0.5, 0.8), (0.05, 0.2)]:
             s_seq = np.clip(s + rng.uniform(0, 1 - s, size=100), 0, 1)
-            plan_raise(s_seq, s, t)
+            plan_raise(s_seq, t)
 
     def test_raise_domain(self):
-        with pytest.raises(ValueError):
-            plan_raise([0.5] * 10, 0.7, 0.6)
+        for t in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                plan_raise([0.5] * 10, t)
 
-    @pytest.mark.parametrize("s, t, strategy", [(0.05, 0.2, RAISE_CASE1),
-                                                (0.5, 0.8, RAISE_CASE2),
-                                                (0.5, 1.0, RANDOMIZE)])
-    def test_raise_batches_entropy_inv(self, monkeypatch, s, t, strategy):
+    # the third value names the paper's plan for (s, t) on that input: the
+    # inputs cover its three regimes
+    @pytest.mark.parametrize("s, t, strategy", [(0.05, 0.2, "raise_case1"),
+                                                (0.5, 0.8, "raise_case2"),
+                                                (0.5, 1.0, "randomize")])
+    def test_raise_batches_entropy_inv(self, monkeypatch, paper_plan, s, t, strategy):
         # the planners make array calls, not one call per chunk; the package
         # re-exports the function `entropy`, which shadows the module name
         entropy_mod = importlib.import_module("dimsurgery.entropy")
         surgery_mod = importlib.import_module("dimsurgery.surgery")
+        s_seq = np.clip(s + np.random.default_rng(2).uniform(0, 1 - s, size=400), 0, 1)
+        assert paper_plan(s_seq, s, t)[0] == strategy
 
         calls = []
 
@@ -132,29 +170,38 @@ class TestPlans:
 
         monkeypatch.setattr(entropy_mod, "entropy_inv", spy)
         monkeypatch.setattr(surgery_mod, "entropy_inv", spy)
-        s_seq = np.clip(s + np.random.default_rng(2).uniform(0, 1 - s, size=400), 0, 1)
-        assert plan_raise(s_seq, s, t).strategy == strategy
+        assert plan_raise(s_seq, t).strategy == RAISE
         assert 1 in calls and len(calls) <= 10
 
     @pytest.mark.parametrize("s, t", [(0.05, 0.2), (0.5, 0.8), (0.5, 1.0)])
     def test_batched_raise_matches_scalar_loop(self, s, t):
+        # the plan equals a per-chunk loop: a bisection of the water level
+        # tau on running weighted sums, then one scalar entropy_inv per value
         rng = np.random.default_rng(5)
         s_seq = np.clip(s + rng.uniform(0, 1 - s, size=300), 0, 1).tolist()
-        plan = plan_raise(s_seq, s, t)
+        first = default_tail_start(len(s_seq))  # first boundary the tail reads
         eps = default_eps_seq(len(s_seq))
-        delta = entropy_inv(t) - entropy_inv(s)
-        line = chord_line(s, t)
-        for e, s_j, e_j in zip(plan.entries, s_seq, eps):
-            j = e.j
-            if plan.strategy == RANDOMIZE:
-                t_j, d_j = 1.0, 0.5 + e_j - entropy_inv(s_j) + 1.0 / j
-            elif plan.strategy == RAISE_CASE1:
-                t_j = min(1.0, math.ceil(raise_profile(s_j, delta) * j - 1e-9) / j)
-                d_j = delta + e_j
-            else:
-                t_j = min(1.0, math.ceil(line(s_j) * j - 1e-9) / j)
-                d_j = entropy_inv(t_j) - entropy_inv(s_j) + e_j
-            assert (e.t_j, e.delta_j, e.eps_j) == (t_j, min(1.0, max(0.0, d_j)), e_j), j
+
+        def targets(tau):
+            return [max(s_j, min(1.0, math.ceil(tau * j - 1e-9) / j))
+                    for j, s_j in enumerate(s_seq, start=1)]
+
+        def reaches(t_seq):
+            total, tail = 0.0, []
+            for j, t_j in enumerate(t_seq, start=1):
+                total += t_j * float(j * j)
+                if j + 1 >= first:
+                    tail.append(total / chunk_boundary(j + 1))
+            return min(tail) >= t
+
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if reaches(targets(mid)) else (mid, hi)
+        plan = plan_raise(s_seq, t)
+        for e, s_j, t_j, e_j in zip(plan.entries, s_seq, targets(hi), eps):
+            d_j = entropy_inv(t_j) - entropy_inv(s_j) + e_j
+            assert (e.t_j, e.delta_j, e.eps_j) == (t_j, min(1.0, max(0.0, d_j)), e_j), e.j
 
     def test_batched_weak_matches_scalar_loop(self):
         s_seq = np.clip(0.5 + np.random.default_rng(6).normal(0, 0.1, 600), 0, 1).tolist()
@@ -553,7 +600,7 @@ class TestLinearQuantizer:
 class TestApplyPlan:
     def test_empty_plan_identity(self):
         x = gen_coin(100, 0)
-        plan = SurgeryPlan(strategy=RANDOMIZE, entries=[])
+        plan = SurgeryPlan(strategy=RAISE, entries=[])
         y, report = apply_plan(x, plan, BernoulliOracle())
         assert y == x and report.distance == 0.0
 
@@ -632,14 +679,14 @@ class TestApplyPlan:
         assert "searcher" not in inspect.signature(raise_chunk).parameters
         assert list(inspect.signature(plan_randomize).parameters) == ["s_seq"]
         assert list(inspect.signature(plan_weak_srandom).parameters) == ["s_seq", "c"]
-        assert list(inspect.signature(plan_raise).parameters) == ["s_seq", "s", "t"]
+        assert list(inspect.signature(plan_raise).parameters) == ["s_seq", "t"]
         assert list(inspect.signature(plan_lower).parameters) == [
             "n_chunks", "target_s", "block_len"]
         assert "seed" not in {f.name for f in dataclasses.fields(SurgeryPlan)}
         target = inspect.signature(raise_chunk).parameters["target"]
         assert target.default is inspect.Parameter.empty
 
-    @pytest.mark.parametrize("strategy", [RANDOMIZE, "raise", WEAK_SRANDOM, LOWER])
+    @pytest.mark.parametrize("strategy", ["randomize", RAISE, WEAK_SRANDOM, LOWER])
     @pytest.mark.parametrize("est", [BlockEntropy(8), Compressor("zlib")],
                              ids=["block8", "zlib"])
     def test_single_pass_matches_reference(self, strategy, est):
@@ -650,10 +697,10 @@ class TestApplyPlan:
         used = chunk_boundary(count + 1)
         x = gen_bernoulli(float(entropy_inv(0.5)), used + 37, 3)
         s_seq = chunk_dims(x, est)
-        if strategy == RANDOMIZE:
+        if strategy == "randomize":
             plan = plan_randomize(s_seq)
-        elif strategy == "raise":
-            plan = plan_raise(s_seq, 0.5, 0.8)
+        elif strategy == RAISE:
+            plan = plan_raise(s_seq, 0.8)
         elif strategy == WEAK_SRANDOM:
             plan = plan_weak_srandom(s_seq, c=10.0)
         else:
@@ -669,7 +716,7 @@ class TestApplyPlan:
 
         count = 40
         x = gen_bernoulli(float(entropy_inv(0.5)), chunk_boundary(count + 1), 3)
-        plan = plan_raise(chunk_dims(x, BernoulliOracle()), 0.5, 0.8)
+        plan = plan_raise(chunk_dims(x, BernoulliOracle()), 0.8)
         calls = []
 
         class SpyEstimator(BernoulliOracle):
@@ -709,7 +756,7 @@ class TestApplyPlan:
         if strategy == LOWER:
             plan, step = plan_lower(count, 0.5), "lower_chunk"
         else:
-            plan, step = plan_raise(chunk_dims(x, est), 0.5, 0.8), "raise_chunk"
+            plan, step = plan_raise(chunk_dims(x, est), 0.8), "raise_chunk"
         budget = math.floor(plan.entries[j - 1].delta_j * j * j + 1e-9)
         assert budget + 1 < j * j
         real = getattr(surgery, step)
@@ -743,7 +790,7 @@ class TestApplyPlan:
         if strategy == LOWER:
             plan = plan_lower(count, 0.5)
         else:
-            plan = plan_raise(chunk_dims(x, est), 0.5, 0.8)
+            plan = plan_raise(chunk_dims(x, est), 0.8)
         results = []
 
         def spy(*args):
