@@ -9,7 +9,7 @@ from .dimension import (
     sequence_dim,
     sequence_distance,
 )
-from .duplication import DuplicationDescription, duplication_decode, duplication_encode
+from .duplication import duplication_decode, duplication_encode
 from .entropy import (
     CASE1,
     CASE2,

@@ -50,7 +50,7 @@ from .hamming import (
     harper_far_count,
     verify_harper,
 )
-from .duplication import DuplicationDescription, duplication_decode, duplication_encode
+from .duplication import duplication_decode, duplication_encode
 from .surgery import (
     PlanInvariantError,
     apply_plan,
@@ -206,9 +206,9 @@ def _verify_duplication(args, check) -> None:
         x = BitSequence(y.bits.copy())
         flips = rng.choice(n, size=int(radius * n), replace=False)
         x.bits[flips] ^= 1
-        wire = duplication_encode(x, y).to_bits()
+        wire = duplication_encode(x, y)
         try:
-            ok = duplication_decode(DuplicationDescription.from_bits(wire, n)) == y
+            ok = duplication_decode(wire, n) == y
         except ValueError:                  # a wire the parser rejects
             ok = False
         if not ok:
@@ -323,24 +323,26 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _checked_float(accept, rule: str):
-    """An argparse type: a float for which accept(value) holds, else a usage
-    error that states `rule`.  NaN fails every comparison, so no rule here
-    accepts it."""
-    def parse(text: str) -> float:
+def _checked(kind, accept, rule: str):
+    """An argparse type: a `kind` (float or int) for which accept(value)
+    holds, else a usage error that states `rule`.  NaN fails every
+    comparison, so no rule here accepts it."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
         if not accept(value):
             raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
         return value
     return parse
 
 
-_unit_float = _checked_float(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-_nonneg_float = _checked_float(lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
-_positive_float = _checked_float(lambda v: 0.0 < v < math.inf, "be finite and > 0")
+_unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_nonneg_float = _checked(float, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "be finite and > 0")
+_nonneg_int = _checked(int, lambda v: v >= 0, "be >= 0")
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
@@ -363,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a test sequence")
     p.add_argument("--kind", required=True, choices=list(bitseq.GENERATORS))
-    p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_nonneg_int, default=1_000_000)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--out", required=True)
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=sorted(_VERIFY_TARGETS))
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", type=_positive_float, default=1e-3)
     p.add_argument("--c", type=_nonneg_float, default=10.0)

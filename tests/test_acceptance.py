@@ -209,9 +209,9 @@ def test_criterion_9_duplication_coder():
             x = BitSequence(y.bits.copy())
             flips = rng.choice(n, size=int(radius * n), replace=False)
             x.bits[flips] ^= 1
-            desc = duplication_encode(x, y)
-            assert duplication_decode(desc) == y, trial
-            length = desc.to_bits().size
+            wire = duplication_encode(x, y)
+            assert duplication_decode(wire, n) == y, trial
+            length = wire.size
             assert length <= bound, (trial, length)
     t.check()
     print(f"\nPASS criterion 9: 1000 instances at n=1e4, exact round trip, "

@@ -225,11 +225,10 @@ class TestVerify:
     def test_bad_wire_is_a_fail_row(self, monkeypatch, capsys, corrupt):
         # verify duplication checks the serialized bits: a wire that the
         # parser rejects, or that decodes to another Y, is a FAIL row and
-        # exit 1, not a usage error raised out of from_bits
-        from dimsurgery.duplication import DuplicationDescription
-        to_bits = DuplicationDescription.to_bits
-        monkeypatch.setattr(DuplicationDescription, "to_bits",
-                            lambda self: corrupt(to_bits(self)))
+        # exit 1, not a usage error raised out of duplication_decode
+        import dimsurgery.cli as cli
+        encode = cli.duplication_encode
+        monkeypatch.setattr(cli, "duplication_encode", lambda x, y: corrupt(encode(x, y)))
         assert run("verify", "duplication", "--n", "200", "--trials", "2") == EXIT_VERIFY_FAIL
         captured = capsys.readouterr()
         assert captured.out == "FAIL duplication round-trip n=200\n" * 2
@@ -601,6 +600,23 @@ class TestConfigAndCodes:
         with pytest.raises(SystemExit) as exc:
             run("gen", "--kind", "marswalk", "--out", "x")
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "--kind", "coin", "--n", "-5"], "--n"),
+        (["gen", "--kind", "coin", "--seed", "-1"], "--seed"),
+        (["verify", "harper", "--n", "3", "--seed", "-9"], "--seed"),
+        (["verify", "duplication", "--seed", "-1"], "--seed"),
+    ], ids=["gen-n", "gen-seed", "verify-harper-seed", "verify-duplication-seed"])
+    def test_negative_int_names_its_flag(self, tmp_path, capsys, argv, flag):
+        # the parser rejects it before any work, not numpy from inside a generator
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(out))
+        assert exc.value.code == EXIT_USAGE
+        named = [line for line in capsys.readouterr().err.splitlines()
+                 if f"argument {flag}:" in line]
+        assert named == [named[0]] and named[0].endswith(f"must be >= 0, got {argv[-1]}")
+        assert not out.exists()
 
     def test_config_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -1,5 +1,6 @@
 """Round-trip and length tests for the join-sequence duplication coder."""
 
+import hashlib
 import math
 import random
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from dimsurgery.bitseq import BitSequence, gen_join_dup
 from dimsurgery.duplication import (
     SUBSET_HEADER_BITS,
-    DuplicationDescription,
     _bits_to_int,
     _int_to_bits,
     duplication_decode,
@@ -30,35 +30,60 @@ def make_pair(n, flip_count, seed):
     return x, y
 
 
+def every_pair_mismatched():
+    # X differs from Y on the first bit of every pair
+    y = gen_join_dup(600, seed=3)
+    x = BitSequence(y.bits.copy())
+    x.bits[0::2] ^= 1
+    return x, y
+
+
+def wide_header_pair():
+    # k = 2^16 wrong equal pairs no longer fits a 16-bit header
+    xb = np.zeros(140_000, dtype=np.uint8)
+    xb[:2 * 65_536] = 1
+    return BitSequence(xb), BitSequence(np.zeros(140_000, dtype=np.uint8))
+
+
+def wire_fields(wire, n):
+    """The wire's fields by the layout the coder documents: X, the bits Y(2i)
+    for unequal X-pairs, the cardinality header, the rank."""
+    x = wire[:n]
+    unequal = int(np.count_nonzero(x[0::2] != x[1::2]))
+    header = max(SUBSET_HEADER_BITS, (n // 2 - unequal).bit_length())
+    k = _bits_to_int(wire[n + unequal:n + unequal + header])
+    return x, wire[n:n + unequal], k, wire[n + unequal + header:]
+
+
 class TestEncode:
     def test_identical_pair(self):
         x, y = make_pair(1000, 0, seed=2)
-        desc = duplication_encode(y, y)
-        assert desc.mismatch_bits.size == 0
-        assert desc.subset_code == (0, 0)
-        assert desc.to_bits().size == 1000 + SUBSET_HEADER_BITS
+        wire = duplication_encode(y, y)
+        assert wire.dtype == np.uint8
+        _, mismatch, k, rank = wire_fields(wire, 1000)
+        assert mismatch.size == 0 and k == 0 and rank.size == 0
+        assert wire.size == 1000 + SUBSET_HEADER_BITS
 
     def test_every_pair_mismatched(self):
-        # X differs from Y on the first bit of every pair: part 2 carries
-        # everything, the subset is empty
-        y = gen_join_dup(600, seed=3)
-        x = BitSequence(y.bits.copy())
-        x.bits[0::2] ^= 1
-        desc = duplication_encode(x, y)
-        assert desc.mismatch_bits.size == 300
-        assert desc.subset_code == (0, 0)
-        assert desc.to_bits().size == 600 + 300 + SUBSET_HEADER_BITS
+        # part 2 carries everything, the subset is empty
+        x, y = every_pair_mismatched()
+        wire = duplication_encode(x, y)
+        x_part, mismatch, k, rank = wire_fields(wire, 600)
+        assert np.array_equal(x_part, x.bits)
+        assert np.array_equal(mismatch, y.bits[0::2])
+        assert k == 0 and rank.size == 0
+        assert wire.size == 600 + 300 + SUBSET_HEADER_BITS
 
     def test_length_formula_matches_parts(self):
         x, y = make_pair(2000, 150, seed=4)
-        desc = duplication_encode(x, y)
-        x_even, x_odd = desc.x_bits.bits[0::2], desc.x_bits.bits[1::2]
+        wire = duplication_encode(x, y)
+        x_even, x_odd = x.bits[0::2], x.bits[1::2]
         unequal = int(np.count_nonzero(x_even != x_odd))
         equal = 1000 - unequal
-        k, rank = desc.subset_code
+        k = int(np.count_nonzero((x_even == x_odd) & (x_even != y.bits[0::2])))
         rank_bits = (math.comb(equal, k) - 1).bit_length()
-        assert desc.mismatch_bits.size == unequal
-        assert desc.to_bits().size == 2000 + unequal + SUBSET_HEADER_BITS + rank_bits
+        assert wire_fields(wire, 2000)[2] == k
+        assert wire.size == 2000 + unequal + SUBSET_HEADER_BITS + rank_bits
 
     def test_rejects_non_join(self):
         x = BitSequence(np.zeros(10, np.uint8))
@@ -80,21 +105,41 @@ class TestDecode:
         rng = np.random.default_rng(seed)
         flips = int(rng.integers(0, n + 1))
         x, y = make_pair(n, flips, seed)
-        assert duplication_decode(duplication_encode(x, y)) == y
+        assert duplication_decode(duplication_encode(x, y), n) == y
 
     def test_all_pairs_mismatched_decodes_from_part2(self):
         y = gen_join_dup(400, seed=6)
         x = BitSequence(y.bits.copy())
         x.bits[1::2] ^= 1
-        desc = duplication_encode(x, y)
-        assert duplication_decode(desc) == y
+        assert duplication_decode(duplication_encode(x, y), 400) == y
 
     def test_malformed_subset_code(self):
+        # a rank field that holds C(equal, k), one past the last k-subset
         x, y = make_pair(100, 10, seed=7)
-        desc = duplication_encode(x, y)
-        desc.subset_code = (desc.subset_code[0], 10**12)
-        with pytest.raises(ValueError):
-            duplication_decode(desc)
+        wire = duplication_encode(x, y)
+        x_part, _, k, rank = wire_fields(wire, 100)
+        subsets = math.comb(int(np.count_nonzero(x_part[0::2] == x_part[1::2])), k)
+        assert subsets < 1 << rank.size
+        rank[:] = _int_to_bits(subsets, rank.size)
+        with pytest.raises(ValueError, match="malformed description"):
+            duplication_decode(wire, 100)
+
+
+class TestWirePins:
+    """sha256 of np.packbits(wire) for three fixed pairs: the wire layout is
+    a contract that a new rank or parser must keep."""
+
+    @pytest.mark.parametrize("pair, digest", [
+        (lambda: make_pair(1000, int(float(entropy_inv(0.5)) * 1000), seed=1),
+         "4984a12fb6dde79ba28e53e9a2eee99c52a8f440633374bd4bab939948567de3"),
+        (every_pair_mismatched,
+         "35413a9c5983438e5c5d97f181aa46e1d563257c413969321774c9bfe2cb206d"),
+        (wide_header_pair,
+         "c9ceead8eed9ee1e233d0a780bcbe543194dfba63c762ec4bfefa6ff47f4d062"),
+    ], ids=["radius", "every_pair_mismatched", "wide_header"])
+    def test_wire_pin(self, pair, digest):
+        wire = duplication_encode(*pair())
+        assert hashlib.sha256(np.packbits(wire).tobytes()).hexdigest() == digest
 
 
 def _int_to_bits_loop(value, width):
@@ -139,38 +184,38 @@ class TestBitSerialization:
         n = 2 * half_n
         rng = np.random.default_rng(seed)
         x, y = make_pair(n, int(rng.integers(0, n + 1)), seed)
-        desc = duplication_encode(x, y)
-        wire = desc.to_bits()
-        back = DuplicationDescription.from_bits(wire, n)
-        assert duplication_decode(back) == y
-        assert np.array_equal(back.to_bits(), wire)
+        wire = duplication_encode(x, y)
+        back = duplication_decode(wire, n)
+        assert back == y
+        assert np.array_equal(duplication_encode(x, back), wire)
 
     def test_large_pair_round_trip(self):
-        # 1e5 bits at the coder's radius: serialize, parse and decode back
+        # 1e5 bits at the coder's radius: encode to the wire and decode back
         n = 100_000
         x, y = make_pair(n, int(float(entropy_inv(0.5)) * n), seed=12)
-        wire = duplication_encode(x, y).to_bits()
-        back = DuplicationDescription.from_bits(wire, n)
-        assert duplication_decode(back) == y
-        assert np.array_equal(back.to_bits(), wire)
+        wire = duplication_encode(x, y)
+        back = duplication_decode(wire, n)
+        assert back == y
+        assert np.array_equal(duplication_encode(x, back), wire)
 
     def test_wide_cardinality_header_round_trip(self):
-        # k = 2^16 wrong equal pairs no longer fits a 16-bit header
-        n = 140_000
-        xb = np.zeros(n, dtype=np.uint8)
-        xb[:2 * 65_536] = 1
-        y = BitSequence(np.zeros(n, dtype=np.uint8))
-        desc = duplication_encode(BitSequence(xb), y)
-        assert desc.subset_code == (65_536, 0)
-        back = DuplicationDescription.from_bits(desc.to_bits(), n)
-        assert back.subset_code == desc.subset_code
-        assert duplication_decode(back) == y
+        x, y = wide_header_pair()
+        wire = duplication_encode(x, y)
+        _, _, k, rank = wire_fields(wire, 140_000)
+        assert (k, _bits_to_int(rank)) == (65_536, 0)
+        assert duplication_decode(wire, 140_000) == y
 
     def test_truncated_wire_rejected(self):
+        # every proper prefix, and the whole wire read with an odd or a
+        # negative n, is rejected by name before any field is sliced
         x, y = make_pair(100, 10, seed=3)
-        wire = duplication_encode(x, y).to_bits()
-        with pytest.raises(ValueError):
-            DuplicationDescription.from_bits(wire[:-1], 100)
+        wire = duplication_encode(x, y)
+        for cut in range(wire.size):
+            with pytest.raises(ValueError, match="malformed description"):
+                duplication_decode(wire[:cut], 100)
+        for n in (-4, 101):
+            with pytest.raises(ValueError, match="malformed description"):
+                duplication_decode(wire, n)
 
 
 class TestLengthBound:
@@ -185,6 +230,6 @@ class TestLengthBound:
             x = BitSequence(y.bits.copy())
             pos = rng.choice(n, size=int(radius * n), replace=False)
             x.bits[pos] ^= 1
-            desc = duplication_encode(x, y)
-            assert desc.to_bits().size <= bound
-            assert duplication_decode(desc) == y
+            wire = duplication_encode(x, y)
+            assert wire.size <= bound
+            assert duplication_decode(wire, n) == y

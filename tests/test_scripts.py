@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to exit 0 against the package in src/."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# sha256 of the stdout of scripts/verify_all.py: every verify target's rows,
+# byte for byte (CI checks the installed package against the same digest)
+VERIFY_ALL_SHA256 = "90d62cd1716ffd0b463b0749313fe122347ef39e610b5fc96cedf6cb155194b8"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -22,5 +26,7 @@ def test_script_exits_zero(tmp_path, script, args):
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+    if script == "verify_all.py":
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_ALL_SHA256
     if script == "bound_curves.py":
         assert (tmp_path / "c.csv").read_text().startswith("s,t,naive,raise,lower,case\n")
