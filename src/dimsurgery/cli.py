@@ -343,6 +343,7 @@ _unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _nonneg_float = _checked(float, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "be finite and > 0")
 _nonneg_int = _checked(int, lambda v: v >= 0, "be >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
@@ -367,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=list(bitseq.GENERATORS))
     p.add_argument("--n", type=_nonneg_int, default=1_000_000)
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--stride", type=int, default=2)
+    p.add_argument("--p", type=_unit_float, default=0.5)
+    p.add_argument("--stride", type=_positive_int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

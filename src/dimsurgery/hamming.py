@@ -480,13 +480,26 @@ class LinearCode:
     """A systematic [n, k] code with parity check [A | I]: `columns[i]` is the
     syndrome of position i, `leaders[z]` a lightest word of syndrome z, so
     x ^ leaders[syndrome(x)] is a nearest codeword and `radius`, the weight
-    of the heaviest leader, is the covering radius."""
+    of the heaviest leader, is the covering radius.  `byte_tables[b][v]` is
+    the syndrome of byte value v at bits 8b..8b+7 (bit i of v at position
+    8b + i), so a block packed little-endian into bytes has the XOR of one
+    table entry per byte as its syndrome."""
 
     n: int
     k: int
     columns: np.ndarray
     leaders: np.ndarray
     radius: int
+    byte_tables: np.ndarray
+
+
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """ceil(n/8) x 256 int64: row b, entry v = XOR of columns[8b + i] over
+    the set bits i of v (positions past n count as zero columns)."""
+    padded = np.zeros((columns.size + 7) // 8 * 8, dtype=np.int64)
+    padded[:columns.size] = columns
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1        # 256 x 8
+    return np.bitwise_xor.reduce(bits * padded.reshape(-1, 1, 8), axis=2)
 
 
 def systematic_code(n: int, k: int) -> LinearCode:
@@ -494,7 +507,9 @@ def systematic_code(n: int, k: int) -> LinearCode:
     its coset leaders filled breadth-first in weight order: one pass extends
     every leader of weight w by each position in turn, and a syndrome first
     reached there has no lighter word (ties to the earlier leader, then the
-    lower position)."""
+    lower position).  The pass stops as soon as all 2^(n-k) syndromes have a
+    leader; each weight class holds distinct syndromes, so a running count
+    of the fresh ones tells when."""
     if not (1 <= n <= 62 and 0 <= k <= n):           # words are packed in int64
         raise ValueError(f"need 0 <= k <= n and 1 <= n <= 62, got n={n}, k={k}")
     r = n - k
@@ -508,8 +523,8 @@ def systematic_code(n: int, k: int) -> LinearCode:
     seen = np.zeros(1 << r, dtype=bool)
     seen[0] = True
     syns = words = np.zeros(1, dtype=np.int64)      # the leaders of weight radius
-    radius = -1
-    while syns.size:
+    radius, filled = 0, 1
+    while filled < leaders.size:
         radius += 1
         grown = []
         for i, col in enumerate(columns.tolist()):
@@ -519,5 +534,9 @@ def systematic_code(n: int, k: int) -> LinearCode:
             seen[syn] = True
             leaders[syn] = word
             grown.append((syn, word))
+            filled += syn.size
+            if filled == leaders.size:
+                break
         syns, words = (np.concatenate(part) for part in zip(*grown))
-    return LinearCode(n=n, k=k, columns=columns, leaders=leaders, radius=radius)
+    return LinearCode(n=n, k=k, columns=columns, leaders=leaders, radius=radius,
+                      byte_tables=_byte_tables(columns))

@@ -193,14 +193,16 @@ def _block_layout(size: int, block_len: int) -> list[tuple[int, int]]:
     return [(w, c) for w, c in ((block_len, full), (rest, 1)) if w and c]
 
 
-def _word_to_bits(words, n: int) -> np.ndarray:
-    words = np.asarray(words, dtype=np.int64)[..., None]
-    return ((words >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
+_BYTE_ROWS = np.arange(0, 256 * 8, 256)[:, None]   # flat offset of byte table b
 
 
 def lower_chunk(chunk, codebooks: dict[int, LinearCode], block_len: int):
     """Replace each block x of a chunk (_block_layout) by its nearest
     codeword x ^ leaders[syndrome(x)] in codebooks[width].
+
+    Each block is packed little-endian into bytes; its syndrome is the XOR
+    of one code.byte_tables entry per byte, and its leader, read as
+    little-endian int64 bytes, is unpacked to the width bits it flips.
 
     Returns (y_chunk, index_bits), index_bits = k bits per block.
     """
@@ -214,8 +216,14 @@ def lower_chunk(chunk, codebooks: dict[int, LinearCode], block_len: int):
             raise ValueError(f"code length {code.n} != block width {width}")
         span = slice(pos, pos + width * count)
         blocks = bits[span].reshape(count, width)
-        syndromes = np.bitwise_xor.reduce(blocks * code.columns, axis=1)
-        out[span] = (blocks ^ _word_to_bits(code.leaders[syndromes], width)).ravel()
+        packed = np.packbits(blocks, axis=1, bitorder="little")
+        # byte b of every block indexes row b of the flat-indexed tables
+        rows = np.add(packed.T, _BYTE_ROWS[:packed.shape[1]], order="C")
+        syndromes = np.bitwise_xor.reduce(code.byte_tables.take(rows), axis=0)
+        leader_bytes = code.leaders.take(syndromes).astype("<i8", copy=False).view(np.uint8)
+        flips = np.unpackbits(leader_bytes.reshape(count, 8), axis=1, count=width,
+                              bitorder="little")
+        np.bitwise_xor(blocks, flips, out=out[span].reshape(count, width))
         index_bits += count * code.k
         pos += width * count
     return out, index_bits

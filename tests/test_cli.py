@@ -618,6 +618,23 @@ class TestConfigAndCodes:
         assert named == [named[0]] and named[0].endswith(f"must be >= 0, got {argv[-1]}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, rule", [
+        (["gen", "--kind", "coin", "--p", "7"], "--p", "lie in [0, 1]"),
+        (["gen", "--kind", "coin", "--stride", "-4"], "--stride", "be >= 1"),
+        (["gen", "--kind", "bernoulli", "--p", "2"], "--p", "lie in [0, 1]"),
+        (["gen", "--kind", "zero_padded", "--stride", "0"], "--stride", "be >= 1"),
+    ], ids=["coin-p", "coin-stride", "bernoulli-p", "zero_padded-stride"])
+    def test_gen_flag_out_of_range_names_it(self, tmp_path, capsys, argv, flag, rule):
+        # checked by the parser even for a kind that does not read the flag
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(out))
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        named = [line for line in err if f"argument {flag}:" in line]
+        assert named == [named[0]] and named[0].endswith(f"must {rule}, got {argv[-1]}")
+        assert not out.exists()
+
     def test_config_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=1234\nseed=5\n# comment\n")

@@ -474,3 +474,14 @@ class TestCodebookPins:
                 quantizers.update(code.leaders.tobytes())
         assert quantizers.hexdigest() == (
             "6bc2a2b0f56fd97abc4e7b2b6fd9c861739eb5d93553509b456bf9362877dddc")
+
+    def test_largest_quantizer_pinned(self):
+        # [31, 9]: 2^22 syndromes, the largest table the cap allows
+        from dimsurgery.surgery import quantizer_codebook
+
+        code = quantizer_codebook(31, 0.25)
+        assert (code.n, code.k, code.radius) == (31, 9, 10)
+        assert hashlib.sha256(code.columns.tobytes()).hexdigest() == (
+            "40a69b5e7f986831be23013237be114371bd4ebda80f80acd72c13a623612bca")
+        assert hashlib.sha256(code.leaders.tobytes()).hexdigest() == (
+            "cef54e739807a7e3098e7bd717ffe7d4136e23a5c61e4cd863f0bc769cf56a6b")

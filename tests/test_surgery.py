@@ -28,7 +28,6 @@ from dimsurgery.surgery import (
     RAISE,
     WEAK_SRANDOM,
     SurgeryPlan,
-    _word_to_bits,
     apply_plan,
     default_block_len,
     default_eps_seq,
@@ -491,6 +490,28 @@ class TestLowerChunk:
             assert _syndromes(codebooks[y.size], [word]).tolist() == [0]
             dists.append(int(np.count_nonzero(x != y)))
         assert dists == want and index_bits == want_bits
+
+    # widths ending in a partial byte (n mod 8 = 1, 4, 6, 7) or a whole one,
+    # leaders of all 8 bytes (n > 56), the whole space (k = n), k = 0
+    @pytest.mark.parametrize("n, k", [(8, 4), (9, 4), (17, 9), (25, 13), (31, 17), (32, 17),
+                                      (33, 18), (62, 50), (62, 62), (12, 0)])
+    def test_matches_coset_leader_oracle(self, n, k):
+        # x ^ leaders[H x], H x by the test-side matrix product, on random
+        # blocks: 300 full blocks, and a chunk that is one remainder block
+        code = systematic_code(n, k)
+        rng = np.random.default_rng([n, k])
+        for count, block_len in ((300, n), (1, n + 3)):
+            bits = rng.integers(0, 2, count * n, dtype=np.uint8)
+            words = (bits.reshape(count, n).astype(np.int64) << np.arange(n)).sum(1)
+            want = _word_to_bits(words ^ code.leaders[_syndromes(code, words)], n).ravel()
+            out, index_bits = lower_chunk(bits, {n: code}, block_len)
+            assert np.array_equal(out, want) and index_bits == count * k
+
+
+def _word_to_bits(words, n: int) -> np.ndarray:
+    """Bits 0..n-1 of each int64 word, as uint8 rows."""
+    words = np.asarray(words, dtype=np.int64)[..., None]
+    return ((words >> np.arange(n, dtype=np.int64)) & 1).astype(np.uint8)
 
 
 def _syndromes(code, words):
