@@ -30,7 +30,6 @@ from .entropy import (
 from .estimators import BernoulliOracle, BlockEntropy, Compressor, EstimatorError, parse_estimator
 from .hamming import (
     Codebook,
-    SphereDescriptor,
     ball_volume,
     best_subcode,
     greedy_cover,

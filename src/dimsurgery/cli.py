@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import chunk_count, planned_distance, sequence_dim
+from .dimension import chunk_count, dim_series, planned_distance, sequence_dim
 from .entropy import (
     ScheduleError,
     bound_curves,
@@ -36,7 +36,6 @@ from .entropy import (
     entropy,
     entropy_inv,
     raise_profile,
-    tail_average_floor,
     verify_concavity_lemma,
     verify_convexity_lemma,
 )
@@ -64,6 +63,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# The finest --grid each command takes and the longest --horizon: a run at a
+# cap takes 6-18 s on a 2-vCPU host (README), and finer grids cost more.
+MIN_GRID = {"curves": 5e-4, "convexity": 1e-6, "concavity": 2.5e-4}
+MAX_HORIZON = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -94,7 +98,13 @@ def _case_labels(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _check_grid(grid: float, command: str) -> None:
+    if grid < MIN_GRID[command]:
+        raise ValueError(f"--grid must be >= {MIN_GRID[command]}, got {grid}")
+
+
 def cmd_curves(args) -> int:
+    _check_grid(args.grid, "curves")
     steps = round(1.0 / args.grid)
     grid = [min(1.0, i * args.grid) for i in range(steps + 1)]
     if grid[-1] != 1.0:
@@ -164,15 +174,19 @@ def _verify_cover(args, check) -> None:
 
 
 def _verify_convexity(args, check) -> None:
+    _check_grid(args.grid, "convexity")
     deltas = ([args.delta] if args.delta is not None
               else [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45])
     for delta in deltas:
         rep = verify_convexity_lemma(delta, grid_step=args.grid)
-        check(rep.sign_pattern_ok, f"convexity delta={delta} "
-              f"inflection={rep.inflection} worst={rep.worst_violation:.3g}")
+        detail = (f"unresolved: w shows no sign change at --grid {args.grid}"
+                  if rep.sign_pattern_ok is None else
+                  f"inflection={rep.inflection} worst={rep.worst_violation:.3g}")
+        check(rep.sign_pattern_ok, f"convexity delta={delta} {detail}")
 
 
 def _verify_concavity(args, check) -> None:
+    _check_grid(args.grid, "concavity")
     rep = verify_concavity_lemma(grid_step=args.grid)
     check(rep.sign_pattern_ok, f"concavity worst={rep.worst_violation:.3g}")
 
@@ -184,9 +198,11 @@ def _buffer_families(horizon: int):
 
 
 def _verify_buffer(args, check) -> None:
+    if args.horizon > MAX_HORIZON:
+        raise ValueError(f"--horizon must be <= {MAX_HORIZON}, got {args.horizon}")
     for name, s_seq in _buffer_families(args.horizon):
         eps, b = buffer_schedule(args.c, s_seq)
-        s_sur = tail_average_floor(s_seq)
+        s_sur = dim_series(s_seq).tail_min
         margin = buffer_margin(raise_profile(s_seq, eps), args.c, s_sur, b)
         check(bool(np.all(margin > 0)), f"buffer family={name} "
               f"s={s_sur:.4f} b={b:.1f} min_margin={float(margin.min()):.3g}")

@@ -8,8 +8,9 @@ aggregator mirrors it with per-chunk Hamming densities and a tail maximum.
 This module owns the chunk layout: chunk_boundary is the one n_j,
 chunk_count the one number of complete chunks, weighted_series the one
 quadratic weighting and default_tail_start the one tail window every
-extremum reads.  Chunks are estimated only by chunk_dims, compared only by
-sequence_distance.
+extremum reads.  chunk_dims is the one pass that measures an input; surgery
+estimates what it writes (raise_chunk each candidate, apply_plan each lowered
+chunk).  Chunks are compared only by sequence_distance.
 """
 
 from __future__ import annotations

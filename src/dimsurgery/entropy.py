@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dimension import chunk_boundary, weighted_series
+from .dimension import chunk_boundary, dim_series
 
 LN2 = math.log(2.0)
 
@@ -333,7 +333,7 @@ class ConvexityReport:
     """Outcome of a grid check of a convex-then-concave (or concave) shape claim."""
 
     inflection: float | None
-    sign_pattern_ok: bool
+    sign_pattern_ok: bool | None    # None: the grid saw no sign change to check
     worst_violation: float
 
 
@@ -356,7 +356,9 @@ def verify_convexity_lemma(delta: float, grid_step: float = 1e-3,
     Locates the unique sign change z of w(y) = f(y+delta) - f(y) on
     (0, 1/2 - delta) by grid scan plus bisection, checks f'' < 0 on (0, 1/2),
     and checks the raw second differences of r: >= -tol left of the
-    inflection H(z), <= +tol right of it.
+    inflection H(z), <= +tol right of it.  sign_pattern_ok is None when the
+    samples of w show no sign change (fewer than two of them, or one sign)
+    and f'' passes: the grid is too coarse to place z, and nothing failed.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
@@ -402,9 +404,10 @@ def verify_convexity_lemma(delta: float, grid_step: float = 1e-3,
         worst = float(viol.max(initial=0.0))
         d2_ok = worst == 0.0
 
+    ok = single_change and f_dd_ok and d2_ok
     return ConvexityReport(
         inflection=inflection,
-        sign_pattern_ok=single_change and f_dd_ok and d2_ok,
+        sign_pattern_ok=None if len(changes) == 0 and f_dd_ok else ok,
         worst_violation=worst,
     )
 
@@ -512,23 +515,6 @@ class ScheduleError(RuntimeError):
     """A slack schedule cannot be built (tail average of the input is too high)."""
 
 
-def tail_average_floor(s_seq) -> float:
-    """Finite liminf surrogate of the quadratically weighted chunk averages.
-
-    Minimum over boundaries j = horizon//2 .. horizon of
-    A_j = (1/n_j) sum_{i<j} s_i i^2, clamped to [0, 1]: the boundaries the
-    buffer inequality reads, not the shared tail window of dimension.py.
-    """
-    s_arr = np.asarray(s_seq, dtype=float)
-    horizon = len(s_arr)
-    if horizon < 2:
-        raise ValueError("need at least two chunk values")
-    _require_unit(s_arr, "s_seq")
-    avg = weighted_series(s_arr)[:-1]                # A_j for j = 2..horizon
-    # avg index i holds boundary j = i + 2
-    return float(min(1.0, np.min(avg[max(0, horizon // 2 - 2):])))
-
-
 def buffer_margin(t_seq, c: float, s: float, b: float) -> np.ndarray:
     """sum_{i<=j} t_i i^2 - c j^2 - (s n_j - b) at every j = 1..len(t_seq),
     n_j = sum_{i<j} i^2: the buffer inequality holds where this is positive."""
@@ -543,7 +529,7 @@ def buffer_schedule(c: float, s_seq):
 
         sum_{i<=j} M(s_i, eps_i) i^2  -  c j^2  >  s n_j - b,
 
-    where s is the tail-minimum surrogate of (1/n_j) sum_{i<j} s_i i^2.
+    where s = dim_series(s_seq).tail_min, the dim_before a surgery run reports.
 
     eps halves at j only once j clears a threshold N_eps computed by direct
     scan from the affine uplift bound of uplift_gap; b absorbs every j up to
@@ -554,14 +540,16 @@ def buffer_schedule(c: float, s_seq):
     if c < 0:
         raise ValueError("c must be nonnegative")
     s_arr = np.asarray(s_seq, dtype=float)
-    _require_unit(s_arr, "s_seq")
     horizon = len(s_arr)
+    if horizon < 2:
+        raise ValueError("need at least two chunk values")
+    _require_unit(s_arr, "s_seq")
 
     js = np.arange(1, horizon + 1)
     w = js.astype(float) ** 2
     n = chunk_boundary(js)
     prefix = np.cumsum(s_arr * w)                    # sum_{i<=j} s_i i^2
-    s_sur = tail_average_floor(s_arr)
+    s_sur = dim_series(s_arr).tail_min
     if s_sur >= 1.0 - 1e-12:
         raise ScheduleError("tail average is 1; no buffer headroom")
 

@@ -33,8 +33,6 @@ class EstimatorError(RuntimeError):
 class BernoulliOracle:
     """H(empirical frequency of ones); context is ignored."""
 
-    name = "bernoulli"
-
     def estimate(self, chunk, context=None) -> float:
         bits = as_bits(chunk)
         if bits.size == 0:
@@ -71,7 +69,6 @@ class BlockEntropy:
         if not 1 <= k <= 24:
             raise ValueError(f"k must lie in [1, 24], got {k}")
         self.k = k
-        self.name = f"block:{k}"
 
     def estimate(self, chunk, context=None) -> float:
         bits = as_bits(chunk)
@@ -126,7 +123,6 @@ class Compressor:
             raise EstimatorError(
                 f"unknown compressor {backend!r}; expected one of {sorted(_BACKENDS)}")
         self.backend = backend
-        self.name = f"compressor:{backend}"
         self._memo: _ContextMemo | None = None
 
     def _clen(self, memo: _ContextMemo, bits: np.ndarray) -> int:

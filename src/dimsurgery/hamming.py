@@ -2,11 +2,11 @@
 
 Words are plain Python ints: bit i of the int is sequence position i, so on
 a fixed weight colex order is increasing word order.  Exact ball volumes,
-colex ranks of subsets too large for a word, canonical extremal spheres
-centred at 0^n / 1^n (a ball plus the lowest words of the next layer) and
-their distance law, the brute-force set distance that checks it, far-point
-counts, covering codes built by greedy set cover with their greedy subcodes,
-and systematic linear codes with coset-leader tables.
+colex ranks of subsets too large for a word, canonical extremal spheres (the
+lowest words in (weight, value) order, complemented for the sphere at 1^n)
+and their distance law, the brute-force set distance that checks it,
+far-point counts, covering codes built by greedy set cover with their greedy
+subcodes, and systematic linear codes with coset-leader tables.
 
 Space-sized tables (2^n booleans) cap the exhaustive routines; each guard is
 noted on the operation it protects.
@@ -79,50 +79,28 @@ def colex_unrank(rank: int, n: int, k: int) -> tuple:
 # Harper spheres.
 # ---------------------------------------------------------------------------
 
-ZERO = "zero"
-ONE = "one"
-
-
-@dataclass(frozen=True)
-class SphereDescriptor:
-    """Canonical extremal sphere: a full ball plus a colex prefix of the next layer."""
-
-    n: int
-    center: str                 # ZERO or ONE
-    inner_radius: int           # k: the full ball has radius k (in bits)
-    partial_layer: int          # how many weight-(k+1) words are included
-
-
-def sphere_for_size(n: int, size, center: str = ZERO) -> SphereDescriptor:
-    """The canonical sphere of exactly `size` words centred at 0^n or 1^n."""
-    if center not in (ZERO, ONE):
-        raise ValueError(f"center must be {ZERO!r} or {ONE!r}")
+def sphere_for_size(n: int, size) -> tuple[int, int]:
+    """(k, p) of the canonical sphere of `size` words: the radius-k ball
+    plus the p lowest words of weight k + 1."""
     if not 1 <= size <= (1 << n):
         raise ValueError(f"size {size} out of range for n={n}")
-    vol = 1
-    k = 0
-    while vol <= size:
-        nxt = vol + math.comb(n, k + 1) if k < n else None
-        if k == n or nxt > size:
-            break
-        vol = nxt
+    k, vol = 0, 1
+    while k < n and vol + math.comb(n, k + 1) <= size:
         k += 1
-    return SphereDescriptor(n=n, center=center, inner_radius=k,
-                            partial_layer=size - vol)
+        vol += math.comb(n, k)
+    return k, size - vol
 
 
-def sphere_words(desc: SphereDescriptor) -> np.ndarray:
-    """Materialize a sphere as a word array (exhaustive; needs modest n)."""
-    n = desc.n
+def sphere_words(n: int, size, far: bool = False) -> np.ndarray:
+    """The canonical sphere of `size` words centred at 0^n: the `size` lowest
+    words in (weight, value) order, complemented for the sphere at 1^n when
+    `far`.  Exhaustive, so capped at MAX_EXHAUSTIVE_N."""
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"sphere materialization capped at n={MAX_EXHAUSTIVE_N}")
-    weights = popcount_table(n)
-    ball = np.flatnonzero(weights <= desc.inner_radius)
-    layer = np.flatnonzero(weights == desc.inner_radius + 1)[:desc.partial_layer]
-    words = np.concatenate([ball, layer]).astype(np.int64)
-    if desc.center == ONE:
-        words = words ^ ((1 << n) - 1)
-    return words
+    if not 1 <= size <= (1 << n):
+        raise ValueError(f"size {size} out of range for n={n}")
+    words = np.argsort(popcount_table(n), kind="stable")[:size]
+    return words ^ ((1 << n) - 1) if far else words
 
 
 @lru_cache(maxsize=None)
@@ -154,10 +132,8 @@ def opposite_sphere_distance_bits(n: int, size_a, size_b) -> int:
     candidates one bit closer, the joint partial-partial candidate requiring
     an exact disjoint-support search restricted to the two boundary layers.
     """
-    da = sphere_for_size(n, size_a, ZERO)
-    db = sphere_for_size(n, size_b, ONE)
-    ka, pa = da.inner_radius, da.partial_layer
-    kb, pb = db.inner_radius, db.partial_layer
+    ka, pa = sphere_for_size(n, size_a)
+    kb, pb = sphere_for_size(n, size_b)
     best = n - ka - kb
     if pa > 0:
         best = min(best, n - (ka + 1) - kb)
@@ -253,15 +229,15 @@ def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
     # pairs that force intersection.
     for ka in range(0, n + 1, max(1, n // 3)):
         for kb in range(0, n + 1, max(1, n // 3)):
-            a = sphere_words(sphere_for_size(n, ball_volume(n, ka), ZERO))
-            b = sphere_words(sphere_for_size(n, ball_volume(n, kb), ONE))
+            a = sphere_words(n, ball_volume(n, ka))
+            b = sphere_words(n, ball_volume(n, kb), far=True)
             check(a, b)
     for k in range(0, n - 1):
         layer = math.comb(n, k + 1)
         for part in {1, layer // 2, layer - 1} - {0}:
             size = ball_volume(n, k) + part
-            a = sphere_words(sphere_for_size(n, size, ZERO))
-            b = sphere_words(sphere_for_size(n, size, ONE))
+            a = sphere_words(n, size)
+            b = sphere_words(n, size, far=True)
             check(a, b)
     big = space // 2 + 1
     a = rng.choice(space, size=big, replace=False)

@@ -38,7 +38,6 @@ from .entropy import (
     buffer_schedule,
     entropy_inv,
     raise_profile,
-    tail_average_floor,
 )
 from .hamming import (
     MAX_SYNDROME_BITS,
@@ -105,13 +104,13 @@ def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
     t_j = M(s_j, eps_j) rounded up to granularity 1/j.
 
     Re-checks the buffer inequality (buffer_margin) on the rounded targets
-    before returning.
+    before returning, at the schedule's floor s = dim_series(s_seq).tail_min.
     """
     s_arr = np.asarray(s_seq, dtype=float)
     js = np.arange(1, len(s_arr) + 1)
     eps_list, b = buffer_schedule(c, s_arr)
     eps = np.array(eps_list)
-    s_sur = tail_average_floor(s_arr)
+    s_sur = dim_series(s_arr).tail_min
     t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
     if not np.all(buffer_margin(t_arr, c, s_sur, b) > 0):
         raise PlanInvariantError("rounded targets broke the buffer inequality")

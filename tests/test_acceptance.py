@@ -12,14 +12,19 @@ import time
 import numpy as np
 
 from dimsurgery.bitseq import BitSequence, gen_bernoulli, gen_coin, gen_join_dup
-from dimsurgery.dimension import chunk_boundary, chunk_count, chunk_dims, planned_distance
+from dimsurgery.dimension import (
+    chunk_boundary,
+    chunk_count,
+    chunk_dims,
+    dim_series,
+    planned_distance,
+)
 from dimsurgery.duplication import duplication_decode, duplication_encode
 from dimsurgery.entropy import (
     buffer_schedule,
     entropy,
     entropy_inv,
     raise_profile,
-    tail_average_floor,
     verify_concavity_lemma,
     verify_convexity_lemma,
 )
@@ -228,7 +233,7 @@ def test_criterion_10_buffer_schedule():
     }
     with Timer(10.0) as t:
         for name, s_seq in families.items():
-            s_sur = tail_average_floor(s_seq)
+            s_sur = dim_series(s_seq).tail_min
             assert s_sur <= 0.9
             eps, b = buffer_schedule(c, s_seq)
             m_vals = np.asarray(raise_profile(np.asarray(s_seq), np.asarray(eps)))

@@ -18,12 +18,14 @@ from dimsurgery.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _seed
 from dimsurgery.dimension import (
     chunk_boundary,
     chunk_count,
+    chunk_dims,
     planned_distance,
     sequence_dim,
     sequence_distance,
+    weighted_series,
 )
-from dimsurgery.entropy import entropy_inv
-from dimsurgery.estimators import Compressor, parse_estimator
+from dimsurgery.entropy import buffer_margin, buffer_schedule, entropy_inv, raise_profile
+from dimsurgery.estimators import BernoulliOracle, Compressor, parse_estimator
 
 
 def run(*argv) -> int:
@@ -235,20 +237,57 @@ class TestVerify:
         assert captured.err == ""
 
     @pytest.mark.parametrize("argv, worker, message", [
-        (["cover", "--n", "23"], "greedy_cover", "--n must be <= 22, got 23"),
-        (["harper", "--n", "15"], "verify_harper", "--n must be <= 14, got 15"),
-    ], ids=["cover-n23", "harper-n15"])
-    def test_cap_is_checked_before_any_work(self, monkeypatch, capsys, argv, worker, message):
+        (["verify", "cover", "--n", "23"], "greedy_cover", "--n must be <= 22, got 23"),
+        (["verify", "harper", "--n", "15"], "verify_harper", "--n must be <= 14, got 15"),
+        (["curves", "--grid", "0.00049"], "bound_curves",
+         "--grid must be >= 0.0005, got 0.00049"),
+        (["verify", "convexity", "--grid", "9.9e-7"], "verify_convexity_lemma",
+         "--grid must be >= 1e-06, got 9.9e-07"),
+        (["verify", "concavity", "--grid", "0.00024"], "verify_concavity_lemma",
+         "--grid must be >= 0.00025, got 0.00024"),
+        (["verify", "buffer", "--horizon", "1000001"], "buffer_schedule",
+         "--horizon must be <= 1000000, got 1000001"),
+    ], ids=["cover-n23", "harper-n15", "curves-grid", "convexity-grid", "concavity-grid",
+            "buffer-horizon"])
+    def test_cap_is_checked_before_any_work(self, monkeypatch, capsys, tmp_path, argv,
+                                            worker, message):
+        # each value lies just past its cap; none of them may start the work
+        # or write the --out file
         import dimsurgery.cli as cli
 
         def never(*args, **kwargs):
             raise AssertionError(f"{worker} ran before the cap check")
 
         monkeypatch.setattr(cli, worker, never)
-        assert run("verify", *argv) == EXIT_USAGE
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"dimsurgery: {message}\n"
+        assert not out.exists()
+
+    def test_convexity_grid_too_coarse_checks_nothing(self, capsys):
+        # at this step (0, 1/2 - delta) holds at most one sample for every
+        # delta: no row can see w change sign, and none is a FAIL
+        assert run("verify", "convexity", "--grid", "0.3") == EXIT_USAGE
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert len(rows) == 9
+        assert all(row.startswith("INFO convexity delta=") for row in rows)
+        assert all(row.endswith("unresolved: w shows no sign change at --grid 0.3")
+                   for row in rows)
+        assert err == "dimsurgery: verify convexity checked nothing\n"
+
+    @pytest.mark.parametrize("grid", ["0.01", "0.02", "0.05", "0.1"])
+    def test_convexity_coarse_grid_leaves_delta_unresolved(self, capsys, grid):
+        # delta = 0.45 leaves (0, 0.05): too few samples to see the change;
+        # the deltas the grid resolves still pass, so the run exits 0
+        assert run("verify", "convexity", "--grid", grid) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1] == (f"INFO convexity delta=0.45 unresolved: "
+                            f"w shows no sign change at --grid {grid}")
+        assert rows[0].startswith("PASS convexity delta=0.05 ")
+        assert not any(row.startswith("FAIL") for row in rows)
 
     @pytest.mark.parametrize("n", ["1", "0", "-4"])
     def test_duplication_n_below_two_is_usage_error(self, capsys, n):
@@ -330,6 +369,36 @@ class TestSurgery:
                    "--c", "5", "--out", str(out)) == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0].startswith("j,")
+
+    def test_weak_plans_against_dim_before(self, tmp_path, monkeypatch):
+        # 650 bits hold 12 chunks.  The run reports dim_before over the tail
+        # boundaries 10..13; the slack schedule and plan_weak_srandom's
+        # buffer-margin check must read that same floor
+        import dimsurgery.surgery as surgery
+        src = self._gen(tmp_path, p=0.11, n=650, seed=1)
+        seen = []
+
+        def margin(t_seq, c, s, b):
+            seen.append((s, b))
+            return buffer_margin(t_seq, c, s, b)
+
+        monkeypatch.setattr(surgery, "buffer_margin", margin)
+        out = tmp_path / "weak.csv"
+        assert run("surgery", "--in", str(src), "--strategy", "weak", "--c", "5",
+                   "--out", str(out)) == EXIT_OK
+        lines = out.read_text().splitlines()
+        dim_before = lines[lines.index("") + 2].split(",")[0]
+        [(s, b)] = seen
+        assert f"{s:.6f}" == dim_before
+        s_seq = chunk_dims(BitSequence.from_file(src), BernoulliOracle())
+        eps, schedule_b = buffer_schedule(5.0, s_seq)
+        assert schedule_b == b
+        # b is one more than the largest shortfall it absorbs, so at the
+        # schedule's own floor the tightest margin of M(s_j, eps_j) is 1
+        tight = buffer_margin(raise_profile(s_seq, np.array(eps)), 5.0, s, b).min()
+        assert tight == pytest.approx(1.0, abs=1e-9)
+        # the input tells the windows apart: the boundaries 6..12 read lower
+        assert float(weighted_series(s_seq)[4:11].min()) < s - 0.1
 
     def test_weak_bound_reads_the_distance_tail(self, tmp_path):
         # bound is the planned distance over the boundaries that the measured

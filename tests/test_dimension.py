@@ -166,9 +166,11 @@ class TestEstimators:
             Compressor("nope")
 
     def test_parse(self):
-        assert parse_estimator("bernoulli").name == "bernoulli"
-        assert parse_estimator("block:4").k == 4
-        assert parse_estimator("compressor:lzma").backend == "lzma"
+        assert type(parse_estimator("bernoulli")) is BernoulliOracle
+        block = parse_estimator("block:4")
+        assert type(block) is BlockEntropy and block.k == 4
+        compressor = parse_estimator("compressor:lzma")
+        assert type(compressor) is Compressor and compressor.backend == "lzma"
         for bad in ("magic", "block"):              # block needs its K: block:8
             with pytest.raises(ValueError):
                 parse_estimator(bad)

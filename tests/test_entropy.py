@@ -26,7 +26,6 @@ from dimsurgery.entropy import (
     entropy_deriv,
     entropy_inv,
     raise_profile,
-    tail_average_floor,
     uplift_gap,
     verify_concavity_lemma,
     verify_convexity_lemma,
@@ -655,6 +654,18 @@ class TestConvexityVerification:
         check = far & big
         assert np.all(np.sign(d2[check]) == np.sign(w[check]))
 
+    def test_coarse_grid_is_unresolved(self):
+        # (0, 0.05) holds 4 samples at step 0.01, all with w > 0
+        rep = verify_convexity_lemma(0.45, grid_step=0.01)
+        assert rep.sign_pattern_ok is None and rep.inflection is None
+        # (0, 0.45) holds one sample at step 0.3
+        assert verify_convexity_lemma(0.05, grid_step=0.3).sign_pattern_ok is None
+
+    def test_unresolved_grid_still_reports_a_seen_violation(self, monkeypatch):
+        # f'' is sampled on (0, 1/2) whatever w shows: a positive f'' fails
+        monkeypatch.setattr(entropy_module, "_f_aux_d2", lambda y: np.ones_like(y))
+        assert verify_convexity_lemma(0.45, grid_step=0.01).sign_pattern_ok is False
+
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_convexity_lemma(0.0)
@@ -762,14 +773,6 @@ class TestUpliftGap:
             assert np.all(m >= d + (1.0 - d) * xs - 1e-12)
 
 
-class TestTailAverageFloor:
-    def test_three_chunks_default_keeps_every_boundary(self):
-        # A_2 = 0.2, A_3 = (0.2 + 0.9 * 4) / 5 = 0.76; the default tail starts
-        # at j = 1, so both boundaries count
-        s_seq = [0.2, 0.9, 0.1]
-        assert tail_average_floor(s_seq) == pytest.approx(0.2, abs=1e-15)
-
-
 class TestBufferSchedule:
     def _check(self, s_list, c):
         horizon = len(s_list)
@@ -784,9 +787,11 @@ class TestBufferSchedule:
         n = (js - 1) * js * (2 * js - 1) / 6.0
         s_arr = np.asarray(s_list, dtype=float)
         prefix = np.cumsum(np.asarray(raise_profile(s_arr, np.asarray(eps))) * w)
-        avg = np.full(horizon, np.inf)
-        avg[1:] = np.cumsum(s_arr * w)[:-1] / n[1:]
-        s_sur = min(1.0, float(np.min(avg[max(1, horizon // 2) - 1:])))
+        # the floor: the least A_j = (1/n_j) sum_{i<j} s_i i^2 over the tail
+        # boundaries j = min(max(10, horizon // 2), horizon) .. horizon + 1
+        jb = np.arange(min(max(10, horizon // 2), horizon), horizon + 2)
+        nb = (jb - 1) * jb * (2 * jb - 1) / 6.0
+        s_sur = float(np.min(np.cumsum(s_arr * w)[jb - 2] / nb))
         assert np.all(prefix - c * w > s_sur * n - b)
         return eps, b
 

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from dimsurgery import hamming
 from dimsurgery.entropy import entropy
 from dimsurgery.hamming import (
-    ONE,
-    ZERO,
     ball_volume,
     best_subcode,
     colex_rank,
@@ -149,37 +147,50 @@ class TestColex:
 
 class TestSphereForSize:
     def test_exact_ball(self):
-        d = sphere_for_size(3, 4, ZERO)
-        assert d.inner_radius == 1 and d.partial_layer == 0
+        assert sphere_for_size(3, 4) == (1, 0)
 
     def test_partial(self):
-        d = sphere_for_size(3, 5, ZERO)
-        assert d.inner_radius == 1 and d.partial_layer == 1
+        assert sphere_for_size(3, 5) == (1, 1)
 
     def test_half_space(self):
-        d = sphere_for_size(10, 2 ** 9, ZERO)
-        assert d.inner_radius == 4 and d.partial_layer == 512 - 386
+        assert sphere_for_size(10, 2 ** 9) == (4, 512 - 386)
 
     def test_size_exact(self):
         for n in (4, 9):
             for size in range(1, 2 ** n + 1):
-                d = sphere_for_size(n, size, ZERO)
-                assert len(sphere_words(d)) == size
+                assert len(sphere_words(n, size)) == size
 
     def test_partial_layer_is_colex_prefix(self):
         n = 7
         for k in range(n):
             full = ball_volume(n, k)
             for part in range(1, math.comb(n, k + 1)):
-                words = sphere_words(sphere_for_size(n, full + part, ZERO))
+                words = sphere_words(n, full + part)
                 want = [sum(1 << i for i in t) for t in _colex(n, k + 1)[:part]]
                 assert words[full:].tolist() == want, (k, part)
 
+    def test_words_are_ball_plus_colex_layer(self):
+        # the `size` lowest words in (weight, value) order are the radius-k
+        # ball plus the first p colex (k+1)-subsets; far complements each word
+        for n in (1, 5, 8):
+            for size in range(1, 2 ** n + 1):
+                k, p = sphere_for_size(n, size)
+                ball = [w for w in range(2 ** n) if bin(w).count("1") <= k]
+                layer = [sum(1 << i for i in t) for t in _colex(n, k + 1)[:p]]
+                near = sphere_words(n, size).tolist()
+                assert sorted(near) == sorted(ball + layer), (n, size)
+                far = sphere_words(n, size, far=True).tolist()
+                assert far == [w ^ (2 ** n - 1) for w in near], (n, size)
+
     def test_domain(self):
         with pytest.raises(ValueError):
-            sphere_for_size(4, 0, ZERO)
+            sphere_words(4, 0)
         with pytest.raises(ValueError):
-            sphere_for_size(4, 17, ZERO)
+            sphere_words(4, 17, far=True)
+        with pytest.raises(ValueError):
+            sphere_for_size(4, 0)
+        with pytest.raises(ValueError):
+            sphere_for_size(4, 17)
 
 
 class TestOppositeSphereDistance:
@@ -216,8 +227,8 @@ class TestOppositeSphereDistance:
             sizes |= {1, 2 ** n, ball_volume(n, n // 2)}
             for sa in sizes:
                 for sb in sizes:
-                    words_a = sphere_words(sphere_for_size(n, sa, ZERO))
-                    words_b = sphere_words(sphere_for_size(n, sb, ONE))
+                    words_a = sphere_words(n, sa)
+                    words_b = sphere_words(n, sb, far=True)
                     want = hamming._min_distance_bits(words_a, words_b)
                     got = opposite_sphere_distance_bits(n, sa, sb)
                     assert got == want, (n, sa, sb)

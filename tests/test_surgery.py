@@ -852,10 +852,10 @@ class TestApplyPlan:
         s_seq = chunk_dims(x, est)
         plan = plan_weak_srandom(s_seq, c=c)
         y, report = apply_plan(x, plan, est, seed=4)
-        from dimsurgery.entropy import buffer_schedule, tail_average_floor
+        from dimsurgery.entropy import buffer_schedule
 
         _, b = buffer_schedule(c, s_seq)
-        s_sur = tail_average_floor(s_seq)
+        s_sur = dim_series(s_seq).tail_min
         # tiny chunks cannot reach their targets (frequency granularity);
         # fold their shortfall into the absorbing constant like b does
         shortfall = sum(max(0.0, e.t_j - t) * e.j ** 2
