@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", type=_positive_float, default=1e-3)
     p.add_argument("--c", type=_nonneg_float, default=10.0)
-    p.add_argument("--horizon", type=int, default=10_000)
+    p.add_argument("--horizon", type=_checked(int, lambda v: v >= 2, "be >= 2"),
+                   default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -4,9 +4,10 @@ Words are plain Python ints: bit i of the int is sequence position i, so on
 a fixed weight colex order is increasing word order.  Exact ball volumes,
 colex ranks of subsets too large for a word, canonical extremal spheres (the
 lowest words in (weight, value) order, complemented for the sphere at 1^n)
-and their distance law, the brute-force set distance that checks it,
-far-point counts, covering codes built by greedy set cover with their greedy
-subcodes, and systematic linear codes with coset-leader tables.
+and their distance law, the Harper check that measures random set pairs
+against it by cube BFS, far-point counts, covering codes built by greedy set
+cover with their greedy subcodes, and systematic linear codes with
+coset-leader tables.
 
 Space-sized tables (2^n booleans) cap the exhaustive routines; each guard is
 noted on the operation it protects.
@@ -15,7 +16,7 @@ noted on the operation it protects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,8 +24,8 @@ import numpy as np
 MAX_EXHAUSTIVE_N = 22     # one byte per word for cover tables
 MAX_FAR_COUNT_N = 20
 MAX_HARPER_N = 14
-MAX_PAIRWISE_PRODUCT = 1 << 30
 MAX_SYNDROME_BITS = 22    # coset-leader tables hold 2^(n-k) words
+_HARPER_BLOCK = 1 << 16   # membership entries (rows x 2^n) per block of set pairs
 _SCAN_BLOCK = 1 << 12   # words per forward step of the greedy maximum scan
 
 
@@ -79,16 +80,16 @@ def colex_unrank(rank: int, n: int, k: int) -> tuple:
 # Harper spheres.
 # ---------------------------------------------------------------------------
 
-def sphere_for_size(n: int, size) -> tuple[int, int]:
+def sphere_for_size(n: int, size):
     """(k, p) of the canonical sphere of `size` words: the radius-k ball
-    plus the p lowest words of weight k + 1."""
-    if not 1 <= size <= (1 << n):
+    plus the p lowest words of weight k + 1.  Elementwise over an array of
+    sizes; counts are int64, so n <= 62 (OverflowError beyond)."""
+    vols = np.array([ball_volume(n, k) for k in range(n + 1)], dtype=np.int64)
+    size = np.asarray(size)
+    if np.any((size < 1) | (size > vols[-1])):
         raise ValueError(f"size {size} out of range for n={n}")
-    k, vol = 0, 1
-    while k < n and vol + math.comb(n, k + 1) <= size:
-        k += 1
-        vol += math.comb(n, k)
-    return k, size - vol
+    k = np.searchsorted(vols, size, side="right") - 1
+    return k, size - vols[k]
 
 
 def sphere_words(n: int, size, far: bool = False) -> np.ndarray:
@@ -122,54 +123,29 @@ def _disjoint_rank_prefix_min(n: int, a: int, b: int):
     return np.minimum.accumulate(np.searchsorted(np.flatnonzero(weights == b), least))
 
 
-# verify_harper asks for the same few small sizes over and over
-@lru_cache(maxsize=256)
-def opposite_sphere_distance_bits(n: int, size_a, size_b) -> int:
+def opposite_sphere_distance_bits(n: int, size_a, size_b):
     """Min Hamming distance (bits) between the canonical spheres of the given
-    sizes centred at 0^n and 1^n.
+    sizes centred at 0^n and 1^n, elementwise over two arrays of sizes of one
+    shape (a pair of scalars is the 0-d case).
 
-    Full-ball pairs realize n - a - b by nested supports; partial layers add
-    candidates one bit closer, the joint partial-partial candidate requiring
-    an exact disjoint-support search restricted to the two boundary layers.
+    Full balls of radii ka and kb lie n - ka - kb apart (nested supports);
+    each partial layer brings its sphere one bit closer, and both together
+    only when a word of A's boundary layer has support disjoint from one of
+    B's, which an exact search restricted to the two boundary layers decides.
     """
     ka, pa = sphere_for_size(n, size_a)
     kb, pb = sphere_for_size(n, size_b)
-    best = n - ka - kb
-    if pa > 0:
-        best = min(best, n - (ka + 1) - kb)
-    if pb > 0:
-        best = min(best, n - ka - (kb + 1))
-    if pa > 0 and pb > 0:
-        table = _disjoint_rank_prefix_min(n, ka + 1, kb + 1)
-        if table is not None and table[pa - 1] < pb:
-            best = min(best, n - (ka + 1) - (kb + 1))
-    return max(0, best)
+    reach = np.array(ka + kb + (pa > 0) + (pb > 0))     # an array even when 0-d
+    joint = (pa > 0) & (pb > 0)
+    for a, b in set(zip(ka[joint].tolist(), kb[joint].tolist())):
+        sel = joint & (ka == a) & (kb == b)
+        table = _disjoint_rank_prefix_min(n, a + 1, b + 1)
+        reach[sel] -= 1 if table is None else table[pa[sel] - 1] >= pb[sel]
+    return np.maximum(0, n - reach)
 
-
-# ---------------------------------------------------------------------------
-# Brute-force distance (the definitional oracle).
-# ---------------------------------------------------------------------------
 
 def _word_array(words) -> np.ndarray:
     return np.asarray(words if isinstance(words, np.ndarray) else list(words), dtype=np.int64)
-
-
-def _min_distance_bits(words_a, words_b) -> int:
-    """Exact min pairwise Hamming distance (bits) between two word sets:
-    arrays or any iterables of words."""
-    a, b = _word_array(words_a), _word_array(words_b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("sets must be nonempty")
-    if a.size * b.size > MAX_PAIRWISE_PRODUCT:
-        raise ValueError("pairwise product exceeds the desk-scale guard")
-    best = 64  # no two int64 words differ in more bits
-    step = max(1, (1 << 22) // max(1, b.size))
-    for i in range(0, a.size, step):
-        block = a[i:i + step, None] ^ b[None, :]
-        best = min(best, int(np.bitwise_count(block).min()))
-        if best == 0:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -178,72 +154,14 @@ def _min_distance_bits(words_a, words_b) -> int:
 
 @dataclass
 class HarperReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    tightest_gap: int | None = None
-    tightest_sizes: tuple | None = None
+    checked: int
+    failures: list
+    tightest_gap: int
+    tightest_sizes: tuple
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _log_uniform_size(rng, n: int) -> int:
-    return max(1, min(1 << n, int(2.0 ** rng.uniform(0.0, n))))
-
-
-def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
-    """Check d(A, B) <= d(A_hat, B_hat) on random and adversarial set pairs.
-
-    Distances are compared as exact integer bit counts; any violation is a
-    genuine counterexample (an implementation bug) and is recorded.
-    """
-    if n > MAX_HARPER_N:
-        raise ValueError(f"exhaustive verification capped at n={MAX_HARPER_N}")
-    rng = np.random.default_rng(seed)
-    report = HarperReport()
-    space = 1 << n
-
-    def check(words_a, words_b):
-        d_ab = _min_distance_bits(words_a, words_b)
-        d_sphere = opposite_sphere_distance_bits(n, len(words_a), len(words_b))
-        gap = d_sphere - d_ab
-        if gap < 0:
-            report.failures.append(
-                {"sizes": (len(words_a), len(words_b)),
-                 "d_ab_bits": d_ab, "d_sphere_bits": d_sphere})
-        if report.tightest_gap is None or gap < report.tightest_gap:
-            report.tightest_gap = gap
-            report.tightest_sizes = (len(words_a), len(words_b))
-        report.checked += 1
-
-    for _ in range(trials):
-        sa = _log_uniform_size(rng, n)
-        sb = _log_uniform_size(rng, n)
-        a = rng.choice(space, size=sa, replace=False)
-        b = rng.choice(space, size=sb, replace=False)
-        check(a, b)
-
-    # adversarial families: antipodal balls, canonical spheres with split
-    # layers (both should meet the sphere bound with equality), and overfull
-    # pairs that force intersection.
-    for ka in range(0, n + 1, max(1, n // 3)):
-        for kb in range(0, n + 1, max(1, n // 3)):
-            a = sphere_words(n, ball_volume(n, ka))
-            b = sphere_words(n, ball_volume(n, kb), far=True)
-            check(a, b)
-    for k in range(0, n - 1):
-        layer = math.comb(n, k + 1)
-        for part in {1, layer // 2, layer - 1} - {0}:
-            size = ball_volume(n, k) + part
-            a = sphere_words(n, size)
-            b = sphere_words(n, size, far=True)
-            check(a, b)
-    big = space // 2 + 1
-    a = rng.choice(space, size=big, replace=False)
-    b = rng.choice(space, size=big, replace=False)
-    check(a, b)
-    return report
 
 
 def _expand_once(reached: np.ndarray, n: int) -> np.ndarray:
@@ -251,6 +169,74 @@ def _expand_once(reached: np.ndarray, n: int) -> np.ndarray:
     for b in range(n):
         out |= reached.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(reached.shape)
     return out
+
+
+def _set_distances(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact min Hamming distance (bits) between the sets of each row pair of
+    two (rows, 2^n) membership tables, every row nonempty: one cube BFS grows
+    A's rows by a bit flip per step, and a row drops out once it meets B's."""
+    dist = np.zeros(len(a), dtype=np.int64)
+    live, reached = np.arange(len(a)), a
+    while (open_ := ~(reached & b[live]).any(axis=1)).any():
+        live, reached = live[open_], _expand_once(reached[open_], n)
+        dist[live] += 1
+    return dist
+
+
+def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
+    """Check d(A, B) <= d(A_hat, B_hat) on random and adversarial set pairs.
+
+    Random pairs come first.  Each size is int(2^U) with U uniform on [0, n),
+    drawn for all trials in one call, and each set is uniform among the sets
+    of its size: the words whose rank in a uniform random permutation of the
+    space lies below the size.  The sets are drawn a block of pairs at a
+    time, at most 2^16 membership entries (rows x 2^n) per block.  Then the
+    adversarial families: antipodal balls and canonical spheres with split
+    layers (both should meet the sphere bound with equality), and one
+    overfull random pair that must intersect.
+
+    `_set_distances` measures every pair exactly, and distances are compared
+    as integer bit counts, so any violation is a genuine counterexample (an
+    implementation bug).  Failures are recorded in pair order; the tightest
+    pair is the first to reach the least gap.
+    """
+    if n > MAX_HARPER_N:
+        raise ValueError(f"exhaustive verification capped at n={MAX_HARPER_N}")
+    rng = np.random.default_rng(seed)
+    space = 1 << n
+    rank = np.empty(space, dtype=np.int64)      # each word's place in the sphere order
+    rank[sphere_words(n, space)] = np.arange(space)
+
+    def random_pairs(sizes):
+        ranks = rng.permuted(np.tile(np.arange(space), (sizes.size, 1)), axis=1)
+        rows = (ranks < sizes.reshape(-1, 1)).reshape(-1, 2, space)
+        return rows[:, 0], rows[:, 1]
+
+    def sphere_pairs(sizes):        # the sphere at 1^n is the one at 0^n reversed
+        return rank < sizes[:, :1], (rank < sizes[:, 1:])[:, ::-1]
+
+    balls = [ball_volume(n, k) for k in range(0, n + 1, max(1, n // 3))]
+    spheres = [(sa, sb) for sa in balls for sb in balls]
+    for k in range(0, n - 1):
+        layer = math.comb(n, k + 1)
+        spheres += [(ball_volume(n, k) + part,) * 2 for part in {1, layer // 2, layer - 1} - {0}]
+    families = [
+        ((2.0 ** rng.uniform(0.0, n, size=(trials, 2))).astype(np.int64), random_pairs),
+        (np.array(spheres, dtype=np.int64), sphere_pairs),
+        (np.full((1, 2), space // 2 + 1), random_pairs),
+    ]
+    block = max(1, _HARPER_BLOCK >> (n + 1))    # pairs, two rows each
+    d_ab = np.concatenate([_set_distances(n, *draw(sizes[i:i + block]))
+                           for sizes, draw in families for i in range(0, len(sizes), block)])
+    sizes = np.concatenate([sizes for sizes, _ in families])
+    d_sphere = opposite_sphere_distance_bits(n, sizes[:, 0], sizes[:, 1])
+    gaps = d_sphere - d_ab
+    first = int(np.argmin(gaps))
+    return HarperReport(
+        checked=len(gaps),
+        failures=[{"sizes": tuple(sizes[i].tolist()), "d_ab_bits": int(d_ab[i]),
+                   "d_sphere_bits": int(d_sphere[i])} for i in np.flatnonzero(gaps < 0)],
+        tightest_gap=int(gaps[first]), tightest_sizes=tuple(sizes[first].tolist()))
 
 
 def _within(n: int, words: np.ndarray, radius: int) -> np.ndarray:

@@ -296,6 +296,36 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"dimsurgery: --n must be >= 2, got {n}\n"
 
+    @pytest.mark.parametrize("horizon", ["1", "0", "-5"])
+    def test_buffer_horizon_below_two_is_usage_error(self, monkeypatch, capsys, horizon):
+        # the parser names the flag; no schedule is built
+        import dimsurgery.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("buffer_schedule ran before the --horizon check")
+
+        monkeypatch.setattr(cli, "buffer_schedule", never)
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "buffer", "--horizon", horizon)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --horizon: must be >= 2, got {horizon}" in captured.err
+
+    def test_harper_planted_violation_is_a_fail_row(self, monkeypatch, capsys):
+        # a sphere distance one bit low: the batched check reports each n as
+        # a FAIL row at gap -1 and exits 1
+        from dimsurgery import hamming
+        exact = hamming.opposite_sphere_distance_bits
+        monkeypatch.setattr(hamming, "opposite_sphere_distance_bits",
+                            lambda n, sa, sb: exact(n, sa, sb) - 1)
+        assert run("verify", "harper", "--n", "3", "--trials", "20") == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert [row.split()[:3] for row in rows] == [["FAIL", "harper", f"n={n}"]
+                                                     for n in (1, 2, 3)]
+        assert all("tightest_gap=-1 " in row for row in rows) and captured.err == ""
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_corollary_n_below_one_is_usage_error(self, capsys, n):
         # checked before the n = 10 and n = 12 rows, which need no --n

@@ -1,7 +1,8 @@
 """Tests for Hamming-space combinatorics.
 
 Small-n oracles are exhaustive enumerations (itertools over the whole cube);
-the sphere distance law is cross-checked against materialized spheres.
+the sphere distance law and the Harper check's cube BFS are cross-checked
+against `_min_distance_bits`, the brute-force pairwise set distance.
 """
 
 import hashlib
@@ -33,6 +34,28 @@ from dimsurgery.hamming import (
     sphere_words,
     verify_harper,
 )
+
+
+MAX_PAIRWISE_PRODUCT = 1 << 30      # word pairs the brute-force oracle may compare
+
+
+def _min_distance_bits(words_a, words_b) -> int:
+    """Exact min pairwise Hamming distance (bits) between two word sets:
+    arrays or any iterables of words."""
+    a, b = (np.asarray(w if isinstance(w, np.ndarray) else list(w), dtype=np.int64)
+            for w in (words_a, words_b))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("sets must be nonempty")
+    if a.size * b.size > MAX_PAIRWISE_PRODUCT:
+        raise ValueError("pairwise product exceeds the desk-scale guard")
+    best = 64  # no two int64 words differ in more bits
+    step = max(1, (1 << 22) // max(1, b.size))
+    for i in range(0, a.size, step):
+        block = a[i:i + step, None] ^ b[None, :]
+        best = min(best, int(np.bitwise_count(block).min()))
+        if best == 0:
+            break
+    return best
 
 
 class TestBallVolume:
@@ -182,6 +205,19 @@ class TestSphereForSize:
                 far = sphere_words(n, size, far=True).tolist()
                 assert far == [w ^ (2 ** n - 1) for w in near], (n, size)
 
+    def test_array_of_sizes(self):
+        # elementwise over an array: k is the largest radius whose ball fits
+        for n in (1, 6, 11):
+            sizes = np.arange(1, 2 ** n + 1)
+            k, p = sphere_for_size(n, sizes)
+            want_k = [max(r for r in range(n + 1) if ball_volume(n, r) <= size)
+                      for size in sizes.tolist()]
+            assert k.tolist() == want_k
+            assert p.tolist() == [size - ball_volume(n, r)
+                                  for size, r in zip(sizes.tolist(), want_k)]
+        with pytest.raises(ValueError):
+            sphere_for_size(4, np.array([3, 17]))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sphere_words(4, 0)
@@ -229,17 +265,27 @@ class TestOppositeSphereDistance:
                 for sb in sizes:
                     words_a = sphere_words(n, sa)
                     words_b = sphere_words(n, sb, far=True)
-                    want = hamming._min_distance_bits(words_a, words_b)
+                    want = _min_distance_bits(words_a, words_b)
                     got = opposite_sphere_distance_bits(n, sa, sb)
                     assert got == want, (n, sa, sb)
 
 
+    def test_array_of_sizes(self):
+        # one vectorized call equals the scalar calls, pair for pair
+        for n in (1, 3, 6):
+            sa, sb = (g.ravel() for g in np.meshgrid(np.arange(1, 2 ** n + 1),
+                                                     np.arange(1, 2 ** n + 1)))
+            got = opposite_sphere_distance_bits(n, sa, sb)
+            assert got.tolist() == [int(opposite_sphere_distance_bits(n, a, b))
+                                    for a, b in zip(sa.tolist(), sb.tolist())]
+
+
 class TestBruteForceDistance:
     def test_identical(self):
-        assert hamming._min_distance_bits([0b101], [0b101]) == 0
+        assert _min_distance_bits([0b101], [0b101]) == 0
 
     def test_antipodal(self):
-        assert hamming._min_distance_bits([0b000], [0b111]) == 3
+        assert _min_distance_bits([0b000], [0b111]) == 3
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -247,22 +293,22 @@ class TestBruteForceDistance:
             a = rng.integers(0, 2 ** 10, size=17)
             b = rng.integers(0, 2 ** 10, size=23)
             want = min(bin(int(x) ^ int(y)).count("1") for x in a for y in b)
-            assert hamming._min_distance_bits(a, b) == want
+            assert _min_distance_bits(a, b) == want
 
     def test_any_iterable_of_words(self):
         a = np.array([0b0011, 0b1100, 0b0110], dtype=np.int64)
         b = np.array([0b0111, 0b1010], dtype=np.uint8)
-        want = hamming._min_distance_bits(a, b)
+        want = _min_distance_bits(a, b)
         assert want == 1
-        assert hamming._min_distance_bits(a.tolist(), tuple(b.tolist())) == want
-        assert hamming._min_distance_bits(set(a.tolist()), (int(w) for w in b)) == want
-        assert hamming._min_distance_bits(range(3, 4), b) == 1
+        assert _min_distance_bits(a.tolist(), tuple(b.tolist())) == want
+        assert _min_distance_bits(set(a.tolist()), (int(w) for w in b)) == want
+        assert _min_distance_bits(range(3, 4), b) == 1
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            hamming._min_distance_bits([], [1])
+            _min_distance_bits([], [1])
         with pytest.raises(ValueError):
-            hamming._min_distance_bits(np.arange(2 ** 16), np.arange(2 ** 16))
+            _min_distance_bits(np.arange(2 ** 16), np.arange(2 ** 16))
 
 
 class TestVerifyHarper:
@@ -279,6 +325,64 @@ class TestVerifyHarper:
     def test_guard(self):
         with pytest.raises(ValueError):
             verify_harper(15, trials=1, seed=0)
+
+    @staticmethod
+    def _measured(monkeypatch) -> list:
+        """Spy on the cube BFS: each call's (A rows, B rows, distances)."""
+        calls = []
+        bfs = hamming._set_distances
+
+        def spy(n, a, b):
+            dist = bfs(n, a, b)
+            calls.append((a.copy(), b.copy(), dist))
+            return dist
+
+        monkeypatch.setattr(hamming, "_set_distances", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bfs_matches_brute_force(self, monkeypatch, n):
+        # every pair the check measures, random and adversarial alike
+        calls = self._measured(monkeypatch)
+        rep = verify_harper(n, trials=60, seed=n)
+        pairs = [pair for a, b, dist in calls for pair in zip(a, b, dist.tolist())]
+        assert len(pairs) == rep.checked
+        for a, b, dist in pairs:
+            assert dist == _min_distance_bits(np.flatnonzero(a), np.flatnonzero(b))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+    def test_rows_hold_their_sizes(self, monkeypatch, n):
+        # random rows hold int(2^U) words, U uniform on [0, n) replayed from
+        # the seed; sphere rows are the canonical spheres at 0^n and 1^n; the
+        # last pair is overfull
+        calls = self._measured(monkeypatch)
+        trials = 300
+        rep = verify_harper(n, trials=trials, seed=7)
+        a, b = (np.concatenate([call[side] for call in calls]) for side in (0, 1))
+        sizes = np.stack([a.sum(axis=1), b.sum(axis=1)], axis=1)
+        assert len(sizes) == rep.checked
+        want = 2.0 ** np.random.default_rng(7).uniform(0.0, n, size=(trials, 2))
+        assert sizes[:trials].tolist() == want.astype(np.int64).tolist()
+        for row_a, row_b, (sa, sb) in zip(a[trials:-1], b[trials:-1], sizes[trials:-1]):
+            assert np.flatnonzero(row_a).tolist() == sorted(sphere_words(n, sa).tolist())
+            assert np.flatnonzero(row_b).tolist() == sorted(
+                sphere_words(n, sb, far=True).tolist())
+        assert sizes[-1].tolist() == [2 ** (n - 1) + 1] * 2
+
+    def test_planted_violation_is_reported(self, monkeypatch):
+        # a sphere distance one bit low turns every pair that met the bound
+        # with equality into a failure, recorded with its sizes in pair order
+        clean = verify_harper(6, trials=50, seed=1)
+        exact = hamming.opposite_sphere_distance_bits
+        monkeypatch.setattr(hamming, "opposite_sphere_distance_bits",
+                            lambda n, sa, sb: exact(n, sa, sb) - 1)
+        rep = verify_harper(6, trials=50, seed=1)
+        assert not rep.ok
+        assert (rep.checked, rep.tightest_gap) == (clean.checked, -1)
+        assert rep.failures[0]["sizes"] == rep.tightest_sizes == clean.tightest_sizes
+        assert (1, 1) in [f["sizes"] for f in rep.failures]     # antipodal points
+        for f in rep.failures:
+            assert f["d_ab_bits"] == exact(6, *f["sizes"]) == f["d_sphere_bits"] + 1
 
 
 class TestHarperFarCount:
