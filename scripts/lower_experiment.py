@@ -5,7 +5,8 @@ For each target s, lower coin-flip input to dimension s with the linear block
 quantizers, once at the default block length and once at each L in
 {20, 32, 40}; a block length whose code would exceed the 2^22-syndrome cap
 prints as skipped.  Distance and rate (index bits per sequence bit) are means
-over the seeds; radius/L is the hard per-block budget of the length-L code.
+over the seeds; radius/L is the hard per-block budget of the length-L code,
+and H^-1(1 - s) the plan's bound.
 
 Usage: python scripts/lower_experiment.py [n_bits] [n_seeds]
 """
@@ -16,7 +17,6 @@ import numpy as np
 
 from dimsurgery.bitseq import gen_coin
 from dimsurgery.dimension import chunk_count
-from dimsurgery.entropy import entropy_inv
 from dimsurgery.estimators import BernoulliOracle
 from dimsurgery.surgery import apply_plan, default_block_len, plan_lower, quantizer_codebook
 
@@ -29,7 +29,6 @@ def main() -> int:
     inputs = [gen_coin(n_bits, seed=seed) for seed in range(n_seeds)]
     print(f"{'s':>5} {'L':>8} {'distance':>9} {'rate':>9} {'radius/L':>9} {'H^-1(1-s)':>9}")
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-        bound = float(entropy_inv(1.0 - s))
         default = default_block_len(s)
         rows = {}                                   # block length -> printed columns
         for label, L in [(f"{default}*", default), ("20", 20), ("32", 32), ("40", 40)]:
@@ -43,7 +42,7 @@ def main() -> int:
                     dist = float(np.mean([r.distance for r in reports]))
                     rate = float(np.mean([r.codebook_rate for r in reports]))
                     radius = quantizer_codebook(L, s).radius / L
-                    rows[L] = f"{dist:9.4f} {rate:9.4f} {radius:9.4f} {bound:9.4f}"
+                    rows[L] = f"{dist:9.4f} {rate:9.4f} {radius:9.4f} {plan.bound:9.4f}"
             print(f"{s:5.2f} {label:>8} {rows[L]}")
     print("* the default block length, default_block_len(s)")
     return 0

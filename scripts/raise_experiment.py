@@ -4,7 +4,7 @@
 For each source dimension s, generate Bernoulli(H^-1(s)) input and push it to
 intermediate targets t and to dimension 1 (randomize); print one row per
 (s, t), averaged over seeds, comparing the measured tail distance to the
-CLI's bound max(0, H^-1(t) - H^-1(dim_before)).
+plan's bound max(0, H^-1(t) - H^-1(dim_before)), the one the CLI prints.
 
 Usage: python scripts/raise_experiment.py [n_bits] [n_seeds]
 """
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from dimsurgery.bitseq import gen_bernoulli
-from dimsurgery.dimension import chunk_dims, dim_series
+from dimsurgery.dimension import chunk_dims
 from dimsurgery.entropy import entropy_inv
 from dimsurgery.estimators import BernoulliOracle
 from dimsurgery.surgery import apply_plan, plan_raise
@@ -33,11 +33,9 @@ def main() -> int:
             dists, dims, bounds = [], [], []
             for seed in range(n_seeds):
                 x = gen_bernoulli(p, n_bits, seed=seed)
-                s_seq = chunk_dims(x, est)
-                plan = plan_raise(s_seq, t)         # plan_randomize at t = 1
+                plan = plan_raise(chunk_dims(x, est), t)    # plan_randomize at t = 1
                 _, rep = apply_plan(x, plan, est, seed=seed)
-                dim_before = dim_series(s_seq).tail_min
-                bounds.append(max(0.0, float(entropy_inv(t) - entropy_inv(dim_before))))
+                bounds.append(plan.bound)
                 dists.append(rep.distance)
                 dims.append(rep.dim_after)
             d, dim, bound = float(np.mean(dists)), float(np.mean(dims)), float(np.mean(bounds))

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import chunk_count, dim_series, planned_distance, sequence_dim
+from .dimension import chunk_count, dim_series, sequence_dim
 from .entropy import (
     ScheduleError,
     bound_curves,
@@ -68,6 +68,7 @@ EXIT_IO = 3
 # cap takes 6-18 s on a 2-vCPU host (README), and finer grids cost more.
 MIN_GRID = {"curves": 5e-4, "convexity": 1e-6, "concavity": 2.5e-4}
 MAX_HORIZON = 1_000_000
+MAX_COROLLARY_N = 14      # verify corollary: each trial scans all 2^n words
 
 
 def _fmt(x: float) -> str:
@@ -138,8 +139,10 @@ def _verify_harper(args, check) -> None:
 def _verify_corollary(args, check) -> None:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.n > MAX_COROLLARY_N:
+        raise ValueError(f"--n must be <= {MAX_COROLLARY_N}, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    for n in (10, 12, min(args.n, 14)):
+    for n in (10, 12, args.n):
         for eps in (0.1, 0.2):
             q = float(entropy(0.5 - eps / 2.0))
             size = min(1 << n, math.ceil(2.0 ** (n * q)))
@@ -278,41 +281,32 @@ def cmd_verify(args) -> int:
 
 def cmd_surgery(args) -> int:
     x = BitSequence.from_file(args.infile)
-    est = parse_estimator(args.estimator)
     if chunk_count(len(x)) < 2:
         raise ValueError("input too short for even two chunks")
-    before = sequence_dim(x, est)               # the one pass over the input
+    before = sequence_dim(x, args.estimator)    # the one pass over the input
     s_seq, dim_before = before.chunk_values, before.tail_min
-    if args.strategy in ("randomize", "raise"):  # planned from the measured s_j
-        t = 1.0 if args.strategy == "randomize" else args.t
-        plan = plan_randomize(s_seq) if args.strategy == "randomize" else plan_raise(s_seq, t)
-        bound = max(0.0, float(entropy_inv(t) - entropy_inv(dim_before)))
-    elif args.strategy == "weak":
-        plan = plan_weak_srandom(s_seq, c=args.c)
-        bound = planned_distance(plan.deltas())
-    else:                                       # lower
-        plan = plan_lower(len(s_seq), args.s)
-        bound = float(entropy_inv(1.0 - args.s))
+    plan = {"randomize": lambda: plan_randomize(s_seq),   # planned from the measured s_j
+            "raise": lambda: plan_raise(s_seq, args.t),
+            "weak": lambda: plan_weak_srandom(s_seq, c=args.c),
+            "lower": lambda: plan_lower(len(s_seq), args.s)}[args.strategy]()
 
     many = len(args.seed) > 1                   # then one CSV and one y file per seed
     for seed in args.seed:
-        y, report = apply_plan(x, plan, est, seed)
+        y, report = apply_plan(x, plan, args.estimator, seed)
         lines = ["j,s_j,delta_planned,delta_achieved,t_planned,t_achieved"]
-        for s_j, entry, d_j, t_j in zip(s_seq, plan.entries, report.delta_achieved,
-                                        report.t_achieved):
-            lines.append(",".join([
-                str(entry.j), _fmt(s_j), _fmt(entry.delta_j),
-                _fmt(d_j), _fmt(entry.t_j), _fmt(t_j)]))
+        lines += [",".join([str(e.j), *map(_fmt, (s_j, e.delta_j, d_j, e.t_j, t_j))])
+                  for s_j, e, d_j, t_j in zip(s_seq, plan.entries, report.delta_achieved,
+                                              report.t_achieved)]
         lines += ["", "dim_before,dim_after,distance,bound,slack", ",".join([
             _fmt(dim_before), _fmt(report.dim_after), _fmt(report.distance),
-            _fmt(bound), _fmt(bound - report.distance)])]
+            _fmt(plan.bound), _fmt(plan.bound - report.distance)])]
         out_path = f"{args.out}.seed{seed}.csv" if many else args.out
         with open(out_path, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"seed={seed} dim_before={_fmt(dim_before)} "
               f"dim_after={_fmt(report.dim_after)} distance={_fmt(report.distance)} "
-              f"bound={_fmt(bound)}")
-        if report.distance > bound + args.tolerance:
+              f"bound={_fmt(plan.bound)}")
+        if report.distance > plan.bound + args.tolerance:
             print(f"WARN measured distance exceeds the bound by more than "
                   f"--tolerance {args.tolerance}")
         if args.save_y:
@@ -362,6 +356,14 @@ _nonneg_int = _checked(int, lambda v: v >= 0, "be >= 0")
 _positive_int = _checked(int, lambda v: v >= 1, "be >= 1")
 
 
+def _estimator(text: str):
+    """An argparse type: parse_estimator(text), looked up at each call."""
+    try:
+        return parse_estimator(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _seed_list(text: str) -> tuple[int, ...]:
     """An argparse type: a comma list of distinct integers >= 0."""
     try:
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_checked(float, lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"))
     p.add_argument("--grid", type=_positive_float, default=1e-3)
     p.add_argument("--c", type=_nonneg_float, default=10.0)
     p.add_argument("--horizon", type=_checked(int, lambda v: v >= 2, "be >= 2"),
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_unit_float, default=0.5, help="lower's target dimension")
     p.add_argument("--t", type=_unit_float, default=1.0, help="raise's target dimension")
     p.add_argument("--c", type=_nonneg_float, default=10.0)
-    p.add_argument("--estimator", default="bernoulli")
+    p.add_argument("--estimator", type=_estimator, default="bernoulli")
     p.add_argument("--seed", type=_seed_list, default=(0,),
                    help="one seed or a comma list; several write one CSV per seed")
     p.add_argument("--out", default=None)

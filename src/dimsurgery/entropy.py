@@ -531,11 +531,12 @@ def buffer_schedule(c: float, s_seq):
 
     where s = dim_series(s_seq).tail_min, the dim_before a surgery run reports.
 
-    eps halves at j only once j clears a threshold N_eps computed by direct
-    scan from the affine uplift bound of uplift_gap; b absorbs every j up to
-    the first threshold.  Callers check the inequality with buffer_margin
-    on the targets they use.  Raises ScheduleError when the surrogate s is 1
-    (no headroom; use a full randomize plan instead).
+    eps_j = 2^-k from the switch point j_k = max(j_{k-1} + 1, N_k + 1) on
+    (j_0 = 1), N_k the last j where the affine uplift bound of uplift_gap
+    at 2^-k fails; b absorbs every j up to N_0.  Callers check the
+    inequality with buffer_margin on the targets they use.  Raises
+    ScheduleError when the surrogate s is 1 (no headroom; use a full
+    randomize plan instead).
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
@@ -553,32 +554,21 @@ def buffer_schedule(c: float, s_seq):
     if s_sur >= 1.0 - 1e-12:
         raise ScheduleError("tail average is 1; no buffer headroom")
 
-    thresh_cache: dict[float, int] = {}
-
-    def threshold(eps: float) -> int:
-        if eps in thresh_cache:
-            return thresh_cache[eps]
+    def threshold(eps: float) -> int:       # the horizon when eps gives no uplift
         d = uplift_gap(eps)
         if d <= 0.0:
-            thresh_cache[eps] = horizon  # never adopted inside the horizon
             return horizon
         delta = 0.5 * d * (1.0 - s_sur) / (2.0 - d)
-        ok = (prefix >= (s_sur - delta) * n) & (delta * n > c * w)
-        bad = np.flatnonzero(~ok)
-        t = int(bad[-1] + 1) if len(bad) else 0
-        thresh_cache[eps] = t
-        return t
+        bad = np.flatnonzero(~((prefix >= (s_sur - delta) * n) & (delta * n > c * w)))
+        return int(bad[-1] + 1) if len(bad) else 0
 
-    eps = np.empty(horizon)
-    eps[0] = 1.0
-    for j in range(2, horizon + 1):
-        half = eps[j - 2] / 2.0
-        eps[j - 1] = half if j > threshold(half) else eps[j - 2]
+    switches = [1]                                   # j_0, j_1, ..., past the horizon
+    while switches[-1] <= horizon:
+        switches.append(max(switches[-1] + 1, threshold(0.5 ** len(switches)) + 1))
+    eps = 0.5 ** np.searchsorted(switches[1:], js, side="right")
 
-    m = np.asarray(raise_profile(s_arr, eps))
-    m_prefix = np.cumsum(m * w)
+    m_prefix = np.cumsum(np.asarray(raise_profile(s_arr, eps)) * w)
     n1 = min(threshold(1.0), horizon)
-    b = 1.0
-    if n1 >= 1:
-        b = max(1.0, float(np.max(s_sur * n[:n1] + c * w[:n1] - m_prefix[:n1])) + 1.0)
+    head = s_sur * n[:n1] + c * w[:n1] - m_prefix[:n1]
+    b = max(1.0, float(head.max()) + 1.0) if n1 >= 1 else 1.0
     return eps.tolist(), b

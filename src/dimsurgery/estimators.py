@@ -3,7 +3,7 @@
 Three families, selectable by name string in CLI/config:
 
   bernoulli        H(fraction of ones); only valid for Bernoulli-type sources
-  block:K          empirical entropy rate of overlapping K-grams
+  block:K          empirical entropy rate of overlapping K-grams (K in 1..24)
   compressor:NAME  conditional rate via compressed-concatenation difference
                    (NAME in zlib | lzma | bz2)
 
@@ -65,9 +65,11 @@ class BlockEntropy:
     back to k = len(chunk).
     """
 
+    MAX_K = 24
+
     def __init__(self, k: int):
-        if not 1 <= k <= 24:
-            raise ValueError(f"k must lie in [1, 24], got {k}")
+        if not 1 <= k <= self.MAX_K:
+            raise ValueError(f"k must lie in [1, {self.MAX_K}], got {k}")
         self.k = k
 
     def estimate(self, chunk, context=None) -> float:
@@ -165,11 +167,14 @@ class Compressor:
 
 
 def parse_estimator(spec: str):
-    """Build an estimator from its CLI name: bernoulli | block:K | compressor:NAME."""
+    """Build an estimator from its CLI name: bernoulli | block:K | compressor:NAME;
+    any other name raises ValueError, which lists the accepted forms."""
+    kind, _, arg = spec.partition(":")
     if spec == "bernoulli":
         return BernoulliOracle()
-    if spec.startswith("block:"):
-        return BlockEntropy(int(spec.split(":", 1)[1]))
-    if spec.startswith("compressor:") and spec.split(":", 1)[1] in _BACKENDS:
-        return Compressor(spec.split(":", 1)[1])
-    raise ValueError(f"unknown estimator spec {spec!r}")
+    if kind == "block" and arg.isdecimal() and 1 <= int(arg) <= BlockEntropy.MAX_K:
+        return BlockEntropy(int(arg))
+    if kind == "compressor" and arg in _BACKENDS:
+        return Compressor(arg)
+    raise ValueError(f"unknown estimator {spec!r}; expected bernoulli, block:K with K in [1, "
+                     f"{BlockEntropy.MAX_K}] or compressor:NAME with NAME in {sorted(_BACKENDS)}")

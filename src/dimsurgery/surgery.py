@@ -70,6 +70,7 @@ class PlanEntry:
 class SurgeryPlan:
     strategy: str
     entries: list[PlanEntry]
+    bound: float    # the paper's distance bound for this plan, set by its planner
     # lower plans: the block quantizer of every width their chunks use, and
     # the block length of those chunk layouts; apply_plan quantizes onto them
     codebooks: dict[int, LinearCode] = field(default_factory=dict)
@@ -100,8 +101,8 @@ def _entries(js, t_arr, delta_arr, eps) -> list[PlanEntry]:
 
 
 def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
-    """Buffered raise: eps from the slack schedule, delta_j = 2 eps_j,
-    t_j = M(s_j, eps_j) rounded up to granularity 1/j.
+    """Buffered raise of bound planned_distance(delta): eps from the slack
+    schedule, delta_j = 2 eps_j, t_j = M(s_j, eps_j) rounded up to 1/j.
 
     Re-checks the buffer inequality (buffer_margin) on the rounded targets
     before returning, at the schedule's floor s = dim_series(s_seq).tail_min.
@@ -114,8 +115,9 @@ def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
     t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
     if not np.all(buffer_margin(t_arr, c, s_sur, b) > 0):
         raise PlanInvariantError("rounded targets broke the buffer inequality")
-    entries = _entries(js, t_arr, np.minimum(1.0, 2.0 * eps), eps)
-    return SurgeryPlan(strategy=WEAK_SRANDOM, entries=entries)
+    delta_arr = np.minimum(1.0, 2.0 * eps)
+    return SurgeryPlan(strategy=WEAK_SRANDOM, entries=_entries(js, t_arr, delta_arr, eps),
+                       bound=planned_distance(delta_arr))
 
 
 def plan_raise(s_seq, t: float) -> SurgeryPlan:
@@ -125,9 +127,9 @@ def plan_raise(s_seq, t: float) -> SurgeryPlan:
     (bisection) whose targets keep dim_series(t_j).tail_min >= t, and
     delta_j = clip(g(t_j) - g(s_j) + eps_j, 0, 1): with g = entropy_inv
     convex, one water level is the cheapest way to a weighted average t.
-    Asserts, from the plan alone, planned distance (over apply_plan's tail
-    window, from j0 = default_tail_start) <= max(0, g(t) - g(s)) + max eps
-    + 1/j0, with s = dim_series(s_seq).tail_min.
+    Its bound is gap = max(0, g(t) - g(s)), s = dim_series(s_seq).tail_min;
+    asserts, from the plan alone, planned distance (over apply_plan's tail
+    window, from j0 = default_tail_start) <= gap + max eps + 1/j0.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -152,7 +154,7 @@ def plan_raise(s_seq, t: float) -> SurgeryPlan:
     if planned > budget + 1e-12:
         raise PlanInvariantError(
             f"planned aggregate distance {planned:.6f} exceeds bound budget {budget:.6f}")
-    return SurgeryPlan(strategy=RAISE, entries=_entries(js, t_arr, delta_arr, eps))
+    return SurgeryPlan(strategy=RAISE, entries=_entries(js, t_arr, delta_arr, eps), bound=gap)
 
 
 def plan_randomize(s_seq) -> SurgeryPlan:
@@ -229,9 +231,9 @@ def lower_chunk(chunk, codebooks: dict[int, LinearCode], block_len: int):
 
 
 def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None) -> SurgeryPlan:
-    """Lower-to-s plan: one quantizer_codebook per block width the chunk
-    layouts use, kept in the plan; per-chunk budget = worst block
-    covering-radius ratio.  block_len defaults to default_block_len(s).
+    """Lower-to-s plan of bound H^-1(1 - s): one quantizer_codebook per block
+    width the chunk layouts use, kept in the plan; per-chunk budget = worst
+    block covering-radius ratio.  block_len defaults to default_block_len(s).
 
     The nearest-codeword step can never exceed the covering radius of the
     block code, so the per-chunk budget is exact, not statistical.
@@ -245,6 +247,7 @@ def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None) -> 
                          delta_j=max(codebooks[w].radius / w for w, _ in layout))
                for j, layout in enumerate(layouts, start=1)]
     return SurgeryPlan(strategy=LOWER, entries=entries,
+                       bound=float(entropy_inv(1.0 - target_s)),
                        codebooks=codebooks, block_len=block_len)
 
 
@@ -262,16 +265,16 @@ def _flips_toward_half(bits: np.ndarray):
     return np.empty(0, dtype=np.int64), 0
 
 
-def raise_chunk(chunk, context, radius: float, est, seed: int | tuple = 0, *,
+def raise_chunk(chunk, context, budget: int, est, seed: int | tuple = 0, *,
                 target: float):
     """Search for a nearby chunk whose estimate reaches `target`.
 
     Returns (y_chunk, est.estimate(y_chunk, context)), the value the search
     already measured.  Hard constraint: output differs from the input on at
-    most floor(radius * len) bits.  The estimate never decreases (the
-    original is returned if no candidate improves on it).  The search stops
-    as soon as the estimate reaches the target, keeping the distance spent
-    minimal rather than exhausting the budget.
+    most `budget` bits.  The estimate never decreases (the original is
+    returned if no candidate improves on it).  The search stops as soon as
+    the estimate reaches the target, keeping the distance spent minimal
+    rather than exhausting the budget.
 
     It flips majority-value bits, moving the frequency of ones toward 1/2:
     binary search on the flip count k over the prefixes order[:k] of a
@@ -281,10 +284,7 @@ def raise_chunk(chunk, context, radius: float, est, seed: int | tuple = 0, *,
     working buffer by flipping only the bits between the last flip count
     and the next, and is estimated once.
     """
-    if not 0.0 <= radius <= 1.0:
-        raise ValueError(f"radius must lie in [0, 1], got {radius}")
     bits = as_bits(chunk)
-    budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
     if budget == 0 or base >= target:
         return bits.copy(), base
@@ -332,14 +332,15 @@ def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
     The input is not estimated: the plan was built from the caller's
     measurement of it.  `seed` says how the search runs, the plan what it
     must achieve, so one plan serves every seed.  Per chunk,
-    one call modifies it within the plan's budget: raise_chunk searches
-    against the constructed prefix (seeded by (seed, j)) and returns its
-    estimate, which is t_achieved; lower_chunk quantizes onto the plan's
-    block codebooks, and t_achieved is estimated once.  One sequence_distance
-    pass counts each chunk's changed bits once: the counts are asserted
-    against the budgets floor(delta_j j^2), and give delta_achieved and the
-    distance.  dim_after aggregates t_achieved: each was estimated once its
-    prefix was final, so it equals a sequence_dim pass over the output.
+    one call modifies it within its bit budget floor(delta_j j^2), computed
+    once for all chunks: raise_chunk searches against the constructed
+    prefix (seeded by (seed, j)) and returns its estimate, which is
+    t_achieved; lower_chunk quantizes onto the plan's block codebooks, and
+    t_achieved is estimated once.  One sequence_distance pass counts each
+    chunk's changed bits once: the counts are asserted against the same
+    budgets, and give delta_achieved and the distance.  dim_after
+    aggregates t_achieved: each was estimated once its prefix was final,
+    so it equals a sequence_dim pass over the output.
     The report holds only achieved values; the planned ones stay in the plan.
     """
     bx = as_bits(x)
@@ -352,6 +353,8 @@ def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
     if used > bx.size:
         raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
 
+    sizes = np.arange(1, count + 1, dtype=np.int64) ** 2
+    budgets = np.floor(plan.deltas() * sizes + 1e-9).astype(np.int64)
     y = bx.copy()
     t_achieved = np.empty(count)
     index_bits_total = 0.0
@@ -363,13 +366,11 @@ def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
             index_bits_total += index_bits
             t_achieved[i] = est.estimate(y_chunk, y[:lo])
         else:
-            y_chunk, t_achieved[i] = raise_chunk(bx[lo:hi], y[:lo], entry.delta_j, est,
+            y_chunk, t_achieved[i] = raise_chunk(bx[lo:hi], y[:lo], int(budgets[i]), est,
                                                  seed=(seed, j), target=entry.t_j)
         y[lo:hi] = y_chunk
 
     changed = sequence_distance(bx[:used], y[:used])
-    sizes = np.arange(1, count + 1, dtype=np.int64) ** 2
-    budgets = np.floor(plan.deltas() * sizes + 1e-9).astype(np.int64)
     over = np.flatnonzero(changed.counts > budgets)
     if over.size:
         i = over[0]

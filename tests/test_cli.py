@@ -140,9 +140,21 @@ class TestVerify:
     @pytest.mark.parametrize("delta", ["0", "-0.0"])
     def test_convexity_delta_zero_is_usage_error(self, capsys, delta):
         # a zero --delta is a value to check, not a request for the defaults
-        assert run("verify", "convexity", "--delta", delta) == EXIT_USAGE
+        self._delta_is_refused(capsys, delta)
+
+    @pytest.mark.parametrize("delta", ["0.5", "0.7", "-1", "nan"])
+    def test_convexity_delta_outside_open_half_is_usage_error(self, capsys, delta):
+        self._delta_is_refused(capsys, delta)
+
+    @staticmethod
+    def _delta_is_refused(capsys, delta):
+        # the parser names the flag; no lemma is checked
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "convexity", "--delta", delta)
+        assert exc.value.code == EXIT_USAGE
         out, err = capsys.readouterr()
-        assert out == "" and "delta must lie in (0, 1/2)" in err
+        assert out == ""
+        assert f"argument --delta: must lie in (0, 1/2), got {delta}" in err
 
     def test_concavity(self):
         assert run("verify", "concavity", "--grid", "0.005") == EXIT_OK
@@ -247,8 +259,10 @@ class TestVerify:
          "--grid must be >= 0.00025, got 0.00024"),
         (["verify", "buffer", "--horizon", "1000001"], "buffer_schedule",
          "--horizon must be <= 1000000, got 1000001"),
+        (["verify", "corollary", "--n", "15", "--trials", "1"], "harper_far_count",
+         "--n must be <= 14, got 15"),
     ], ids=["cover-n23", "harper-n15", "curves-grid", "convexity-grid", "concavity-grid",
-            "buffer-horizon"])
+            "buffer-horizon", "corollary-n15"])
     def test_cap_is_checked_before_any_work(self, monkeypatch, capsys, tmp_path, argv,
                                             worker, message):
         # each value lies just past its cap; none of them may start the work
@@ -372,6 +386,33 @@ class TestSurgery:
                 "seed=0 dim_before=0.866092 dim_after=0.866092 distance=0.000000 "
                 "bound=0.000000")
             assert BitSequence.from_file(y) == BitSequence.from_file(src)
+
+    @pytest.mark.parametrize("strategy", ["randomize", "raise", "weak", "lower"])
+    def test_printed_bound_is_the_plans(self, tmp_path, capsys, monkeypatch, strategy):
+        # cmd_surgery derives no bound: the stdout line and the summary row
+        # print the bound of the plan it applied
+        import dimsurgery.cli as cli
+
+        plans = []
+        real_apply = cli.apply_plan
+
+        def spy_apply(x, plan, *rest):
+            plans.append(plan)
+            return real_apply(x, plan, *rest)
+
+        monkeypatch.setattr(cli, "apply_plan", spy_apply)
+        src = self._gen(tmp_path, n=20_000)
+        out = tmp_path / "run.csv"
+        capsys.readouterr()
+        assert run("surgery", "--in", str(src), "--strategy", strategy, "--t", "0.8",
+                   "--s", "0.3", "--c", "5", "--out", str(out)) == EXIT_OK
+        (plan,) = plans
+        bound = f"{plan.bound:.6f}"
+        (line,) = [row for row in capsys.readouterr().out.splitlines()
+                   if row.startswith("seed=")]
+        assert line.split()[-1] == f"bound={bound}"
+        lines = out.read_text().splitlines()
+        assert lines[lines.index("") + 2].split(",")[3] == bound
 
     def test_deterministic_csv(self, tmp_path):
         src = self._gen(tmp_path)
@@ -840,9 +881,31 @@ class TestConfigAndCodes:
         src = tmp_path / "x.bits"
         run("gen", "--kind", "coin", "--n", "2000", "--seed", "1", "--out", str(src))
         capsys.readouterr()
-        assert run("surgery", "--in", str(src), "--strategy", "randomize",
-                   "--estimator", "compressor:foo") == EXIT_USAGE
-        self._one_error_line(capsys)
+        assert _exit_code(["surgery", "--in", str(src), "--strategy", "randomize",
+                           "--estimator", "compressor:foo"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --estimator: unknown estimator 'compressor:foo'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["block:abc", "block:0", "block:25", "block",
+                                      "compressor:gzip", "bogus"])
+    def test_bad_estimator_is_refused_before_the_input_is_read(self, tmp_path, capsys,
+                                                               monkeypatch, spec):
+        # --estimator is a parser type: a malformed spec exits 2 and names the
+        # flag and the accepted forms, even when --in names no file
+        import dimsurgery.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the input was read before --estimator was checked")
+
+        monkeypatch.setattr(cli.BitSequence, "from_file", never)
+        assert _exit_code(["surgery", "--in", str(tmp_path / "none.bits"),
+                           "--strategy", "raise", "--estimator", spec]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --estimator: unknown estimator {spec!r}; expected bernoulli, "
+                f"block:K with K in [1, 24] or compressor:NAME with NAME in "
+                f"['bz2', 'lzma', 'zlib']") in captured.err
 
 
 def _exit_code(argv) -> int:
@@ -879,6 +942,7 @@ _CONFIG_FLAGS = [
     (["verify", "concavity", "--grid", "0.25"], "horizon", int),
     (["surgery", "--strategy", "raise"], "seed", _seed_list),
     (["surgery", "--strategy", "raise"], "t", float),
+    (["surgery", "--strategy", "raise"], "estimator", parse_estimator),
 ]
 
 

@@ -289,7 +289,7 @@ class TestEstimatorKernels:
         rng = np.random.default_rng(5)
         context = (rng.random(30_003) < 0.11).astype(np.uint8)
         chunk = (rng.random(6_000) < 0.05).astype(np.uint8)
-        _, value = raise_chunk(chunk, context, 0.3, est, seed=1, target=0.6)
+        _, value = raise_chunk(chunk, context, 1800, est, seed=1, target=0.6)
         assert est.evaluations > 2
         assert len(primed) == 1
         assert value >= 0.6

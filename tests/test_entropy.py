@@ -31,6 +31,9 @@ from dimsurgery.entropy import (
     verify_convexity_lemma,
 )
 
+from dimsurgery.cli import _buffer_families
+from dimsurgery.dimension import chunk_boundary, dim_series
+
 # the module itself: the package exports a function of the same name
 entropy_module = importlib.import_module("dimsurgery.entropy")
 
@@ -773,6 +776,66 @@ class TestUpliftGap:
             assert np.all(m >= d + (1.0 - d) * xs - 1e-12)
 
 
+def _loop_buffer_schedule(c, s_seq):
+    """The slack schedule built one j at a time: eps_j halves at j when j
+    clears the threshold of eps_{j-1} / 2, each threshold computed once and
+    cached by eps.  buffer_schedule builds eps from its switch points."""
+    s_arr = np.asarray(s_seq, dtype=float)
+    horizon = len(s_arr)
+    js = np.arange(1, horizon + 1)
+    w = js.astype(float) ** 2
+    n = chunk_boundary(js)
+    prefix = np.cumsum(s_arr * w)
+    s_sur = dim_series(s_arr).tail_min
+    thresh_cache = {}
+
+    def threshold(eps):
+        if eps in thresh_cache:
+            return thresh_cache[eps]
+        d = uplift_gap(eps)
+        if d <= 0.0:
+            thresh_cache[eps] = horizon
+            return horizon
+        delta = 0.5 * d * (1.0 - s_sur) / (2.0 - d)
+        ok = (prefix >= (s_sur - delta) * n) & (delta * n > c * w)
+        bad = np.flatnonzero(~ok)
+        thresh_cache[eps] = int(bad[-1] + 1) if len(bad) else 0
+        return thresh_cache[eps]
+
+    eps = np.empty(horizon)
+    eps[0] = 1.0
+    for j in range(2, horizon + 1):
+        half = eps[j - 2] / 2.0
+        eps[j - 1] = half if j > threshold(half) else eps[j - 2]
+    m_prefix = np.cumsum(np.asarray(raise_profile(s_arr, eps)) * w)
+    n1 = min(threshold(1.0), horizon)
+    b = 1.0
+    if n1 >= 1:
+        b = max(1.0, float(np.max(s_sur * n[:n1] + c * w[:n1] - m_prefix[:n1])) + 1.0)
+    return eps.tolist(), b
+
+
+def _random_schedule_inputs():
+    """60 (c, s_seq) pairs: c in {0, 0.1, 1, 10, 100}, horizons 2..3000,
+    chunk values uniform, constant or alternating."""
+    rng = np.random.default_rng(28)
+    for i in range(60):
+        c = (0.0, 0.1, 1.0, 10.0, 100.0)[i % 5]
+        horizon = int(rng.integers(2, 3001))
+        kind = i % 3
+        if kind == 0:
+            s_seq = rng.uniform(0.0, 1.0, horizon)
+        elif kind == 1:
+            s_seq = np.full(horizon, rng.uniform(0.0, 0.95))
+        else:
+            lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+            s_seq = np.where(np.arange(horizon) % 2, lo, hi)
+        yield c, s_seq.tolist()
+
+
+SCHEDULE_INPUTS = list(_random_schedule_inputs())
+
+
 class TestBufferSchedule:
     def _check(self, s_list, c):
         horizon = len(s_list)
@@ -818,6 +881,23 @@ class TestBufferSchedule:
             assert margin[j - 1] == pytest.approx(acc - 2.5 * j * j - (0.4 * n_j - 7.0),
                                                   rel=1e-12, abs=1e-9), j
             n_j += j * j
+
+    @pytest.mark.parametrize("case", range(len(SCHEDULE_INPUTS)))
+    def test_switch_points_match_per_j_loop(self, case):
+        c, s_seq = SCHEDULE_INPUTS[case]
+        eps, b = buffer_schedule(c, s_seq)
+        want_eps, want_b = _loop_buffer_schedule(c, s_seq)
+        assert np.array_equal(_bits(eps), _bits(want_eps))
+        assert _bits(b) == _bits(want_b)
+
+    @pytest.mark.parametrize("family", ["constant", "alternating", "drifting"])
+    def test_switch_points_match_per_j_loop_on_verify_families(self, family):
+        # the three families of `verify buffer`, at its default horizon and c
+        s_seq = dict(_buffer_families(10_000))[family]
+        eps, b = buffer_schedule(10.0, s_seq)
+        want_eps, want_b = _loop_buffer_schedule(10.0, s_seq)
+        assert np.array_equal(_bits(eps), _bits(want_eps)) and _bits(b) == _bits(want_b)
+        assert len(set(eps)) > 1               # the schedule halves inside the horizon
 
     def test_eps_nonincreasing(self):
         eps, _ = self._check([0.4] * 400, c=5.0)

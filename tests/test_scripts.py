@@ -12,6 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # sha256 of the stdout of scripts/verify_all.py: every verify target's rows,
 # byte for byte (CI checks the installed package against the same digest)
 VERIFY_ALL_SHA256 = "ddc96748379bbb29ba32701b1f9512fe1dc8c7bca587c262c24dc562b8b69c27"
+# sha256 of the stdout of the two experiment scripts at 20000 bits and one
+# seed: their bound columns read the plan's bound, and every row stays put
+STDOUT_SHA256 = {
+    "raise_experiment.py": "7a01b6289369c9c07467c6661b17ffe298e1f8011b9039dd82154a28b2290049",
+    "verify_all.py": VERIFY_ALL_SHA256,
+    "lower_experiment.py": "6ea79a99f911799582c0bda71ace77c5d33c694c87616254aceb2770aa5398ce",
+}
 
 
 @pytest.mark.parametrize("script, args", [
@@ -26,7 +33,7 @@ def test_script_exits_zero(tmp_path, script, args):
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    if script == "verify_all.py":
-        assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_ALL_SHA256
+    if script in STDOUT_SHA256:
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_SHA256[script]
     if script == "bound_curves.py":
         assert (tmp_path / "c.csv").read_text().startswith("s,t,naive,raise,lower,case\n")

@@ -212,31 +212,54 @@ class TestPlans:
             assert (e.t_j, e.delta_j) == (t_j, min(1.0, 2.0 * e.eps_j)), e.j
 
 
+class TestPlanBound:
+    """Each planner states the paper's bound for its plan."""
+
+    S_SEQ = np.clip(0.5 + np.random.default_rng(8).normal(0, 0.1, 60), 0, 1)
+
+    @pytest.mark.parametrize("t", [0.3, 0.7, 1.0])
+    def test_raise_and_randomize(self, t):
+        s = dim_series(self.S_SEQ).tail_min
+        want = max(0.0, float(entropy_inv(t) - entropy_inv(s)))
+        assert plan_raise(self.S_SEQ, t).bound == want
+        if t == 1.0:
+            assert plan_randomize(self.S_SEQ).bound == want
+        assert (want == 0.0) == (t < s)
+
+    def test_weak_srandom(self):
+        plan = plan_weak_srandom(self.S_SEQ, c=1.0)
+        assert plan.bound == planned_distance(plan.deltas())
+
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    def test_lower(self, s):
+        assert plan_lower(20, s, block_len=12).bound == float(entropy_inv(1.0 - s))
+
+
 class TestRaiseChunk:
     def test_radius_zero_identity(self):
         bits = gen_coin(100, 1).bits
-        out, _ = raise_chunk(bits, None, 0.0, BernoulliOracle(), seed=0, target=1.0)
+        out, _ = raise_chunk(bits, None, 0, BernoulliOracle(), seed=0, target=1.0)
         assert np.array_equal(out, bits)
 
     def test_all_zero_greedy_exact_entropy(self):
         bits = np.zeros(100, dtype=np.uint8)
-        for r in (0.1, 0.3, 0.5):
-            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), seed=0,
+        for budget in (10, 30, 50):
+            out, _ = raise_chunk(bits, None, budget, BernoulliOracle(), seed=0,
                                  target=1.0)
             flips = int(out.sum())
-            assert flips == int(r * 100)
+            assert flips == budget
             assert BernoulliOracle().estimate(out) == pytest.approx(
                 entropy(flips / 100), abs=1e-12)
 
     def test_budget_is_hard(self):
         bits = np.zeros(173, dtype=np.uint8)
-        for r in (0.05, 0.217, 0.5):
-            out, _ = raise_chunk(bits, None, r, BernoulliOracle(), seed=7, target=1.0)
-            assert int(np.count_nonzero(out != bits)) <= math.floor(r * 173)
+        for budget in (8, 37, 86):
+            out, _ = raise_chunk(bits, None, budget, BernoulliOracle(), seed=7, target=1.0)
+            assert int(np.count_nonzero(out != bits)) <= budget
 
     def test_target_stops_early(self):
         bits = np.zeros(400, dtype=np.uint8)
-        out, _ = raise_chunk(bits, None, 0.5, BernoulliOracle(), seed=0,
+        out, _ = raise_chunk(bits, None, 200, BernoulliOracle(), seed=0,
                              target=0.5)
         # H(x) = 0.5 at x ~ 0.11; greedy should stop near 44 flips, not 200
         flips = int(out.sum())
@@ -249,14 +272,14 @@ class TestRaiseChunk:
         for trial in range(5):
             bits = (rng.random(60) < 0.2).astype(np.uint8)
             before = est.estimate(bits)
-            out, _ = raise_chunk(bits, None, 0.2, est, seed=trial, target=1.0)
+            out, _ = raise_chunk(bits, None, 12, est, seed=trial, target=1.0)
             assert est.estimate(out) >= before - 1e-12
 
     def test_fair_coin_stays_high(self):
         est = BernoulliOracle()
         for seed in range(5):
             bits = gen_coin(10_000, seed).bits
-            out, _ = raise_chunk(bits, None, 0.1, est, seed=seed, target=1.0)
+            out, _ = raise_chunk(bits, None, 1000, est, seed=seed, target=1.0)
             assert abs(est.estimate(out) - 1.0) <= 0.02
 
     # greedy is the one search raise_chunk has
@@ -265,18 +288,18 @@ class TestRaiseChunk:
         est = BernoulliOracle()
         for seed in range(3):
             bits = gen_coin(10_000, seed).bits
-            out, _ = raise_chunk(bits, None, 0.1, est, seed=seed, target=1.0)
+            out, _ = raise_chunk(bits, None, 1000, est, seed=seed, target=1.0)
             assert abs(est.estimate(out) - 1.0) <= 0.05
 
     def test_deterministic(self):
         bits = gen_bernoulli(0.2, 500, 4).bits
-        a, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), seed=11, target=1.0)
-        b, _ = raise_chunk(bits, None, 0.3, BernoulliOracle(), seed=11, target=1.0)
+        a, _ = raise_chunk(bits, None, 150, BernoulliOracle(), seed=11, target=1.0)
+        b, _ = raise_chunk(bits, None, 150, BernoulliOracle(), seed=11, target=1.0)
         assert np.array_equal(a, b)
         assert np.count_nonzero(a != bits) > 0      # the search moved the chunk
 
 
-def _greedy_candidates(bits, radius, seed):
+def _greedy_candidates(bits, budget, seed):
     """The greedy search's flip order and k_max, as raise_chunk draws them:
     k_max pool positions sampled in order without replacement."""
     ones, size = int(np.count_nonzero(bits)), bits.size
@@ -286,19 +309,18 @@ def _greedy_candidates(bits, radius, seed):
         pool, need = np.flatnonzero(bits == 1), ones - (size + 1) // 2
     else:
         pool, need = np.empty(0, dtype=np.int64), 0
-    k_max = min(int(math.floor(radius * size + 1e-9)), need)
+    k_max = min(budget, need)
     rng = np.random.default_rng(seed)
     return pool[rng.choice(pool.size, size=k_max, replace=False)], k_max
 
 
-def _greedy_oracle(bits, context, radius, est, seed, target):
+def _greedy_oracle(bits, context, budget, est, seed, target):
     """Copy-per-probe greedy search: candidate k is a fresh copy of the chunk
     with order[:k] flipped, estimated when it is made."""
-    budget = int(math.floor(radius * bits.size + 1e-9))
     base = est.estimate(bits, context)
     if budget == 0 or base >= target:
         return bits.copy(), base
-    order, k_max = _greedy_candidates(bits, radius, seed)
+    order, k_max = _greedy_candidates(bits, budget, seed)
 
     def candidate(k):
         if k == 0:
@@ -344,13 +366,13 @@ class TestGreedyOracle:
         bits = gen_bernoulli(0.1, 900, 8).bits
         return bits if minority == "ones" else bits ^ 1
 
-    def _run(self, search, bits, radius, make_est, target):
+    def _run(self, search, bits, budget, make_est, target):
         rec = _Recorder(make_est())
-        out, val = search(bits, self.CONTEXT, radius, rec, seed=self.SEED, target=target)
+        out, val = search(bits, self.CONTEXT, budget, rec, seed=self.SEED, target=target)
         return out.tobytes(), val, rec.seen
 
-    def _value_at(self, bits, radius, make_est, k):
-        order, _ = _greedy_candidates(bits, radius, self.SEED)
+    def _value_at(self, bits, budget, make_est, k):
+        order, _ = _greedy_candidates(bits, budget, self.SEED)
         out = bits.copy()
         out[order[:k]] ^= 1
         return make_est().estimate(out, self.CONTEXT)
@@ -363,16 +385,15 @@ class TestGreedyOracle:
         make_est = {"bernoulli": BernoulliOracle, "block:8": lambda: BlockEntropy(8),
                     "zlib": lambda: Compressor("zlib")}[spec]
         bits = self._chunk(minority)
-        # budget floor(0.9) = 0; 45 flips; 270 flips; 540 flips, past the
-        # about 360 that bring the chunk to half ones
-        radius = {"budget0": 0.001, "kmax": 0.05, "half": 0.6}.get(case, 0.3)
-        _, k_max = _greedy_candidates(bits, radius, self.SEED)
+        # budgets of 0, 45, 270 and 540 flips, the last past the about 360
+        # that bring the chunk to half ones
+        budget = {"budget0": 0, "kmax": 45, "half": 540}.get(case, 270)
+        _, k_max = _greedy_candidates(bits, budget, self.SEED)
         target = {"budget0": 1.0, "met": 0.0, "unreachable": 1.5, "half": 1.0,
-                  "k1": self._value_at(bits, radius, make_est, 1),
-                  "kmax": self._value_at(bits, radius, make_est, k_max)}[case]
-        got = self._run(raise_chunk, bits, radius,
-                        make_est, target)
-        want = self._run(_greedy_oracle, bits, radius, make_est, target)
+                  "k1": self._value_at(bits, budget, make_est, 1),
+                  "kmax": self._value_at(bits, budget, make_est, k_max)}[case]
+        got = self._run(raise_chunk, bits, budget, make_est, target)
+        want = self._run(_greedy_oracle, bits, budget, make_est, target)
         assert got[0] == want[0] and got[1] == want[1]
         assert got[2] == want[2]
         if spec == "bernoulli":     # H of the flip count: the first hit is known
@@ -396,10 +417,10 @@ class TestGreedyOrder:
     def _flipped(self, chunk):
         return np.flatnonzero(np.asarray(chunk) != self.BITS)
 
-    def _search(self, seed, flips_to_target, radius=0.3):
+    def _search(self, seed, flips_to_target, budget=3):
         rec = _Recorder(BernoulliOracle())
         target = 1.5 if flips_to_target is None else float(entropy((2 + flips_to_target) / 10))
-        out, _ = raise_chunk(self.BITS, None, radius, rec, seed=seed, target=target)
+        out, _ = raise_chunk(self.BITS, None, budget, rec, seed=seed, target=target)
         return out, [np.frombuffer(c, np.uint8) for c in rec.seen]
 
     def test_first_flip_is_uniform_over_pool(self):
@@ -434,7 +455,7 @@ class TestGreedyOrder:
 
     def test_flips_exactly_need_when_budget_covers_it(self):
         for seed in self.SEEDS:
-            out, _ = self._search(seed, None, radius=0.5)     # budget 5, need 3
+            out, _ = self._search(seed, None, budget=5)       # need 3
             assert len(self._flipped(out)) == 3
             assert int(np.count_nonzero(out)) == 5
 
@@ -621,7 +642,7 @@ class TestLinearQuantizer:
 class TestApplyPlan:
     def test_empty_plan_identity(self):
         x = gen_coin(100, 0)
-        plan = SurgeryPlan(strategy=RAISE, entries=[])
+        plan = SurgeryPlan(strategy=RAISE, entries=[], bound=0.0)
         y, report = apply_plan(x, plan, BernoulliOracle())
         assert y == x and report.distance == 0.0
 
@@ -697,7 +718,8 @@ class TestApplyPlan:
         # says how the search runs, so no plan holds one; there is one search
         assert list(inspect.signature(apply_plan).parameters) == [
             "x", "plan", "est", "seed"]
-        assert "searcher" not in inspect.signature(raise_chunk).parameters
+        assert list(inspect.signature(raise_chunk).parameters) == [
+            "chunk", "context", "budget", "est", "seed", "target"]
         assert list(inspect.signature(plan_randomize).parameters) == ["s_seq"]
         assert list(inspect.signature(plan_weak_srandom).parameters) == ["s_seq", "c"]
         assert list(inspect.signature(plan_raise).parameters) == ["s_seq", "t"]
@@ -728,6 +750,27 @@ class TestApplyPlan:
             plan = plan_lower(count, 0.5, block_len=10)
         y, report = apply_plan(x, plan, est, seed=1)
         assert report.dim_after == sequence_dim(y[:used], est).tail_min
+
+    def test_raise_chunk_gets_the_plan_budgets(self, monkeypatch):
+        # apply_plan computes each budget floor(delta_j j^2) once, before
+        # the walk, and hands raise_chunk that bit count
+        import dimsurgery.surgery as surgery
+
+        count = 40
+        x = gen_bernoulli(float(entropy_inv(0.5)), chunk_boundary(count + 1), 3)
+        plan = plan_raise(chunk_dims(x, BernoulliOracle()), 0.8)
+        budgets = []
+        real = surgery.raise_chunk
+
+        def spy(chunk, context, budget, *args, **kwargs):
+            budgets.append(budget)
+            return real(chunk, context, budget, *args, **kwargs)
+
+        monkeypatch.setattr(surgery, "raise_chunk", spy)
+        apply_plan(x, plan, BernoulliOracle(), seed=1)
+        assert budgets == [math.floor(e.delta_j * e.j ** 2 + 1e-9) for e in plan.entries]
+        assert all(type(budget) is int for budget in budgets)
+        assert 0 < sum(budgets) < chunk_boundary(count + 1)
 
     def test_raise_estimates_are_not_repeated(self, monkeypatch):
         # apply_plan makes no estimate of its input: every estimate is made
