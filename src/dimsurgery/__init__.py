@@ -14,6 +14,7 @@ from .entropy import (
     CASE1,
     CASE2,
     BoundCurves,
+    BufferSchedule,
     ConvexityReport,
     ScheduleError,
     bound_curves,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bitseq
 from .bitseq import BitSequence
-from .dimension import chunk_count, dim_series, sequence_dim
+from .dimension import chunk_boundary, sequence_dim
 from .entropy import (
     ScheduleError,
     bound_curves,
@@ -35,7 +35,6 @@ from .entropy import (
     case_select,
     entropy,
     entropy_inv,
-    raise_profile,
     verify_concavity_lemma,
     verify_convexity_lemma,
 )
@@ -195,20 +194,20 @@ def _verify_concavity(args, check) -> None:
 
 
 def _buffer_families(horizon: int):
-    yield "constant", [0.5] * horizon
-    yield "alternating", [0.2 if i % 2 else 0.8 for i in range(horizon)]
-    yield "drifting", [0.3 + 0.3 * i / horizon for i in range(horizon)]
+    i = np.arange(horizon)
+    yield "constant", np.full(horizon, 0.5)
+    yield "alternating", np.where(i % 2 == 1, 0.2, 0.8)
+    yield "drifting", 0.3 + 0.3 * i / horizon
 
 
 def _verify_buffer(args, check) -> None:
     if args.horizon > MAX_HORIZON:
         raise ValueError(f"--horizon must be <= {MAX_HORIZON}, got {args.horizon}")
     for name, s_seq in _buffer_families(args.horizon):
-        eps, b = buffer_schedule(args.c, s_seq)
-        s_sur = dim_series(s_seq).tail_min
-        margin = buffer_margin(raise_profile(s_seq, eps), args.c, s_sur, b)
+        sched = buffer_schedule(args.c, s_seq)
+        margin = buffer_margin(sched.targets, args.c, sched.floor, sched.b)
         check(bool(np.all(margin > 0)), f"buffer family={name} "
-              f"s={s_sur:.4f} b={b:.1f} min_margin={float(margin.min()):.3g}")
+              f"s={sched.floor:.4f} b={sched.b:.1f} min_margin={float(margin.min()):.3g}")
 
 
 def _verify_duplication(args, check) -> None:
@@ -255,8 +254,6 @@ _VERIFY_TARGETS = {
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rows: list[tuple[str, str]] = []
 
     def check(ok: bool | None, detail: str) -> None:
@@ -281,8 +278,9 @@ def cmd_verify(args) -> int:
 
 def cmd_surgery(args) -> int:
     x = BitSequence.from_file(args.infile)
-    if chunk_count(len(x)) < 2:
-        raise ValueError("input too short for even two chunks")
+    if len(x) < chunk_boundary(3):
+        raise ValueError(f"{args.infile} holds {len(x)} bits; two chunks need "
+                         f"{chunk_boundary(3)}")
     before = sequence_dim(x, args.estimator)    # the one pass over the input
     s_seq, dim_before = before.chunk_values, before.tail_min
     plan = {"randomize": lambda: plan_randomize(s_seq),   # planned from the measured s_j
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification target")
     p.add_argument("target", choices=sorted(_VERIFY_TARGETS))
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--delta", type=_checked(float, lambda v: 0.0 < v < 0.5, "lie in (0, 1/2)"))
     p.add_argument("--grid", type=_positive_float, default=1e-3)

@@ -478,17 +478,20 @@ def verify_concavity_lemma(grid_step: float = 2e-3, tol: float = _D2_TOL,
     )
 
 
-@lru_cache(maxsize=4)
-def _inverse_grid(grid_step: float):
-    """The grid arange(0, 1, grid_step) and entropy_inv of it, read-only."""
-    xs = np.arange(0.0, 1.0, grid_step)
+_UPLIFT_GRID = 1e-4   # uplift_gap's coarse grid step
+
+
+@lru_cache(maxsize=1)
+def _inverse_grid():
+    """The grid arange(0, 1, _UPLIFT_GRID) and entropy_inv of it, read-only."""
+    xs = np.arange(0.0, 1.0, _UPLIFT_GRID)
     g = entropy_inv(xs)
     xs.flags.writeable = False
     g.flags.writeable = False
     return xs, g
 
 
-def uplift_gap(eps: float, grid_step: float = 1e-4) -> float:
+def uplift_gap(eps: float) -> float:
     """Largest d >= 0 (to grid precision) with M(x, eps) >= d + (1-d)x on [0, 1].
 
     Grid minimization of phi(x) = (M(x, eps) - x)/(1 - x), refined on 4001
@@ -500,11 +503,11 @@ def uplift_gap(eps: float, grid_step: float = 1e-4) -> float:
     _require_unit(eps, "eps")
     if eps == 0.0:
         return 0.0
-    xs, g = _inverse_grid(grid_step)
+    xs, g = _inverse_grid()
     phi = (_raise_from_inv(g, float(eps)) - xs) / (1.0 - xs)
     i = int(np.argmin(phi))
-    lo = max(0.0, xs[i] - 2.0 * grid_step)
-    hi = min(1.0 - grid_step, xs[i] + 2.0 * grid_step)
+    lo = max(0.0, xs[i] - 2.0 * _UPLIFT_GRID)
+    hi = min(1.0 - _UPLIFT_GRID, xs[i] + 2.0 * _UPLIFT_GRID)
     xf = np.linspace(lo, hi, 4001)
     fine = (np.asarray(raise_profile(xf, eps)) - xf) / (1.0 - xf)
     d = min(float(phi[i]), float(fine.min())) - 1e-9
@@ -523,7 +526,18 @@ def buffer_margin(t_seq, c: float, s: float, b: float) -> np.ndarray:
     return np.cumsum(t * js * js) - c * js * js - (s * chunk_boundary(js) - b)
 
 
-def buffer_schedule(c: float, s_seq):
+@dataclass(frozen=True)
+class BufferSchedule:
+    """A slack schedule and what it was proved against: the buffer inequality
+    holds for targets, at floor s, with constant b (see buffer_schedule)."""
+
+    eps: np.ndarray      # eps_j, j = 1..horizon: 1, then halving
+    b: float             # the absorbing constant
+    floor: float         # s = dim_series(s_seq).tail_min
+    targets: np.ndarray  # M(s_j, eps_j), the targets b was set for
+
+
+def buffer_schedule(c: float, s_seq) -> BufferSchedule:
     """Halving slack schedule eps_1=1, eps_{j} in {eps_{j-1}, eps_{j-1}/2} and a
     constant b such that for every j <= horizon = len(s_seq)
 
@@ -535,11 +549,11 @@ def buffer_schedule(c: float, s_seq):
     (j_0 = 1), N_k the last j where the affine uplift bound of uplift_gap
     at 2^-k fails; b absorbs every j up to N_0.  Callers check the
     inequality with buffer_margin on the targets they use.  Raises
-    ScheduleError when the surrogate s is 1 (no headroom; use a full
-    randomize plan instead).
+    ValueError unless c is finite and >= 0, and ScheduleError when the
+    surrogate s is 1 (no headroom; use a full randomize plan instead).
     """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c}")
     s_arr = np.asarray(s_seq, dtype=float)
     horizon = len(s_arr)
     if horizon < 2:
@@ -567,8 +581,9 @@ def buffer_schedule(c: float, s_seq):
         switches.append(max(switches[-1] + 1, threshold(0.5 ** len(switches)) + 1))
     eps = 0.5 ** np.searchsorted(switches[1:], js, side="right")
 
-    m_prefix = np.cumsum(np.asarray(raise_profile(s_arr, eps)) * w)
+    targets = raise_profile(s_arr, eps)
+    m_prefix = np.cumsum(targets * w)
     n1 = min(threshold(1.0), horizon)
     head = s_sur * n[:n1] + c * w[:n1] - m_prefix[:n1]
     b = max(1.0, float(head.max()) + 1.0) if n1 >= 1 else 1.0
-    return eps.tolist(), b
+    return BufferSchedule(eps=eps, b=b, floor=s_sur, targets=targets)

@@ -37,7 +37,6 @@ from .entropy import (
     buffer_margin,
     buffer_schedule,
     entropy_inv,
-    raise_profile,
 )
 from .hamming import (
     MAX_SYNDROME_BITS,
@@ -105,19 +104,16 @@ def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
     schedule, delta_j = 2 eps_j, t_j = M(s_j, eps_j) rounded up to 1/j.
 
     Re-checks the buffer inequality (buffer_margin) on the rounded targets
-    before returning, at the schedule's floor s = dim_series(s_seq).tail_min.
+    before returning, at the schedule's floor and b.
     """
-    s_arr = np.asarray(s_seq, dtype=float)
-    js = np.arange(1, len(s_arr) + 1)
-    eps_list, b = buffer_schedule(c, s_arr)
-    eps = np.array(eps_list)
-    s_sur = dim_series(s_arr).tail_min
-    t_arr = _round_up_to_grid(raise_profile(s_arr, eps), js)
-    if not np.all(buffer_margin(t_arr, c, s_sur, b) > 0):
+    sched = buffer_schedule(c, s_seq)
+    js = np.arange(1, len(sched.eps) + 1)
+    t_arr = _round_up_to_grid(sched.targets, js)
+    if not np.all(buffer_margin(t_arr, c, sched.floor, sched.b) > 0):
         raise PlanInvariantError("rounded targets broke the buffer inequality")
-    delta_arr = np.minimum(1.0, 2.0 * eps)
-    return SurgeryPlan(strategy=WEAK_SRANDOM, entries=_entries(js, t_arr, delta_arr, eps),
-                       bound=planned_distance(delta_arr))
+    delta_arr = np.minimum(1.0, 2.0 * sched.eps)
+    return SurgeryPlan(strategy=WEAK_SRANDOM,
+                       entries=_entries(js, t_arr, delta_arr, sched.eps), bound=planned_distance(delta_arr))
 
 
 def plan_raise(s_seq, t: float) -> SurgeryPlan:

@@ -235,8 +235,9 @@ def test_criterion_10_buffer_schedule():
         for name, s_seq in families.items():
             s_sur = dim_series(s_seq).tail_min
             assert s_sur <= 0.9
-            eps, b = buffer_schedule(c, s_seq)
-            m_vals = np.asarray(raise_profile(np.asarray(s_seq), np.asarray(eps)))
+            sched = buffer_schedule(c, s_seq)
+            b = sched.b
+            m_vals = np.asarray(raise_profile(np.asarray(s_seq), sched.eps))
             prefix = 0.0
             for j in range(1, horizon + 1):
                 prefix += m_vals[j - 1] * j * j

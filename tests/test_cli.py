@@ -181,12 +181,32 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ["harper", "--n", "0"],
         ["cover", "--n", "3"],
-        ["corollary", "--n", "3", "--trials", "0"],
-        ["duplication", "--n", "4", "--trials", "0"],
-    ], ids=["harper-n0", "cover-n3", "corollary-trials0", "duplication-trials0"])
+    ], ids=["harper-n0", "cover-n3"])
     def test_vacuous_run_is_usage_error(self, capsys, argv):
         assert run("verify", *argv) == EXIT_USAGE
         assert "PASS" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["corollary", "--n", "3", "--trials", "0"],
+        ["duplication", "--n", "4", "--trials", "0"],
+    ], ids=["corollary-trials0", "duplication-trials0"])
+    def test_trials_below_one_is_parser_error(self, monkeypatch, capsys, tmp_path, argv):
+        # the parser names the flag; no target runs and no --out file is written
+        import dimsurgery.cli as cli
+
+        def never(args, check):
+            raise AssertionError("a verify target ran before the --trials check")
+
+        for target in cli._VERIFY_TARGETS:
+            monkeypatch.setitem(cli._VERIFY_TARGETS, target, never)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("verify", *argv, "--out", str(out))
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --trials: must be >= 1, got 0" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["harper", "--n", "3", "--trials", "50"],
                                       ["cover", "--n", "6"]], ids=["harper", "cover"])
@@ -371,6 +391,21 @@ class TestSurgery:
         assert dim_after >= 0.97
         assert abs(distance - bound) <= 0.05
 
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_input_below_two_chunks_is_usage_error(self, tmp_path, capsys, n):
+        # chunks 1 and 2 hold 1 + 4 bits; the message names the file
+        src = self._gen(tmp_path, n=n)
+        capsys.readouterr()
+        assert run("surgery", "--in", str(src), "--strategy", "randomize") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dimsurgery: {src} holds {n} bits; two chunks need 5\n"
+
+    def test_two_chunk_input_runs(self, tmp_path, capsys):
+        src = self._gen(tmp_path, n=5)
+        assert run("surgery", "--in", str(src), "--strategy", "randomize") == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_raise_below_dim_before_changes_nothing(self, tmp_path, capsys):
         # the plan reads the measured dimension, 0.866 here: a target at or
         # below it has bound 0, and the search leaves every chunk alone
@@ -462,11 +497,11 @@ class TestSurgery:
         [(s, b)] = seen
         assert f"{s:.6f}" == dim_before
         s_seq = chunk_dims(BitSequence.from_file(src), BernoulliOracle())
-        eps, schedule_b = buffer_schedule(5.0, s_seq)
-        assert schedule_b == b
+        sched = buffer_schedule(5.0, s_seq)
+        assert (sched.floor, sched.b) == (s, b)
         # b is one more than the largest shortfall it absorbs, so at the
         # schedule's own floor the tightest margin of M(s_j, eps_j) is 1
-        tight = buffer_margin(raise_profile(s_seq, np.array(eps)), 5.0, s, b).min()
+        tight = buffer_margin(raise_profile(s_seq, sched.eps), 5.0, s, b).min()
         assert tight == pytest.approx(1.0, abs=1e-9)
         # the input tells the windows apart: the boundaries 6..12 read lower
         assert float(weighted_series(s_seq)[4:11].min()) < s - 0.1
@@ -1011,6 +1046,8 @@ class TestOutputPins:
             "f38f308f45e0c272f3327b6a4874d2c4b5279a3f3f6391cb508cf8e3c72e7b85",
         "verify_buffer":
             "d273915f8e7d8b5270fd6462786079e94a9e904a8dedc128d1e3a5e5a75a60b9",
+        "verify_buffer_1e5":
+            "d4f83eb8b1c60a64a3af51b8f9706fc07f5df842ba7635dad8eefc8fedd7a26a",
         "randomize":
             "ab7abdc18446abfd5965747631674e1b119ff2c0671b6a3726387549dcc29aa4",
         "randomize_y":
@@ -1083,6 +1120,12 @@ class TestOutputPins:
     def test_verify_buffer(self, capsys):
         assert run("verify", "buffer", "--horizon", "2000") == EXIT_OK
         self._check("verify_buffer", capsys.readouterr().out.encode())
+
+    def test_verify_buffer_at_1e5(self, capsys):
+        # the schedule's targets and floor feed the margin and the printed
+        # s= and b=; at this horizon every family halves eps many times
+        assert run("verify", "buffer", "--horizon", "100000") == EXIT_OK
+        self._check("verify_buffer_1e5", capsys.readouterr().out.encode())
 
     def test_weak_tail_differs_from_randomize(self):
         # the weak_tail run pins a weak search of its own: with budgets below

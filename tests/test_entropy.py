@@ -746,7 +746,7 @@ class TestUpliftGap:
         assert uplift_gap(0.0) == 0.0
 
     def test_positive_and_monotone(self):
-        gaps = [uplift_gap(e, grid_step=1e-3) for e in (0.02, 0.05, 0.1, 0.2, 0.4)]
+        gaps = [uplift_gap(e) for e in (0.02, 0.05, 0.1, 0.2, 0.4)]
         assert all(g > 0.0 for g in gaps)
         assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -770,7 +770,7 @@ class TestUpliftGap:
     def test_rejection_oracle(self):
         rng = np.random.default_rng(11)
         for eps in (0.05, 0.15, 0.3):
-            d = uplift_gap(eps, grid_step=1e-4)
+            d = uplift_gap(eps)
             xs = rng.uniform(0.0, 1.0, 100_000)
             m = np.asarray(raise_profile(xs, eps))
             assert np.all(m >= d + (1.0 - d) * xs - 1e-12)
@@ -836,10 +836,30 @@ def _random_schedule_inputs():
 SCHEDULE_INPUTS = list(_random_schedule_inputs())
 
 
+def _list_buffer_families(horizon: int):
+    """The `verify buffer` families built as Python float lists."""
+    yield "constant", [0.5] * horizon
+    yield "alternating", [0.2 if i % 2 else 0.8 for i in range(horizon)]
+    yield "drifting", [0.3 + 0.3 * i / horizon for i in range(horizon)]
+
+
+@pytest.mark.parametrize("horizon", [2, 3, 10_000, 1_000_000])
+def test_buffer_families_match_float_lists(horizon):
+    # profile_bits (conftest) reads these families too, so its inputs stay
+    # the same bytes
+    got = list(_buffer_families(horizon))
+    want = list(_list_buffer_families(horizon))
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (_, arr), (_, values) in zip(got, want):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert np.array_equal(_bits(arr), _bits(values))
+
+
 class TestBufferSchedule:
     def _check(self, s_list, c):
         horizon = len(s_list)
-        eps, b = buffer_schedule(c, s_list)
+        sched = buffer_schedule(c, s_list)
+        eps, b = sched.eps, sched.b
         assert len(eps) == horizon
         assert eps[0] == 1.0
         for prev, cur in zip(eps, eps[1:]):
@@ -849,7 +869,7 @@ class TestBufferSchedule:
         w = js.astype(float) ** 2
         n = (js - 1) * js * (2 * js - 1) / 6.0
         s_arr = np.asarray(s_list, dtype=float)
-        prefix = np.cumsum(np.asarray(raise_profile(s_arr, np.asarray(eps))) * w)
+        prefix = np.cumsum(np.asarray(raise_profile(s_arr, eps)) * w)
         # the floor: the least A_j = (1/n_j) sum_{i<j} s_i i^2 over the tail
         # boundaries j = min(max(10, horizon // 2), horizon) .. horizon + 1
         jb = np.arange(min(max(10, horizon // 2), horizon), horizon + 2)
@@ -885,19 +905,38 @@ class TestBufferSchedule:
     @pytest.mark.parametrize("case", range(len(SCHEDULE_INPUTS)))
     def test_switch_points_match_per_j_loop(self, case):
         c, s_seq = SCHEDULE_INPUTS[case]
-        eps, b = buffer_schedule(c, s_seq)
+        sched = buffer_schedule(c, s_seq)
         want_eps, want_b = _loop_buffer_schedule(c, s_seq)
-        assert np.array_equal(_bits(eps), _bits(want_eps))
-        assert _bits(b) == _bits(want_b)
+        assert np.array_equal(_bits(sched.eps), _bits(want_eps))
+        assert _bits(sched.b) == _bits(want_b)
 
     @pytest.mark.parametrize("family", ["constant", "alternating", "drifting"])
     def test_switch_points_match_per_j_loop_on_verify_families(self, family):
         # the three families of `verify buffer`, at its default horizon and c
         s_seq = dict(_buffer_families(10_000))[family]
-        eps, b = buffer_schedule(10.0, s_seq)
+        sched = buffer_schedule(10.0, s_seq)
         want_eps, want_b = _loop_buffer_schedule(10.0, s_seq)
-        assert np.array_equal(_bits(eps), _bits(want_eps)) and _bits(b) == _bits(want_b)
-        assert len(set(eps)) > 1               # the schedule halves inside the horizon
+        assert np.array_equal(_bits(sched.eps), _bits(want_eps))
+        assert _bits(sched.b) == _bits(want_b)
+        assert len(np.unique(sched.eps)) > 1     # the schedule halves inside the horizon
+
+    @pytest.mark.parametrize("case", [*range(len(SCHEDULE_INPUTS)),
+                                      "constant", "alternating", "drifting"])
+    def test_floor_and_targets_are_what_callers_would_compute(self, case):
+        # the schedule hands over its floor and M(s_j, eps_j); they equal
+        # what a caller would rebuild from s_seq and eps, bit for bit
+        c, s_seq = (SCHEDULE_INPUTS[case] if isinstance(case, int)
+                    else (10.0, dict(_buffer_families(10_000))[case]))
+        sched = buffer_schedule(c, s_seq)
+        assert sched.eps.dtype == np.float64 and sched.targets.dtype == np.float64
+        assert np.array_equal(_bits(sched.targets), _bits(raise_profile(s_seq, sched.eps)))
+        assert _bits(sched.floor) == _bits(dim_series(s_seq).tail_min)
+        assert np.all(buffer_margin(sched.targets, c, sched.floor, sched.b) > 0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_c_must_be_finite_and_nonnegative(self, c):
+        with pytest.raises(ValueError, match=f"c must be finite and >= 0, got {c}"):
+            buffer_schedule(c, [0.5] * 200)
 
     def test_eps_nonincreasing(self):
         eps, _ = self._check([0.4] * 400, c=5.0)

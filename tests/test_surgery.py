@@ -81,6 +81,12 @@ class TestPlans:
         with pytest.raises(ScheduleError):
             plan_weak_srandom([1.0] * 100, c=1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_weak_srandom_rejects_bad_c(self, c):
+        # a usage error that names c, not a broken plan invariant
+        with pytest.raises(ValueError, match=f"c must be finite and >= 0, got {c}"):
+            plan_weak_srandom([0.5] * 200, c=c)
+
     def test_raise_delegates_to_randomize_at_t1(self):
         # randomize is the raise plan at t = 1: one planner serves both
         s_seq = np.clip(0.5 + np.random.default_rng(3).normal(0, 0.2, 80), 0, 1)
@@ -897,8 +903,9 @@ class TestApplyPlan:
         y, report = apply_plan(x, plan, est, seed=4)
         from dimsurgery.entropy import buffer_schedule
 
-        _, b = buffer_schedule(c, s_seq)
-        s_sur = dim_series(s_seq).tail_min
+        sched = buffer_schedule(c, s_seq)
+        b, s_sur = sched.b, sched.floor
+        assert s_sur == dim_series(s_seq).tail_min
         # tiny chunks cannot reach their targets (frequency granularity);
         # fold their shortfall into the absorbing constant like b does
         shortfall = sum(max(0.0, e.t_j - t) * e.j ** 2
