@@ -35,7 +35,7 @@ from .hamming import (
     best_subcode,
     greedy_cover,
     harper_far_count,
-    sphere_for_size,
+    sphere_words,
     verify_harper,
 )
 from .surgery import (

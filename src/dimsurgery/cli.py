@@ -46,6 +46,7 @@ from .hamming import (
     delsarte_piret_bound,
     greedy_cover,
     harper_far_count,
+    sphere_words,
     verify_harper,
 )
 from .duplication import duplication_decode, duplication_encode
@@ -146,13 +147,12 @@ def _verify_corollary(args, check) -> None:
             q = float(entropy(0.5 - eps / 2.0))
             size = min(1 << n, math.ceil(2.0 ** (n * q)))
             bound = 2.0 ** (n * q + 2)
-            worst = -1
-            for _ in range(args.trials):
-                words = rng.choice(1 << n, size=size, replace=False)
-                far = harper_far_count(n, words, eps)
-                worst = max(worst, far)
-            check(worst <= bound, f"corollary n={n} eps={eps} "
-                  f"|A|={size} worst_far={worst} bound={bound:.1f}")
+            # Harper: no set of |A| words leaves more words far than the sphere
+            sphere_far = harper_far_count(n, sphere_words(n, size), eps)
+            worst = max(harper_far_count(n, rng.choice(1 << n, size=size, replace=False), eps)
+                        for _ in range(args.trials))
+            check(worst <= sphere_far <= bound, f"corollary n={n} eps={eps} |A|={size} "
+                  f"worst_far={worst} sphere_far={sphere_far} bound={bound:.1f}")
 
 
 def _verify_cover(args, check) -> None:

@@ -3,11 +3,11 @@
 Words are plain Python ints: bit i of the int is sequence position i, so on
 a fixed weight colex order is increasing word order.  Exact ball volumes,
 colex ranks of subsets too large for a word, canonical extremal spheres (the
-lowest words in (weight, value) order, complemented for the sphere at 1^n)
-and their distance law, the Harper check that measures random set pairs
-against it by cube BFS, far-point counts, covering codes built by greedy set
-cover with their greedy subcodes, and systematic linear codes with
-coset-leader tables.
+first words in weight ascending, value descending order, complemented for
+the sphere at 1^n) and their distances read off one rank sweep over the
+cube, the Harper check that measures random set pairs against them by cube
+BFS, far-point counts, covering codes built by greedy set cover with their
+greedy subcodes, and systematic linear codes with coset-leader tables.
 
 Space-sized tables (2^n booleans) cap the exhaustive routines; each guard is
 noted on the operation it protects.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,68 +79,41 @@ def colex_unrank(rank: int, n: int, k: int) -> tuple:
 # Harper spheres.
 # ---------------------------------------------------------------------------
 
-def sphere_for_size(n: int, size):
-    """(k, p) of the canonical sphere of `size` words: the radius-k ball
-    plus the p lowest words of weight k + 1.  Elementwise over an array of
-    sizes; counts are int64, so n <= 62 (OverflowError beyond)."""
-    vols = np.array([ball_volume(n, k) for k in range(n + 1)], dtype=np.int64)
-    size = np.asarray(size)
-    if np.any((size < 1) | (size > vols[-1])):
-        raise ValueError(f"size {size} out of range for n={n}")
-    k = np.searchsorted(vols, size, side="right") - 1
-    return k, size - vols[k]
-
-
-def sphere_words(n: int, size, far: bool = False) -> np.ndarray:
-    """The canonical sphere of `size` words centred at 0^n: the `size` lowest
-    words in (weight, value) order, complemented for the sphere at 1^n when
-    `far`.  Exhaustive, so capped at MAX_EXHAUSTIVE_N."""
+def sphere_words(n: int, size) -> np.ndarray:
+    """The canonical sphere of `size` words centred at 0^n: the first `size`
+    words in weight ascending, then value descending order.  That is Harper's
+    simplicial order under the position reversal i -> n-1-i, a cube
+    automorphism fixing 0^n and 1^n, so its partial layer is (reversed) a
+    lex prefix, whose upper shadow is least (Kruskal-Katona).  Exhaustive,
+    so capped at MAX_EXHAUSTIVE_N."""
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"sphere materialization capped at n={MAX_EXHAUSTIVE_N}")
     if not 1 <= size <= (1 << n):
         raise ValueError(f"size {size} out of range for n={n}")
-    words = np.argsort(popcount_table(n), kind="stable")[:size]
-    return words ^ ((1 << n) - 1) if far else words
+    return np.lexsort((-np.arange(1 << n), popcount_table(n)))[:size]
 
 
-@lru_cache(maxsize=None)
-def _disjoint_rank_prefix_min(n: int, a: int, b: int):
-    """prefix_min[i]: over the first i+1 colex a-subsets S, the least colex rank
-    of a b-subset disjoint from S.  None when a + b > n (no disjoint pair).
+def sphere_distance_bits(n: int, size_a, size_b) -> np.ndarray:
+    """d(A_hat, B_hat) in bits, elementwise over two arrays of sizes of one
+    shape: A_hat is the canonical sphere of size_a words, B_hat the complement
+    of each word of the one of size_b words (the sphere at 1^n).
 
-    That least subset is the b lowest bits of S's complement, and its rank is
-    its position in the increasing weight-b words."""
-    if a + b > n:
-        return None
-    weights = popcount_table(n)
-    free = np.flatnonzero(weights == a) ^ ((1 << n) - 1)
-    least = np.zeros_like(free)
-    for _ in range(b):
-        low = free & -free
-        least |= low
-        free ^= low
-    return np.minimum.accumulate(np.searchsorted(np.flatnonzero(weights == b), least))
-
-
-def opposite_sphere_distance_bits(n: int, size_a, size_b):
-    """Min Hamming distance (bits) between the canonical spheres of the given
-    sizes centred at 0^n and 1^n, elementwise over two arrays of sizes of one
-    shape (a pair of scalars is the 0-d case).
-
-    Full balls of radii ka and kb lie n - ka - kb apart (nested supports);
-    each partial layer brings its sphere one bit closer, and both together
-    only when a word of A's boundary layer has support disjoint from one of
-    B's, which an exact search restricted to the two boundary layers decides.
+    One rank sweep over the cube, so no theorem is assumed: after r steps,
+    -top[w] is the least sphere rank within r flips of w, and d counts the
+    r in 0..n-1 at which every word of B_hat still lies more than r flips
+    from A_hat.  n^2 2^n work in O(2^n) memory.
     """
-    ka, pa = sphere_for_size(n, size_a)
-    kb, pb = sphere_for_size(n, size_b)
-    reach = np.array(ka + kb + (pa > 0) + (pb > 0))     # an array even when 0-d
-    joint = (pa > 0) & (pb > 0)
-    for a, b in set(zip(ka[joint].tolist(), kb[joint].tolist())):
-        sel = joint & (ka == a) & (kb == b)
-        table = _disjoint_rank_prefix_min(n, a + 1, b + 1)
-        reach[sel] -= 1 if table is None else table[pa[sel] - 1] >= pb[sel]
-    return np.maximum(0, n - reach)
+    space = 1 << n
+    words = sphere_words(n, space)
+    top = np.empty(space, dtype=np.int64)
+    top[words] = -np.arange(space)
+    far = words ^ (space - 1)           # B_hat's words, in rank order
+    size_a, size_b = np.asarray(size_a), np.asarray(size_b)
+    dist = np.zeros(np.broadcast(size_a, size_b).shape, dtype=np.int64)
+    for _ in range(n):
+        dist += np.maximum.accumulate(top[far])[size_b - 1] <= -size_a
+        top = _expand_once(top, n)
+    return dist
 
 
 def _word_array(words) -> np.ndarray:
@@ -164,10 +136,12 @@ class HarperReport:
         return not self.failures
 
 
-def _expand_once(reached: np.ndarray, n: int) -> np.ndarray:
-    out = reached.copy()
+def _expand_once(table: np.ndarray, n: int) -> np.ndarray:
+    """One bit flip of growth over (..., 2^n) tables: each entry becomes the
+    largest over itself and its n neighbours (for bool tables, reached)."""
+    out = table.copy()
     for b in range(n):
-        out |= reached.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(reached.shape)
+        np.maximum(out, table.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(table.shape), out=out)
     return out
 
 
@@ -195,9 +169,9 @@ def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
     layers (both should meet the sphere bound with equality), and one
     overfull random pair that must intersect.
 
-    `_set_distances` measures every pair exactly, and distances are compared
-    as integer bit counts, so any violation is a genuine counterexample (an
-    implementation bug).  Failures are recorded in pair order; the tightest
+    `_set_distances` measures every pair exactly and `sphere_distance_bits`
+    its sphere pair, both as integer bit counts, so any violation is a
+    genuine counterexample (an implementation bug).  Failures are recorded in pair order; the tightest
     pair is the first to reach the least gap.
     """
     if n > MAX_HARPER_N:
@@ -229,7 +203,7 @@ def verify_harper(n: int, trials: int, seed: int) -> HarperReport:
     d_ab = np.concatenate([_set_distances(n, *draw(sizes[i:i + block]))
                            for sizes, draw in families for i in range(0, len(sizes), block)])
     sizes = np.concatenate([sizes for sizes, _ in families])
-    d_sphere = opposite_sphere_distance_bits(n, sizes[:, 0], sizes[:, 1])
+    d_sphere = sphere_distance_bits(n, sizes[:, 0], sizes[:, 1])
     gaps = d_sphere - d_ab
     first = int(np.argmin(gaps))
     return HarperReport(

@@ -33,6 +33,7 @@ from dimsurgery.hamming import (
     delsarte_piret_bound,
     greedy_cover,
     harper_far_count,
+    sphere_words,
     verify_harper,
 )
 from dimsurgery.surgery import (
@@ -103,6 +104,8 @@ def test_criterion_3_harper():
 
 
 def test_criterion_4_harper_corollary():
+    # far(A) <= far(S_hat), the sphere of |A| words, can fail; the paper's
+    # 2^(nq+2) exceeds 2^n at these points and is checked on S_hat alone
     with Timer(60.0) as t:
         rng = np.random.default_rng(7)
         checked = 0
@@ -110,15 +113,16 @@ def test_criterion_4_harper_corollary():
             for eps in (0.1, 0.2):
                 q = float(entropy(0.5 - eps / 2.0))
                 size = min(1 << n, math.ceil(2.0 ** (n * q)))
-                bound = 2.0 ** (n * q + 2)
+                sphere_far = harper_far_count(n, sphere_words(n, size), eps)
+                assert sphere_far <= 2.0 ** (n * q + 2), (n, eps, sphere_far)
                 for _ in range(20):
                     words = rng.choice(1 << n, size=size, replace=False)
                     far = harper_far_count(n, words, eps)
-                    assert far <= bound, (n, eps, far, bound)
+                    assert far <= sphere_far, (n, eps, far, sphere_far)
                     checked += 1
     t.check()
-    print(f"\nPASS criterion 4: {checked} far-count trials within 2^(nq+2) "
-          f"({t.elapsed:.1f}s)")
+    print(f"\nPASS criterion 4: {checked} far-count trials within far(S_hat) "
+          f"<= 2^(nq+2) ({t.elapsed:.1f}s)")
 
 
 def test_criterion_5_covering():

@@ -350,8 +350,8 @@ class TestVerify:
         # a sphere distance one bit low: the batched check reports each n as
         # a FAIL row at gap -1 and exits 1
         from dimsurgery import hamming
-        exact = hamming.opposite_sphere_distance_bits
-        monkeypatch.setattr(hamming, "opposite_sphere_distance_bits",
+        exact = hamming.sphere_distance_bits
+        monkeypatch.setattr(hamming, "sphere_distance_bits",
                             lambda n, sa, sb: exact(n, sa, sb) - 1)
         assert run("verify", "harper", "--n", "3", "--trials", "20") == EXIT_VERIFY_FAIL
         captured = capsys.readouterr()
@@ -359,6 +359,32 @@ class TestVerify:
         assert [row.split()[:3] for row in rows] == [["FAIL", "harper", f"n={n}"]
                                                      for n in (1, 2, 3)]
         assert all("tightest_gap=-1 " in row for row in rows) and captured.err == ""
+
+    def test_corollary_planted_violation_is_a_fail_row(self, monkeypatch, capsys):
+        # every trial draws the canonical sphere, and S_hat is planted as the
+        # lowest words in (weight, value) order: a colex partial layer, which
+        # leaves fewer words far.  Each row where it does fails, and n = 10,
+        # eps = 0.2, where both leave 11, passes
+        import dimsurgery.cli as cli
+        from dimsurgery import hamming
+
+        class SphereDraws:
+            def __init__(self, seed):
+                pass
+
+            def choice(self, space, size, replace):
+                return hamming.sphere_words(space.bit_length() - 1, size)
+
+        monkeypatch.setattr(cli, "sphere_words", lambda n, size: np.argsort(
+            hamming.popcount_table(n), kind="stable")[:size])
+        monkeypatch.setattr(cli.np.random, "default_rng", SphereDraws)
+        assert run("verify", "corollary", "--n", "12", "--trials", "1") == EXIT_VERIFY_FAIL
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[:4] for row in rows] == [
+            [verdict, "corollary", f"n={n}", f"eps={eps}"] for verdict, n, eps in [
+                ("FAIL", 10, 0.1), ("PASS", 10, 0.2), ("FAIL", 12, 0.1), ("FAIL", 12, 0.2),
+                ("FAIL", 12, 0.1), ("FAIL", 12, 0.2)]]
+        assert "worst_far=7 sphere_far=4 " in rows[0]
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_corollary_n_below_one_is_usage_error(self, capsys, n):

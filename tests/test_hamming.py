@@ -1,8 +1,9 @@
 """Tests for Hamming-space combinatorics.
 
-Small-n oracles are exhaustive enumerations (itertools over the whole cube);
-the sphere distance law and the Harper check's cube BFS are cross-checked
-against `_min_distance_bits`, the brute-force pairwise set distance.
+Small-n oracles are exhaustive enumerations (itertools over the whole cube,
+and every set of words at n <= 4); the sphere distance table is
+cross-checked against the Harper check's cube BFS, and the BFS against
+`_min_distance_bits`, the brute-force pairwise set distance.
 """
 
 import hashlib
@@ -28,9 +29,8 @@ from dimsurgery.hamming import (
     greedy_cover,
     greedy_max_coverage,
     harper_far_count,
-    opposite_sphere_distance_bits,
     popcount_table,
-    sphere_for_size,
+    sphere_distance_bits,
     sphere_words,
     verify_harper,
 )
@@ -168,116 +168,128 @@ class TestColex:
         assert colex_unrank(math.comb(n, k) - 1, n, k) == tuple(range(n - k, n))
 
 
+def _lex(n: int, k: int) -> list:
+    """The k-subsets of range(n) in lex order: sorted by the ascending tuple."""
+    return list(itertools.combinations(range(n), k))
+
+
+def _every_set(n: int):
+    """Every nonempty subset A of {0,1}^n, with n <= 4: the distance from
+    each word to A, one row per set, and |A|."""
+    space = 1 << n
+    words = np.arange(space)
+    dist = np.bitwise_count(words[:, None] ^ words).astype(np.int64)
+    rows = np.full((1 << space, space), n + 1, dtype=np.int64)    # row i: the set of bits of i
+    for v in range(space):
+        rows[1 << v:2 << v] = np.minimum(rows[:1 << v], dist[v])
+    return rows[1:], np.bitwise_count(np.arange(1, 1 << space))
+
+
 class TestSphereForSize:
     def test_exact_ball(self):
-        assert sphere_for_size(3, 4) == (1, 0)
+        assert sorted(sphere_words(3, 4).tolist()) == [0, 1, 2, 4]
 
     def test_partial(self):
-        assert sphere_for_size(3, 5) == (1, 1)
+        # weight ascending, then value descending
+        assert sphere_words(3, 5).tolist() == [0, 4, 2, 1, 6]
 
     def test_half_space(self):
-        assert sphere_for_size(10, 2 ** 9) == (4, 512 - 386)
+        # the radius-4 ball (386 words) plus 126 of the 252 words of weight 5
+        weights = popcount_table(10)[sphere_words(10, 2 ** 9)]
+        assert np.bincount(weights).tolist() == [1, 10, 45, 120, 210, 512 - 386]
 
     def test_size_exact(self):
         for n in (4, 9):
             for size in range(1, 2 ** n + 1):
                 assert len(sphere_words(n, size)) == size
 
-    def test_partial_layer_is_colex_prefix(self):
+    def test_partial_layer_is_reversed_lex_prefix(self):
+        # Harper's simplicial order under the position reversal i -> n-1-i:
+        # the radius-k ball, then a lex prefix of the reversed (k+1)-subsets
         n = 7
         for k in range(n):
             full = ball_volume(n, k)
+            ball = np.flatnonzero(popcount_table(n) <= k).tolist()
             for part in range(1, math.comb(n, k + 1)):
                 words = sphere_words(n, full + part)
-                want = [sum(1 << i for i in t) for t in _colex(n, k + 1)[:part]]
+                want = [sum(1 << (n - 1 - i) for i in t) for t in _lex(n, k + 1)[:part]]
+                assert sorted(words[:full].tolist()) == ball, (k, part)
                 assert words[full:].tolist() == want, (k, part)
-
-    def test_words_are_ball_plus_colex_layer(self):
-        # the `size` lowest words in (weight, value) order are the radius-k
-        # ball plus the first p colex (k+1)-subsets; far complements each word
-        for n in (1, 5, 8):
-            for size in range(1, 2 ** n + 1):
-                k, p = sphere_for_size(n, size)
-                ball = [w for w in range(2 ** n) if bin(w).count("1") <= k]
-                layer = [sum(1 << i for i in t) for t in _colex(n, k + 1)[:p]]
-                near = sphere_words(n, size).tolist()
-                assert sorted(near) == sorted(ball + layer), (n, size)
-                far = sphere_words(n, size, far=True).tolist()
-                assert far == [w ^ (2 ** n - 1) for w in near], (n, size)
-
-    def test_array_of_sizes(self):
-        # elementwise over an array: k is the largest radius whose ball fits
-        for n in (1, 6, 11):
-            sizes = np.arange(1, 2 ** n + 1)
-            k, p = sphere_for_size(n, sizes)
-            want_k = [max(r for r in range(n + 1) if ball_volume(n, r) <= size)
-                      for size in sizes.tolist()]
-            assert k.tolist() == want_k
-            assert p.tolist() == [size - ball_volume(n, r)
-                                  for size, r in zip(sizes.tolist(), want_k)]
-        with pytest.raises(ValueError):
-            sphere_for_size(4, np.array([3, 17]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
             sphere_words(4, 0)
         with pytest.raises(ValueError):
-            sphere_words(4, 17, far=True)
+            sphere_words(4, 17)
         with pytest.raises(ValueError):
-            sphere_for_size(4, 0)
-        with pytest.raises(ValueError):
-            sphere_for_size(4, 17)
+            sphere_words(hamming.MAX_EXHAUSTIVE_N + 1, 1)
 
 
 class TestOppositeSphereDistance:
     def test_nested_balls(self):
-        assert opposite_sphere_distance_bits(10, ball_volume(10, 2), ball_volume(10, 3)) == 5
+        assert sphere_distance_bits(10, ball_volume(10, 2), ball_volume(10, 3)) == 5
 
     def test_whole_space_touches(self):
-        assert opposite_sphere_distance_bits(8, 2 ** 8, 5) == 0
+        assert sphere_distance_bits(8, 2 ** 8, 5) == 0
 
     def test_half_and_half(self):
         for n in (4, 6, 8):
-            assert opposite_sphere_distance_bits(n, 2 ** (n - 1), 2 ** (n - 1)) in (0, 1)
-
-    def test_disjoint_rank_prefix_min_oracle(self):
-        # for each colex a-subset S, the least colex rank of a b-subset
-        # disjoint from S, then the running minimum over the a-subsets
-        for n in range(1, 10):
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    got = hamming._disjoint_rank_prefix_min(n, a, b)
-                    if a + b > n:
-                        assert got is None
-                        continue
-                    b_subsets = _colex(n, b)
-                    least = [next(r for r, t in enumerate(b_subsets) if not set(t) & set(s))
-                             for s in _colex(n, a)]
-                    assert got.tolist() == list(itertools.accumulate(least, min)), (n, a, b)
+            assert sphere_distance_bits(n, 2 ** (n - 1), 2 ** (n - 1)) in (0, 1)
 
     def test_brute_force_cross_check(self):
-        # the load-bearing oracle: materialize both spheres, compare exactly
-        rng = np.random.default_rng(3)
-        for n in (3, 4, 5, 6, 7, 8):
-            sizes = set(rng.integers(1, 2 ** n + 1, size=12).tolist())
-            sizes |= {1, 2 ** n, ball_volume(n, n // 2)}
-            for sa in sizes:
-                for sb in sizes:
-                    words_a = sphere_words(n, sa)
-                    words_b = sphere_words(n, sb, far=True)
-                    want = _min_distance_bits(words_a, words_b)
-                    got = opposite_sphere_distance_bits(n, sa, sb)
-                    assert got == want, (n, sa, sb)
-
+        # every size pair at n <= 8: both spheres materialized as rows and
+        # measured by the Harper check's cube BFS
+        for n in range(1, 9):
+            space = 1 << n
+            rank = np.empty(space, dtype=np.int64)
+            rank[sphere_words(n, space)] = np.arange(space)
+            sizes = np.arange(1, space + 1)
+            for lo in range(0, space, 16):
+                sa, sb = (g.ravel() for g in np.meshgrid(sizes[lo:lo + 16], sizes, indexing="ij"))
+                want = hamming._set_distances(n, rank < sa[:, None], (rank < sb[:, None])[:, ::-1])
+                assert sphere_distance_bits(n, sa, sb).tolist() == want.tolist(), n
 
     def test_array_of_sizes(self):
         # one vectorized call equals the scalar calls, pair for pair
         for n in (1, 3, 6):
             sa, sb = (g.ravel() for g in np.meshgrid(np.arange(1, 2 ** n + 1),
                                                      np.arange(1, 2 ** n + 1)))
-            got = opposite_sphere_distance_bits(n, sa, sb)
-            assert got.tolist() == [int(opposite_sphere_distance_bits(n, a, b))
+            got = sphere_distance_bits(n, sa, sb)
+            assert got.tolist() == [int(sphere_distance_bits(n, a, b))
                                     for a, b in zip(sa.tolist(), sb.tolist())]
+
+    def test_every_set_pair_oracle(self):
+        # over every pair of sets at n <= 4, the largest d(A, B) for each
+        # size pair is the sphere distance (the B farthest from A holds the
+        # |B| words farthest from A); (2, 8) at n = 4 is a pair that a ball
+        # with a colex partial layer brings one bit too close
+        for n in range(1, 5):
+            space = 1 << n
+            rows, size = _every_set(n)
+            farthest = -np.sort(-rows, axis=1)      # column b-1: the b-th largest
+            sizes = np.arange(1, space + 1)
+            for a in sizes.tolist():
+                want = farthest[size == a].max(axis=0)
+                got = sphere_distance_bits(n, np.full_like(sizes, a), sizes)
+                assert got.tolist() == want.tolist(), (n, a)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_random_partial_layers_never_beat_the_table(self, n):
+        # balls with randomly ordered partial layers, at 0^n and at 1^n, over
+        # 40 orders a side and every size pair: none lie farther apart than
+        # the spheres of their sizes
+        rng = np.random.default_rng(n)
+        space = 1 << n
+        words = np.arange(space)
+        sa, sb = np.meshgrid(words + 1, words + 1, indexing="ij")
+        table = sphere_distance_bits(n, sa, sb)
+        for _ in range(40):
+            order_a, order_b = (np.lexsort((rng.permutation(space), popcount_table(n)))
+                                for _ in range(2))
+            # row a-1: each word's distance from the first a words of order_a
+            near = np.minimum.accumulate(np.bitwise_count(order_a[:, None] ^ words), axis=0)
+            d = np.minimum.accumulate(near[:, order_b ^ (space - 1)], axis=1)
+            assert (d <= table).all(), np.argwhere(d > table)[:3] + 1
 
 
 class TestBruteForceDistance:
@@ -366,15 +378,15 @@ class TestVerifyHarper:
         for row_a, row_b, (sa, sb) in zip(a[trials:-1], b[trials:-1], sizes[trials:-1]):
             assert np.flatnonzero(row_a).tolist() == sorted(sphere_words(n, sa).tolist())
             assert np.flatnonzero(row_b).tolist() == sorted(
-                sphere_words(n, sb, far=True).tolist())
+                (sphere_words(n, sb) ^ (2 ** n - 1)).tolist())
         assert sizes[-1].tolist() == [2 ** (n - 1) + 1] * 2
 
     def test_planted_violation_is_reported(self, monkeypatch):
         # a sphere distance one bit low turns every pair that met the bound
         # with equality into a failure, recorded with its sizes in pair order
         clean = verify_harper(6, trials=50, seed=1)
-        exact = hamming.opposite_sphere_distance_bits
-        monkeypatch.setattr(hamming, "opposite_sphere_distance_bits",
+        exact = hamming.sphere_distance_bits
+        monkeypatch.setattr(hamming, "sphere_distance_bits",
                             lambda n, sa, sb: exact(n, sa, sb) - 1)
         rep = verify_harper(6, trials=50, seed=1)
         assert not rep.ok
@@ -403,6 +415,16 @@ class TestHarperFarCount:
                 dists = np.bitwise_count(all_words[:, None] ^ a[None, :]).min(axis=1)
                 want = int(np.count_nonzero(dists > t))
                 assert harper_far_count(n, a, eps) == want
+
+    def test_every_set_oracle(self):
+        # over every set at n <= 4, the most words any A leaves more than r
+        # from it is far(S_hat, r) of the sphere of |A| words
+        for n in range(1, 5):
+            rows, size = _every_set(n)
+            for a in range(1, 2 ** n + 1):
+                for r in range(n):
+                    want = int((rows[size == a] > r).sum(axis=1).max())
+                    assert harper_far_count(n, sphere_words(n, a), r / n) == want, (n, a, r)
 
     def test_guard(self):
         with pytest.raises(ValueError):
