@@ -216,6 +216,17 @@ class TestSphereForSize:
                 assert sorted(words[:full].tolist()) == ball, (k, part)
                 assert words[full:].tolist() == want, (k, part)
 
+    def test_words_are_ball_plus_reversed_lex_layer(self):
+        # the sphere of every size is the largest radius-k ball that fits plus
+        # the first p reversed lex (k+1)-subsets
+        for n in (1, 5, 8):
+            for size in range(1, 2 ** n + 1):
+                k = max(r for r in range(n + 1) if ball_volume(n, r) <= size)
+                p = size - ball_volume(n, k)
+                ball = [w for w in range(2 ** n) if bin(w).count("1") <= k]
+                layer = [sum(1 << (n - 1 - i) for i in t) for t in _lex(n, k + 1)[:p]]
+                assert sorted(sphere_words(n, size).tolist()) == sorted(ball + layer), (n, size)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sphere_words(4, 0)
