@@ -11,17 +11,13 @@ from .dimension import (
 )
 from .duplication import duplication_decode, duplication_encode
 from .entropy import (
-    CASE1,
-    CASE2,
     BoundCurves,
     BufferSchedule,
     ConvexityReport,
     ScheduleError,
     bound_curves,
     buffer_schedule,
-    case_select,
     entropy,
-    entropy_deriv,
     entropy_inv,
     raise_profile,
     uplift_gap,

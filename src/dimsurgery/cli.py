@@ -32,7 +32,6 @@ from .entropy import (
     bound_curves,
     buffer_margin,
     buffer_schedule,
-    case_select,
     entropy,
     entropy_inv,
     verify_concavity_lemma,
@@ -92,13 +91,6 @@ def cmd_gen(args) -> int:
 # curves
 # ---------------------------------------------------------------------------
 
-def _case_labels(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    labels = np.where(s == t, "equal", "randomize")
-    strict = (s < t) & (t < 1.0)
-    labels[strict] = case_select(s[strict], t[strict])
-    return labels
-
-
 def _check_grid(grid: float, command: str) -> None:
     if grid < MIN_GRID[command]:
         raise ValueError(f"--grid must be >= {MIN_GRID[command]}, got {grid}")
@@ -112,14 +104,14 @@ def cmd_curves(args) -> int:
         grid.append(1.0)
     pairs = ((a, b) for a in grid for b in grid if b >= a)
     with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
-        fh.write("s,t,naive,raise,lower,case\n")
+        fh.write("s,t,naive,raise,lower\n")
         # fixed-size blocks bound memory; one s-row per bound_curves call
         # would pay entropy_inv's per-call cost 1/grid times
         while block := list(islice(pairs, 2048)):
             s, t = np.array(block).T
             bc = bound_curves(s, t)
-            fh.writelines(",".join([*map(_fmt, row[:5]), row[5]]) + "\n" for row in
-                          zip(s, t, bc.naive, bc.raise_, bc.lower, _case_labels(s, t)))
+            fh.writelines(",".join(map(_fmt, row)) + "\n"
+                          for row in zip(s, t, bc.naive, bc.raise_, bc.lower))
     return EXIT_OK
 
 

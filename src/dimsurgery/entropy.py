@@ -1,11 +1,11 @@
 """Binary entropy calculus: H, its [0,1/2] inverse branch, the raise profile
 M(s, eps) = H(min(1/2, H^{-1}(s) + eps)), bound curves between dimensions,
-the paper's case selection, and numeric verification of the
-convexity/concavity facts its two raise constructions rest on.
+and numeric verification of the convexity/concavity facts the paper's two
+raise constructions rest on.
 
 All inputs named like probabilities/dimensions live in [0, 1].  entropy,
-entropy_inv, raise_profile, bound_curves and case_select work elementwise on
-numpy arrays and return Python scalars for scalar input; a scalar result
+entropy_inv, raise_profile and bound_curves work elementwise on numpy
+arrays and return Python scalars for scalar input; a scalar result
 equals the matching element of the array result bit for bit, so callers that
 loop over chunks or grid points make one array call instead.
 
@@ -231,15 +231,6 @@ def entropy_inv(y):
     return out.reshape(arr.shape)
 
 
-def entropy_deriv(p):
-    """H'(p) = log2((1-p)/p) for p in (0, 1); infinite slope at the endpoints."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    out = np.log2((1.0 - arr) / arr)
-    return float(out) if arr.ndim == 0 else out
-
-
 def raise_profile(s, eps):
     """M(s, eps) = H(min(1/2, H^{-1}(s) + eps)).
 
@@ -282,40 +273,6 @@ def bound_curves(s, t) -> BoundCurves:
         raise_=entropy_inv(t_arr) - entropy_inv(s_arr),
         lower=entropy_inv(1.0 - s_arr),
     )
-
-
-CASE1 = "case1"
-CASE2 = "case2"
-
-
-def _weighted_inv_slope(x: np.ndarray) -> np.ndarray:
-    # (1-x) * g'(x) with g = entropy_inv; g'(x) = 1/H'(g(x)).  Limit 0 at x=0,
-    # where g = 0 lies outside the domain of H' and is swapped for 1/4.
-    inside = x > 0.0
-    g = np.where(inside, entropy_inv(x), 0.25)
-    return np.where(inside, (1.0 - x) / entropy_deriv(g), 0.0)
-
-
-_CASE_TIE_TOL = 1e-9
-
-
-def case_select(s, t):
-    """Pick the paper's raise construction for the pair s < t (both in [0, 1)).
-
-    Returns CASE1 iff (1-s)g'(s) <= (1-t)g'(t) with g = entropy_inv.  Both
-    strategies are valid under a non-strict inequality, so near-ties (within
-    1e-9) also resolve to CASE1.  Elementwise: array input gives an array of
-    CASE1/CASE2 strings.
-    """
-    _require_unit(s, "s")
-    _require_unit(t, "t")
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(s_arr < t_arr) or np.any(t_arr >= 1.0):
-        raise ValueError(f"need 0 <= s < t < 1, got s={s}, t={t}")
-    case1 = _weighted_inv_slope(s_arr) <= _weighted_inv_slope(t_arr) + _CASE_TIE_TOL
-    out = np.where(case1, CASE1, CASE2)
-    return str(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,14 @@ def plan_weak_srandom(s_seq, c: float) -> SurgeryPlan:
 def plan_raise(s_seq, t: float) -> SurgeryPlan:
     """Water-filling raise plan from the measured chunk dims s_j.
 
-    t_j = max(s_j, tau rounded up to 1/j), tau the least value in [0, 1]
-    (bisection) whose targets keep dim_series(t_j).tail_min >= t, and
-    delta_j = clip(g(t_j) - g(s_j) + eps_j, 0, 1): with g = entropy_inv
-    convex, one water level is the cheapest way to a weighted average t.
-    Its bound is gap = max(0, g(t) - g(s)), s = dim_series(s_seq).tail_min;
-    asserts, from the plan alone, planned distance (over apply_plan's tail
-    window, from j0 = default_tail_start) <= gap + max eps + 1/j0.
+    t_j = max(s_j, tau rounded up to 1/j), tau the least single level in
+    [0, 1] (bisection) whose targets keep dim_series(t_j).tail_min >= t,
+    and delta_j = clip(g(t_j) - g(s_j) + eps_j, 0, 1), g = entropy_inv.
+    Targets on more than one level can cost less under the tail-max
+    planned_distance (README, Raise planning).  Its bound is gap =
+    max(0, g(t) - g(s)), s = dim_series(s_seq).tail_min; asserts, from the
+    plan alone, planned distance (over apply_plan's tail window, from j0 =
+    default_tail_start) <= gap + max eps + 1/j0.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")

@@ -1,6 +1,7 @@
-"""Shared test fixtures: the paper's oblivious raise plans, kept as the
-reference that the package's water-filling planner is measured against, and
-non-stationary inputs built from the `verify buffer` families."""
+"""Shared test fixtures: the paper's oblivious raise plans and its Case 1 /
+Case 2 selector, kept as the reference that the package's water-filling
+planner is measured against, and non-stationary inputs built from the
+`verify buffer` families."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,51 @@ import pytest
 from dimsurgery.bitseq import BitSequence
 from dimsurgery.cli import _buffer_families
 from dimsurgery.dimension import chunk_count
-from dimsurgery.entropy import CASE1, case_select, entropy_inv
+from dimsurgery.entropy import _require_unit, entropy_inv
 from dimsurgery.surgery import _round_up_to_grid, default_eps_seq
+
+
+def entropy_deriv(p):
+    """H'(p) = log2((1-p)/p) for p in (0, 1); infinite slope at the endpoints."""
+    arr = np.asarray(p, dtype=float)
+    if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    out = np.log2((1.0 - arr) / arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+CASE1 = "case1"
+CASE2 = "case2"
+
+
+def _weighted_inv_slope(x: np.ndarray) -> np.ndarray:
+    # (1-x) * g'(x) with g = entropy_inv; g'(x) = 1/H'(g(x)).  Limit 0 at x=0,
+    # where g = 0 lies outside the domain of H' and is swapped for 1/4.
+    inside = x > 0.0
+    g = np.where(inside, entropy_inv(x), 0.25)
+    return np.where(inside, (1.0 - x) / entropy_deriv(g), 0.0)
+
+
+_CASE_TIE_TOL = 1e-9
+
+
+def case_select(s, t):
+    """Pick the paper's raise construction for the pair s < t (both in [0, 1)).
+
+    Returns CASE1 iff (1-s)g'(s) <= (1-t)g'(t) with g = entropy_inv.  Both
+    strategies are valid under a non-strict inequality, so near-ties (within
+    1e-9) also resolve to CASE1.  Elementwise: array input gives an array of
+    CASE1/CASE2 strings.
+    """
+    _require_unit(s, "s")
+    _require_unit(t, "t")
+    s_arr = np.asarray(s, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(s_arr < t_arr) or np.any(t_arr >= 1.0):
+        raise ValueError(f"need 0 <= s < t < 1, got s={s}, t={t}")
+    case1 = _weighted_inv_slope(s_arr) <= _weighted_inv_slope(t_arr) + _CASE_TIE_TOL
+    out = np.where(case1, CASE1, CASE2)
+    return str(out) if out.ndim == 0 else out
 
 
 def paper_raise_deltas(s_seq, s: float, t: float):

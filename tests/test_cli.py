@@ -76,15 +76,13 @@ class TestCurves:
         out = tmp_path / "curves.csv"
         assert run("curves", "--grid", "0.25", "--out", str(out)) == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == "s,t,naive,raise,lower,case"
+        assert lines[0] == "s,t,naive,raise,lower"
         rows = {tuple(ln.split(",")[:2]): ln.split(",") for ln in lines[1:]}
         # raise bound at (0.5, 1.0) is 1/2 - H^-1(1/2) ~ 0.390
         row = rows[("0.500000", "1.000000")]
         assert abs(float(row[3]) - 0.390) <= 0.005
-        assert row[5] == "randomize"
         diag = rows[("0.500000", "0.500000")]
         assert float(diag[2]) == 0.0 and float(diag[3]) == 0.0
-        assert diag[5] == "equal"
 
     def test_monotone_raise_column(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -880,7 +878,7 @@ class TestConfigAndCodes:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=5\n")
         assert run("--config", str(cfg), "curves", "--grid", "0.5") == EXIT_OK
-        assert capsys.readouterr().out.startswith("s,t,naive,raise,lower,case\n")
+        assert capsys.readouterr().out.startswith("s,t,naive,raise,lower\n")
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert run("--config", str(tmp_path / "none.cfg"), "curves") == EXIT_IO
@@ -1067,9 +1065,9 @@ class TestOutputPins:
 
     PINS = {
         "curves_0.05":
-            "806f71ec8884aabdf7e46177dd26eec7207bbfc5cef9d99c1c2047234cb23736",
+            "a7b788610a7ce024f9835d4f6d3f8904e6013bf498cf10ee90cd2e19a5fbc8db",
         "curves_0.01":
-            "f38f308f45e0c272f3327b6a4874d2c4b5279a3f3f6391cb508cf8e3c72e7b85",
+            "843fa9ff41d1c85264a9aeb28cb100c64bd6946927693c933c5d57fa4f5275f0",
         "verify_buffer":
             "d273915f8e7d8b5270fd6462786079e94a9e904a8dedc128d1e3a5e5a75a60b9",
         "verify_buffer_1e5":

@@ -14,16 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CASE1, CASE2, case_select, entropy_deriv
 from dimsurgery.entropy import (
-    CASE1,
-    CASE2,
     ScheduleError,
     bound_curves,
     buffer_margin,
     buffer_schedule,
-    case_select,
     entropy,
-    entropy_deriv,
     entropy_inv,
     raise_profile,
     uplift_gap,

@@ -36,4 +36,4 @@ def test_script_exits_zero(tmp_path, script, args):
     if script in STDOUT_SHA256:
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_SHA256[script]
     if script == "bound_curves.py":
-        assert (tmp_path / "c.csv").read_text().startswith("s,t,naive,raise,lower,case\n")
+        assert (tmp_path / "c.csv").read_text().startswith("s,t,naive,raise,lower\n")

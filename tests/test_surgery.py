@@ -19,7 +19,8 @@ from dimsurgery.dimension import (
     sequence_dim,
     sequence_distance,
 )
-from dimsurgery.entropy import CASE1, case_select, entropy, entropy_inv, raise_profile
+from conftest import CASE1, case_select
+from dimsurgery.entropy import entropy, entropy_inv, raise_profile
 from dimsurgery.estimators import BernoulliOracle, BlockEntropy, Compressor
 from dimsurgery.hamming import _expand_once, ball_offsets, ball_volume, systematic_code
 from dimsurgery.surgery import (
