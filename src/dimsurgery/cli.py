@@ -63,8 +63,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# The finest --grid each command takes and the longest --horizon: a run at a
-# cap takes 6-18 s on a 2-vCPU host (README), and finer grids cost more.
+# The finest --grid each command takes and the longest --horizon: the README
+# gives the time a run at each cap takes, and finer grids cost more.
 MIN_GRID = {"curves": 5e-4, "convexity": 1e-6, "concavity": 2.5e-4}
 MAX_HORIZON = 1_000_000
 MAX_COROLLARY_N = 14      # verify corollary: each trial scans all 2^n words

@@ -6,11 +6,12 @@ the weighted running average of per-chunk conditional estimates, with a
 tail extremum standing in for the infinite-horizon liminf; the distance
 aggregator mirrors it with per-chunk Hamming densities and a tail maximum.
 This module owns the chunk layout: chunk_boundary is the one n_j,
-chunk_count the one number of complete chunks, weighted_series the one
-quadratic weighting and default_tail_start the one tail window every
-extremum reads.  chunk_dims is the one pass that measures an input; surgery
-estimates what it writes (raise_chunk each candidate, apply_plan each lowered
-chunk).  Chunks are compared only by sequence_distance.
+chunk_count the one number of complete chunks, chunk_spans the one walk over
+them that every chunk traversal iterates, weighted_series the one quadratic
+weighting and default_tail_start the one tail window every extremum reads.
+chunk_dims is the one loop that measures a sequence; surgery estimates what
+it writes (raise_chunk each candidate, apply_plan each lowered chunk).
+Chunks are compared only by sequence_distance.
 """
 
 from __future__ import annotations
@@ -30,26 +31,27 @@ def chunk_boundary(j):
 
     An int j gives an int; an int array gives an int64 array, elementwise.
     """
-    if isinstance(j, int):
-        # plain int arithmetic: the chunk loops call this once per chunk
-        if j < 1:
-            raise ValueError(f"chunk index must be >= 1, got {j}")
-    else:
+    if not isinstance(j, int):
         j = np.asarray(j, dtype=np.int64)
-        if np.any(j < 1):
-            raise ValueError(f"chunk indices must be >= 1, got {j}")
+    if np.any(j < 1):
+        raise ValueError(f"chunk indices must be >= 1, got {j}")
     return (j - 1) * j * (2 * j - 1) // 6
 
 
 def chunk_count(length: int) -> int:
     """Number of complete chunks in `length` bits: the largest count with
-    chunk_boundary(count + 1) <= length."""
+    chunk_boundary(count + 1) <= length, at most cbrt(3 length) as n_{c+1} >= c^3/3."""
     if length < 1:
         raise ValueError("length must be positive")
-    count = 0
-    while chunk_boundary(count + 2) <= length:
-        count += 1
-    return count
+    ends = chunk_boundary(np.arange(2, int(np.cbrt(3 * length)) + 3))
+    return int(np.count_nonzero(ends <= length))
+
+
+def chunk_spans(count: int) -> list[tuple[int, int]]:
+    """The bit spans (n_j, n_{j+1}) of chunks j = 1..count, in order: the one
+    walk over the chunk layout."""
+    ends = chunk_boundary(np.arange(1, count + 2)).tolist()
+    return list(zip(ends, ends[1:]))
 
 
 def default_tail_start(count: int) -> int:
@@ -64,16 +66,11 @@ def _tail(series: np.ndarray) -> np.ndarray:
 
 
 def chunk_dims(x, est) -> np.ndarray:
-    """Per-chunk conditional estimates s_j: chunk j against its prefix x[:n_j].
-
-    This is the one measurement loop; every complete chunk is estimated once.
-    """
+    """Per-chunk conditional estimates s_j, chunk j against its prefix x[:n_j]:
+    the one measurement loop, which estimates every complete chunk once."""
     bits = as_bits(x)
-    values = np.empty(chunk_count(len(bits)))
-    for j in range(1, len(values) + 1):
-        lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
-        values[j - 1] = est.estimate(bits[lo:hi], bits[:lo])
-    return values
+    return np.array([est.estimate(bits[lo:hi], bits[:lo])
+                     for lo, hi in chunk_spans(chunk_count(len(bits)))], dtype=np.float64)
 
 
 @dataclass
@@ -129,11 +126,8 @@ def sequence_distance(x, y) -> DistanceSeries:
     bx, by = as_bits(x), as_bits(y)
     if bx.size != by.size:
         raise ValueError(f"length mismatch: {bx.size} vs {by.size}")
-    count = chunk_count(bx.size)
+    spans = chunk_spans(chunk_count(bx.size))
     # chunk by chunk: a whole-sequence bx != by would hold a byte per bit
-    ends = [chunk_boundary(j) for j in range(1, count + 2)]
-    counts = np.array([np.count_nonzero(bx[lo:hi] != by[lo:hi])
-                       for lo, hi in zip(ends, ends[1:])], dtype=np.int64)
-    js = np.arange(1, count + 1, dtype=np.int64)
-    series = np.cumsum(counts) / chunk_boundary(js + 1).astype(np.float64)
+    counts = np.array([np.count_nonzero(bx[lo:hi] != by[lo:hi]) for lo, hi in spans], np.int64)
+    series = np.cumsum(counts) / np.array([hi for _, hi in spans], dtype=np.float64)
     return DistanceSeries(tail_max=float(_tail(series).max()), counts=counts)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bitseq import BitSequence, as_bits
 from .dimension import (
-    chunk_boundary,
+    chunk_spans,
     default_tail_start,
     dim_series,
     planned_distance,
@@ -237,7 +237,7 @@ def plan_lower(n_chunks: int, target_s: float, block_len: int | None = None) -> 
     """
     if block_len is None:
         block_len = default_block_len(target_s)
-    layouts = [_block_layout(j * j, block_len) for j in range(1, n_chunks + 1)]
+    layouts = [_block_layout(hi - lo, block_len) for lo, hi in chunk_spans(n_chunks)]
     widths = {w for layout in layouts for w, _ in layout}
     codebooks = {w: quantizer_codebook(w, target_s) for w in sorted(widths, reverse=True)}
     entries = [PlanEntry(j=j, t_j=target_s, eps_j=0.0,
@@ -324,21 +324,23 @@ class SurgeryReport:
 
 
 def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
-    """Apply a surgery plan chunk by chunk, left to right.
+    """Apply a surgery plan left to right over the walk chunk_spans(count),
+    which also gives the bits the plan covers and each chunk's size j^2.
 
-    The input is not estimated: the plan was built from the caller's
-    measurement of it.  `seed` says how the search runs, the plan what it
-    must achieve, so one plan serves every seed.  Per chunk,
-    one call modifies it within its bit budget floor(delta_j j^2), computed
-    once for all chunks: raise_chunk searches against the constructed
-    prefix (seeded by (seed, j)) and returns its estimate, which is
-    t_achieved; lower_chunk quantizes onto the plan's block codebooks, and
-    t_achieved is estimated once.  One sequence_distance pass counts each
-    chunk's changed bits once: the counts are asserted against the same
-    budgets, and give delta_achieved and the distance.  dim_after
-    aggregates t_achieved: each was estimated once its prefix was final,
-    so it equals a sequence_dim pass over the output.
-    The report holds only achieved values; the planned ones stay in the plan.
+    The input is only read, never estimated: the plan was built from the
+    caller's measurement of it, and y starts as its copy, so bits past the
+    plan pass through.  `seed` says how the search runs, the plan what it
+    must achieve, so one plan serves every seed.  Per chunk, one call
+    modifies it within its bit budget floor(delta_j j^2), computed once:
+    raise_chunk searches against the constructed prefix (seeded by
+    (seed, j)) and returns its estimate, which is t_achieved; lower_chunk
+    quantizes onto the plan's block codebooks, and t_achieved is estimated
+    once.  One sequence_distance pass counts each chunk's changed bits
+    once: the counts are asserted against the same budgets, and give
+    delta_achieved and the distance.  dim_after aggregates t_achieved: each
+    was estimated once its prefix was final, so it equals a sequence_dim
+    pass over the output.  The report holds only achieved values; the
+    planned ones stay in the plan.
     """
     bx = as_bits(x)
     count = len(plan.entries)
@@ -346,25 +348,24 @@ def apply_plan(x, plan: SurgeryPlan, est, seed: int = 0):
         return BitSequence(bx.copy()), SurgeryReport(
             delta_achieved=np.empty(0), t_achieved=np.empty(0),
             dim_after=float("nan"), distance=0.0)
-    used = chunk_boundary(count + 1)
+    spans = chunk_spans(count)
+    used = spans[-1][1]
     if used > bx.size:
         raise ValueError(f"plan covers {used} bits, sequence has {bx.size}")
 
-    sizes = np.arange(1, count + 1, dtype=np.int64) ** 2
+    sizes = np.array([hi - lo for lo, hi in spans], dtype=np.int64)
     budgets = np.floor(plan.deltas() * sizes + 1e-9).astype(np.int64)
     y = bx.copy()
     t_achieved = np.empty(count)
     index_bits_total = 0.0
-    for i, entry in enumerate(plan.entries):
-        j = entry.j
-        lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
+    for i, (entry, (lo, hi)) in enumerate(zip(plan.entries, spans)):
         if plan.strategy == LOWER:
             y_chunk, index_bits = lower_chunk(bx[lo:hi], plan.codebooks, plan.block_len)
             index_bits_total += index_bits
             t_achieved[i] = est.estimate(y_chunk, y[:lo])
         else:
             y_chunk, t_achieved[i] = raise_chunk(bx[lo:hi], y[:lo], int(budgets[i]), est,
-                                                 seed=(seed, j), target=entry.t_j)
+                                                 seed=(seed, entry.j), target=entry.t_j)
         y[lo:hi] = y_chunk
 
     changed = sequence_distance(bx[:used], y[:used])

@@ -23,6 +23,7 @@ from dimsurgery.dimension import (
     chunk_boundary,
     chunk_count,
     chunk_dims,
+    chunk_spans,
     default_tail_start,
     planned_distance,
     sequence_dim,
@@ -121,6 +122,75 @@ class TestChunkSchedule:
         assert chunk_count(15) == 3  # chunk 4 needs bits up to 30
         with pytest.raises(ValueError, match="length must be positive"):
             chunk_count(0)
+
+    @given(st.integers(min_value=0, max_value=3000))
+    @settings(deadline=None)
+    def test_spans_walk_the_layout(self, count):
+        # contiguous from bit 0, chunk j holds j^2 bits, and the walk ends
+        # where chunk count + 1 starts
+        spans = chunk_spans(count)
+        ends = [0] + [hi for _, hi in spans]
+        assert [lo for lo, _ in spans] == ends[:-1]
+        assert [hi - lo for lo, hi in spans] == [j * j for j in range(1, count + 1)]
+        assert ends[-1] == chunk_boundary(count + 1)
+
+    @given(st.integers(min_value=1, max_value=10 ** 10))
+    @settings(deadline=None)
+    def test_chunk_count_matches_loop(self, length):
+        # the count is one array call; the oracle walks boundaries one by one
+        count = 0
+        while chunk_boundary(count + 2) <= length:
+            count += 1
+        assert chunk_count(length) == count
+
+    def test_chunk_count_at_every_short_length(self):
+        for length in range(1, 20_000):
+            count = chunk_count(length)
+            assert chunk_boundary(count + 1) <= length < chunk_boundary(count + 2)
+
+
+def _chunk_dims_loop(x, est) -> np.ndarray:
+    """chunk_dims as one loop over j, each span from two chunk_boundary calls."""
+    bits = x.bits
+    values = np.empty(chunk_count(len(bits)))
+    for j in range(1, len(values) + 1):
+        lo, hi = chunk_boundary(j), chunk_boundary(j + 1)
+        values[j - 1] = est.estimate(bits[lo:hi], bits[:lo])
+    return values
+
+
+def _sequence_distance_loop(x, y):
+    """sequence_distance's counts and tail_max, one loop over j."""
+    bx, by = x.bits, y.bits
+    count = chunk_count(bx.size)
+    ends = [chunk_boundary(j) for j in range(1, count + 2)]
+    counts = np.array([np.count_nonzero(bx[lo:hi] != by[lo:hi])
+                       for lo, hi in zip(ends, ends[1:])], dtype=np.int64)
+    js = np.arange(1, count + 1, dtype=np.int64)
+    series = np.cumsum(counts) / chunk_boundary(js + 1).astype(np.float64)
+    return counts, float(series[max(0, default_tail_start(count) - 2):].max())
+
+
+# 13 and 100 007 bits end mid-chunk; 5 and 14 end on a boundary
+WALK_LENGTHS = [5, 13, 14, 100_007]
+
+
+class TestWalkMatchesLoops:
+    @pytest.mark.parametrize("length", WALK_LENGTHS)
+    @pytest.mark.parametrize("spec", ["bernoulli", "block:8", "compressor:zlib"])
+    def test_chunk_dims(self, length, spec):
+        x = gen_bernoulli(0.11, length, length)
+        got = chunk_dims(x, parse_estimator(spec))
+        want = _chunk_dims_loop(x, parse_estimator(spec))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length", WALK_LENGTHS)
+    def test_sequence_distance(self, length):
+        x, y = gen_bernoulli(0.11, length, length), gen_coin(length, length + 1)
+        got = sequence_distance(x, y)
+        counts, tail_max = _sequence_distance_loop(x, y)
+        assert got.counts.dtype == np.int64 and np.array_equal(got.counts, counts)
+        assert got.tail_max == tail_max
 
 
 class TestEstimators:

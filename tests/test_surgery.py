@@ -881,6 +881,25 @@ class TestApplyPlan:
         assert report.distance == results[0].tail_max
         assert len(report.t_achieved) == len(plan.entries) == count
 
+    @pytest.mark.parametrize("strategy", [RAISE, "randomize", WEAK_SRANDOM, LOWER])
+    def test_input_is_only_read(self, strategy):
+        # x is byte-equal after the run, and the 37 bits past the last
+        # complete chunk reach y unchanged while the chunks themselves move
+        count = 40
+        used = chunk_boundary(count + 1)
+        x = gen_bernoulli(0.11, used + 37, 5)
+        before = x.bits.tobytes()
+        est = BernoulliOracle()
+        s_seq = chunk_dims(x, est)
+        plan = {RAISE: lambda: plan_raise(s_seq, 0.8),
+                "randomize": lambda: plan_randomize(s_seq),
+                WEAK_SRANDOM: lambda: plan_weak_srandom(s_seq, c=10.0),
+                LOWER: lambda: plan_lower(count, 0.5, block_len=10)}[strategy]()
+        y, _ = apply_plan(x, plan, est, seed=3)
+        assert x.bits.tobytes() == before
+        assert y.bits[used:].tobytes() == before[used:]
+        assert y.bits[:used].tobytes() != before[:used]
+
     def test_deterministic_given_seed(self):
         n_chunks = 30
         x = gen_bernoulli(0.2, chunk_boundary(n_chunks + 1), 9)
