@@ -39,39 +39,82 @@ def ball_volume(n: int, k: int):
 # Colex ranks of k-subsets given as ascending positions (duplication coder).
 # ---------------------------------------------------------------------------
 
+def _comb_from(b: int, m: int, c: int, i: int) -> int:
+    """C(c, i) from b == C(m, i) (c != m >= i) in one exact step: with
+    d = |c - m|, C(c, i) / C(m, i) is perm(c, d) / perm(c - i, d) for c > m,
+    and its inverse below m; math.comb(c, i) when d > i costs less."""
+    d = abs(c - m)
+    if d > i:
+        return math.comb(c, i)
+    top = max(c, m)
+    num, den = math.perm(top, d), math.perm(top - i, d)
+    return b * num // den if c > m else b * den // num
+
+
 def colex_rank(subset) -> int:
-    """Colex rank sum_i C(c_i, i+1) of a k-subset given as an ascending iterable."""
+    """Colex rank sum_i C(c_i, i+1) of a k-subset given as an ascending
+    iterable of integers: O(1) big-integer operations per element."""
+    from operator import index
     rank = 0
     b = 1           # b == C(m, i): nonzero for m >= i, unlike C(c_i, i+1) at c_i = i
     m = 0
     for i, c in enumerate(subset):
+        c = index(c)
         if c < m:
             raise ValueError(f"subset must be strictly ascending and nonnegative, got {c}")
-        while m < c:                        # exact C(m+1, i) = C(m, i) (m+1)/(m+1-i)
-            m += 1
-            b = b * m // (m - i)
+        if c > m:
+            b = _comb_from(b, m, c, i)
         rank += b * (c - i) // (i + 1)      # C(c, i+1) = C(c, i) (c-i)/(i+1)
-        m += 1
+        m = c + 1
         b = b * m // (i + 1)                # C(c+1, i+1)
     return rank
 
 
+def _colex_guess(rank: int, c: int, m: int, k: int) -> int:
+    """A guess in [k, m-1] at the largest e with C(e, k) <= rank, given
+    c == C(m, k) > rank >= 1: a ratio start, then Newton steps on log C(e, k)."""
+    ratio = math.log(rank) - math.log(c)    # log C(e, k)/C(m, k), about k log(e/m)
+    target = ratio + math.lgamma(m + 1) - math.lgamma(m - k + 1)
+    e = min(max(k / 2 + (m - k / 2) * math.exp(ratio / k), k), m - 1)
+    for _ in range(4):
+        last = e
+        e -= ((math.lgamma(e + 1) - math.lgamma(e - k + 1) - target)
+              / math.log((e + 0.5) / (e - k + 0.5)))
+        e = min(max(e, k), m - 1)
+        if abs(e - last) < 0.5:
+            break
+    return int(e)
+
+
 def colex_unrank(rank: int, n: int, k: int) -> tuple:
-    """Inverse of colex_rank for k-subsets of {0..n-1}."""
-    out = [0] * k
+    """Inverse of colex_rank for k-subsets of {0..n-1}: the largest element is
+    the largest e < n with C(e, k) <= rank, and so on down.  Dense stretches
+    (8k > m positions left) take one exact step per position; sparse ones
+    jump to a log-gamma guess of e and correct it by exact steps."""
+    c = math.comb(n, k) if 0 <= k <= n else 0
+    if not 0 <= rank < c:
+        shown = rank if rank.bit_length() <= 64 else f"a {rank.bit_length()}-bit int"
+        raise ValueError(f"need 0 <= k <= n and 0 <= rank < C(n, k), "
+                         f"got rank={shown}, n={n}, k={k}")
+    out = list(range(k))                    # rank 0 leaves {0..k-1}
     m = n
-    c = math.comb(m, k)
-    while k > 0:
-        # c == C(m, k); exact updates C(m-1, k) = c (m-k)/m, C(m-1, k-1) = c k/m
-        offset = c * (m - k) // m
-        if rank >= offset:
-            rank -= offset
-            c = c * k // m
-            k -= 1
-            out[k] = m - 1
+    while rank:
+        # c == C(m, k) > rank >= 1, so m > k; find e, the element k-1, and b == C(e, k)
+        if 8 * k > m:                       # dense: step down from m-1
+            e, b = m - 1, c * (m - k) // m
         else:
-            c = offset
-        m -= 1
+            e = _colex_guess(rank, c, m, k)
+            b = _comb_from(c, m, e, k)
+            while (up := b * (e + 1) // (e + 1 - k)) <= rank:
+                b, e = up, e + 1
+        while b > rank:                     # C(e-1, k) = C(e, k) (e-k)/e
+            b = b * (e - k) // e
+            e -= 1
+        rank -= b
+        c = b * k // (e - k + 1)            # C(e, k-1)
+        k -= 1
+        out[k] = e
+        m = e
     return tuple(out)
 
 

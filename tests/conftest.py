@@ -1,7 +1,10 @@
 """Shared test fixtures: the paper's oblivious raise plans and its Case 1 /
 Case 2 selector, kept as the reference that the package's water-filling
-planner is measured against, and non-stationary inputs built from the
-`verify buffer` families."""
+planner is measured against, the per-position colex rank and unrank that
+the package's jumping ones are checked against, and non-stationary inputs
+built from the `verify buffer` families."""
+
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +77,44 @@ def paper_raise_deltas(s_seq, s: float, t: float):
     chord = (1.0 - t) / (1.0 - s) * s_arr + (t - s) / (1.0 - s)
     t_arr = _round_up_to_grid(chord, js)
     return "raise_case2", np.clip(entropy_inv(t_arr) - entropy_inv(s_arr) + eps, 0.0, 1.0)
+
+
+def colex_rank_walk(subset) -> int:
+    """Colex rank sum_i C(c_i, i+1) by one exact step per position up to the
+    largest element: C(m+1, i) = C(m, i) (m+1)/(m+1-i)."""
+    rank = 0
+    b = 1           # b == C(m, i): nonzero for m >= i, unlike C(c_i, i+1) at c_i = i
+    m = 0
+    for i, c in enumerate(subset):
+        if c < m:
+            raise ValueError(f"subset must be strictly ascending and nonnegative, got {c}")
+        while m < c:
+            m += 1
+            b = b * m // (m - i)
+        rank += b * (c - i) // (i + 1)      # C(c, i+1) = C(c, i) (c-i)/(i+1)
+        m += 1
+        b = b * m // (i + 1)                # C(c+1, i+1)
+    return rank
+
+
+def colex_unrank_walk(rank: int, n: int, k: int) -> tuple:
+    """Inverse of colex_rank_walk for k-subsets of {0..n-1}, one exact step
+    per position from n down; rank must lie in [0, C(n, k))."""
+    out = [0] * k
+    m = n
+    c = math.comb(m, k)
+    while k > 0:
+        # c == C(m, k); exact updates C(m-1, k) = c (m-k)/m, C(m-1, k-1) = c k/m
+        offset = c * (m - k) // m
+        if rank >= offset:
+            rank -= offset
+            c = c * k // m
+            k -= 1
+            out[k] = m - 1
+        else:
+            c = offset
+        m -= 1
+    return tuple(out)
 
 
 def profile_bits(family: str, n_bits: int, seed: int) -> BitSequence:
